@@ -22,7 +22,7 @@ import statistics
 
 import numpy as np
 
-from timinggames import analytics, cli, relaydata, rewards
+from timinggames import cli
 
 import reference
 from reference import CheckError
@@ -140,7 +140,9 @@ class BidWorkload:
             for r, at in times:
                 sends[RELAYS[r]].append((GENESIS_MS + slot * SLOT_MS + at, i))
                 copies.append((slot, builder, block_hash, value, at, RELAYS[r]))
-        self.raw_records = 0
+        # Raw relay records per round, malformed lines too: the work behind
+        # items_per_s.
+        self.items_per_round = 0
         self.dump_args = []
         for relay in RELAYS:
             # Lines go out in timestamp order, with the malformed ones at
@@ -159,13 +161,12 @@ class BidWorkload:
                     fh.write(_bid_line(slot, builder, block_hash, value, unix_ms, num_tx) + "\n")
                 for _, k in at:
                     fh.write(bad[k] + "\n")
-            self.raw_records += len(rows) + len(bad)
+            self.items_per_round += len(rows) + len(bad)
             self.dump_args += ["--bids", f"{relay}={path}"]
 
         self.want_dedup = reference.expected_dedup(copies)
         if {k: a for k, (a, _) in self.want_dedup.items()} != {b[:4]: b[4] for b in self.panel}:
             raise CheckError("generator: a bid's earliest copy is not its panel arrival")
-        self.valid_records = len(copies)
         raw_cells: dict = {}
         for slot, _, _, _, _, relay in copies:
             raw_cells[relay, slot] = raw_cells.get((relay, slot), 0) + 1
@@ -379,51 +380,6 @@ class BidWorkload:
             "counted as failed"
         )
 
-    def end_to_end(self, records) -> dict:
-        rounds = _rounds(records)
-        return {
-            "ingest_bids_per_s": self.raw_records / statistics.median(r["ingest"] for r in rounds),
-            "regress_rows_per_s": len(self.panel) / statistics.median(r["regress"] for r in rounds),
-            "pipeline_s": statistics.median(sum(r.values()) for r in rounds),
-        }
-
-    # -- traced run -----------------------------------------------------------
-
-    def install(self, tracer) -> None:
-        for module, names in (
-            (relaydata, ("load_bids", "dedup_within_relay", "dedup_across_relays",
-                         "duplicate_stats", "write_bids_csv", "read_bids_csv")),
-            (analytics, ("residualize", "fit_marginal_value", "classify_winner",
-                         "unrealized_value", "attestation_share", "reorg_vulnerable",
-                         "orphan_comparison")),
-            (rewards, ("compare_rewards",)),
-        ):
-            for name in names:
-                tracer.wrap(module, name, f"{module.__name__.split('.')[-1]}.{name}")
-
-    def per_layer(self, tracer) -> dict:
-        s = tracer.summary()
-        rounds = s["cli.ingest"][0]
-        reads, read_s, _ = s["relaydata.read_bids_csv"]
-        classified, classify_s, _ = s["analytics.classify_winner"]
-        dedup_s = s["relaydata.dedup_within_relay"][1] + s["relaydata.dedup_across_relays"][1]
-        analyze = ("winners", "orphans", "shares", "rewards")
-        return {
-            "relaydata.parse_bids_per_s": self.raw_records * rounds / s["relaydata.load_bids"][1],
-            "relaydata.dedup_bids_per_s": self.valid_records * rounds / dedup_s,
-            "relaydata.dupstats_s": s["relaydata.duplicate_stats"][1] / rounds,
-            "relaydata.csv_write_s": s["relaydata.write_bids_csv"][1] / rounds,
-            "relaydata.csv_read_rows_per_s": len(self.panel) * reads / read_s,
-            "analytics.residualize_s": s["analytics.residualize"][1] / rounds,
-            "analytics.classify_slots_per_s": classified / classify_s,
-            "analytics.orphan_comparison_s": s["analytics.orphan_comparison"][1] / rounds,
-            "rewards.compare_s": s["rewards.compare_rewards"][1] / rounds,
-            "cli.ingest_s": s["cli.ingest"][1] / rounds,
-            "cli.regress_s": s["cli.regress"][1] / rounds,
-            "cli.analyze_s": sum(s[f"cli.{a}"][1] for a in analyze) / rounds,
-            "cli.overhead_s": sum(s[f"cli.{a}"][2] for a in STAGES) / rounds,
-        }
-
 
 _ORPHAN_FIELDS = (
     "orphaned_count",
@@ -452,13 +408,3 @@ def _orphan_report(orphaned, canonical, missed):
             len(considered),
         )
     )
-
-
-def _rounds(records) -> list:
-    """Stage times grouped into whole rounds."""
-    rounds = []
-    for stage, dt, _ in records:
-        if stage == STAGES[0]:
-            rounds.append({})
-        rounds[-1][stage] = dt
-    return rounds

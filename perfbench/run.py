@@ -59,16 +59,22 @@ def import_workload(name: str, seed: int):
     return workload
 
 
-def run_round(workload, records, tracer=None) -> float:
-    """One whole round of the workload's operations; returns its wall time."""
-    if tracer is not None:
-        workload.install(tracer)
+def run_round(workload, records, layers=None) -> tuple:
+    """One whole round of the workload's operations.
+
+    Returns the round's wall time and its busy time, the part spent in the
+    program's calls: the checks of the outputs are not in it.
+    """
+    if layers is not None:
+        layers.install()
     begin = time.perf_counter()
+    busy = 0.0
     try:
         for op in workload.ops():
             t0 = time.perf_counter()
-            result = workload.run(op, tracer)
+            result = workload.run(op, None if layers is None else layers.tracer)
             elapsed = time.perf_counter() - t0
+            busy += elapsed
             try:
                 failed = workload.check(op, result)
             except CheckError:
@@ -76,9 +82,9 @@ def run_round(workload, records, tracer=None) -> float:
                 raise
             records.append((op, elapsed, failed))
     finally:
-        if tracer is not None:
-            tracer.uninstall()
-    return time.perf_counter() - begin
+        if layers is not None:
+            layers.tracer.uninstall()
+    return time.perf_counter() - begin, busy
 
 
 def src_lines() -> dict:
@@ -119,8 +125,13 @@ def measure(args) -> dict:
         generation_s = time.perf_counter() - t0
         setup = [time.perf_counter() - START - generation_s]
 
-        tracer = Tracer() if args.trace else None
+        layers = None
+        if args.trace:
+            from layers import Layers
+
+            layers = Layers(Tracer())
         walls = {False: [], True: []}
+        busy = {False: [], True: []}
         traced = False
         begin = time.perf_counter()
         # Another round starts while its expected midpoint falls inside the
@@ -136,7 +147,9 @@ def measure(args) -> dict:
                 and (walls[True] or not args.trace)
             ):
                 break
-            walls[traced].append(run_round(workload, records, tracer if traced else None))
+            wall, program = run_round(workload, records, layers if traced else None)
+            walls[traced].append(wall)
+            busy[traced].append(program)
             traced = bool(args.trace) and not traced
         peak_rss_mb = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0
         problems = self_test()
@@ -154,16 +167,20 @@ def measure(args) -> dict:
     metrics = {}
     if correct:
         if args.trace:
-            metrics = workload.per_layer(tracer)
+            metrics = layers.metrics()
             metrics.update(src_lines())
-            metrics["trace.overhead_s"] = statistics.median(walls[True]) - statistics.median(
-                walls[False]
+            metrics["trace.overhead_s"] = statistics.median(busy[True]) - statistics.median(
+                busy[False]
             )
             results = HERE / "results"
             results.mkdir(exist_ok=True)
-            tracer.write(results / f"spans-{args.workload}-seed{args.seed}.csv")
+            layers.tracer.write(results / f"spans-{args.workload}-seed{args.seed}.csv")
         else:
-            metrics = workload.end_to_end(records)
+            # Work over the whole run's busy time: the host's speed drifts
+            # smoothly over seconds, which a mean over the run averages out
+            # better than the median round does.
+            items = workload.items_per_round * len(busy[False])
+            metrics = {"items_per_s": items / sum(busy[False])}
             setup += [setup_probe(args.workload) for _ in range(SETUP_PROBES)]
             metrics["setup_s"] = statistics.median(setup)
             metrics["peak_rss_mb"] = peak_rss_mb

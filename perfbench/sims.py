@@ -8,11 +8,9 @@ configuration must reproduce the first one exactly.
 
 from __future__ import annotations
 
-import statistics
-
 import numpy as np
 
-from timinggames import consensus, simnet, waitinggame
+from timinggames import consensus, waitinggame
 
 from reference import CheckError
 
@@ -109,8 +107,9 @@ class SimWorkload:
         for i, (x_d, t_d) in enumerate(cells):
             run_seed = int(np.random.SeedSequence([seed, i]).generate_state(1)[0])
             self.configs.append(waitinggame.SimConfig(x_d=x_d, t_d=t_d, seed=run_seed, **base))
+        # Simulated slots per round, the work behind items_per_s.
+        self.items_per_round = sum(int(c.duration // SLOT_SECONDS) for c in self.configs)
         self._first: dict = {}
-        self._engines: list = []
 
     def prepare(self, workdir) -> None:
         pass
@@ -131,66 +130,3 @@ class SimWorkload:
         if fingerprint != first:
             raise CheckError(f"repetition of config {index} differs: {out.metrics} vs {first[0]}")
         return False
-
-    def end_to_end(self, records) -> dict:
-        times = [dt for _, dt, _ in records]
-        slots = sum(int(op[1].duration // SLOT_SECONDS) for op, _, _ in records)
-        return {"sim_slots_per_s": slots / sum(times), "sim_run_s.p50": statistics.median(times)}
-
-    # -- traced run -----------------------------------------------------------
-
-    def install(self, tracer) -> None:
-        tracer.wrap(waitinggame, "simulate", "waitinggame.simulate")
-        tracer.wrap(waitinggame, "generate_er_graph", "simnet.generate_er_graph")
-        tracer.wrap(simnet.EventEngine, "run", "simnet.EventEngine.run", self._keep_engine)
-        tracer.wrap(simnet.EventEngine, "publish_block", "simnet.EventEngine.publish_block")
-        tracer.wrap(
-            simnet.EventEngine, "publish_attestation", "simnet.EventEngine.publish_attestation"
-        )
-        handlers = waitinggame._ChainHandlers
-        tracer.wrap(handlers, "on_slot_start", "waitinggame.on_slot_start")
-        tracer.wrap(handlers, "on_attest_deadline", "waitinggame.on_attest_deadline")
-        tracer.wrap(waitinggame, "head_from_arrays", "consensus.head_from_arrays")
-        tracer.wrap(waitinggame, "mainchain", "consensus.mainchain")
-
-    def _keep_engine(self, args, _result) -> None:
-        engine = args[0]
-        state = engine.block_seen, engine.block_arrival, engine.lm_slot, engine.lm_target
-        self._engines.append(
-            (engine.topology, engine.gossip, engine.end_time, sum(a.nbytes for a in state))
-        )
-
-    def per_layer(self, tracer) -> dict:
-        summary = tracer.summary()
-        runs = summary["waitinggame.simulate"][0]
-        engine_self = summary["simnet.EventEngine.run"][2]
-        # Interactions are computed, not counted: every ordered adjacent pair
-        # carries one clock per message class, each firing once per tau.
-        interactions = sum(
-            len(topology.directed_pairs())
-            * end_time
-            * (1.0 / gossip.tau_block + 1.0 / gossip.tau_attestation)
-            for topology, gossip, end_time, _ in self._engines
-        )
-        simulate_end = {}
-        after_run = 0.0
-        for i, (name, _, end, parent) in enumerate(tracer.spans):
-            if name == "waitinggame.simulate":
-                simulate_end[i] = end
-        for name, _, end, parent in tracer.spans:
-            if name == "simnet.EventEngine.run":
-                after_run += simulate_end[parent] - end
-        head_calls, head_total, _ = summary["consensus.head_from_arrays"]
-        return {
-            "simnet.topology_s": summary["simnet.generate_er_graph"][1] / runs,
-            "simnet.engine_s": summary["simnet.EventEngine.run"][1] / runs,
-            "simnet.gossip_s": engine_self / runs,
-            "simnet.interactions_per_s": interactions / engine_self,
-            "simnet.state_mb": statistics.mean(e[3] for e in self._engines) / 2**20,
-            "consensus.head_calls": head_calls / runs,
-            "consensus.head_us": head_total / head_calls * 1e6,
-            "consensus.mainchain_s": summary["consensus.mainchain"][1] / runs,
-            "waitinggame.deadline_s": summary["waitinggame.on_attest_deadline"][2] / runs,
-            "waitinggame.slot_start_s": summary["waitinggame.on_slot_start"][2] / runs,
-            "waitinggame.metrics_s": after_run / runs,
-        }
