@@ -78,13 +78,13 @@ def _load_config(path, allowed) -> dict:
 
 
 def _sim_config(doc: dict, seed_override) -> SimConfig:
-    payoff = PayoffModel(
-        base_value_eth=float(doc.get("base_value_eth", 0.0)),
-        lambda_eth_per_ms=float(
-            doc.get("lambda_eth_per_ms", PayoffModel().lambda_eth_per_ms)
-        ),
-    )
     try:
+        payoff = PayoffModel(
+            base_value_eth=float(doc.get("base_value_eth", 0.0)),
+            lambda_eth_per_ms=float(
+                doc.get("lambda_eth_per_ms", PayoffModel().lambda_eth_per_ms)
+            ),
+        )
         return SimConfig(
             n=int(doc.get("n", 128)),
             mean_degree=float(doc.get("mean_degree", 8.0)),
@@ -99,6 +99,16 @@ def _sim_config(doc: dict, seed_override) -> SimConfig:
         )
     except (TypeError, ValueError) as exc:
         raise click.UsageError(f"invalid config value: {exc}")
+
+
+def _grid_values(doc: dict, key: str, default) -> list:
+    values = doc.get(key, default)
+    if not isinstance(values, (list, tuple)):
+        raise click.UsageError(f"{key} must be a list of numbers")
+    try:
+        return [float(v) for v in values]
+    except (TypeError, ValueError) as exc:
+        raise click.UsageError(f"invalid {key} entry: {exc}")
 
 
 def _digest(path) -> str | None:
@@ -449,10 +459,13 @@ def sim_run(config_path, seed, out, verbose):
 def sim_sweep(config_path, seed, out, jobs, verbose):
     """Seed-averaged (x_d, t_d) grid; writes one row per cell."""
     doc = _load_config(config_path, _SIM_KEYS | _SWEEP_ONLY_KEYS)
-    x_values = [float(x) for x in doc.get("x_values", DEFAULT_X_GRID)]
-    t_values = [float(t) for t in doc.get("t_values", DEFAULT_T_GRID)]
-    seeds = int(doc.get("seeds", DEFAULT_SEEDS))
-    n_jobs = jobs if jobs is not None else int(doc.get("jobs", 1))
+    x_values = _grid_values(doc, "x_values", DEFAULT_X_GRID)
+    t_values = _grid_values(doc, "t_values", DEFAULT_T_GRID)
+    try:
+        seeds = int(doc.get("seeds", DEFAULT_SEEDS))
+        n_jobs = jobs if jobs is not None else int(doc.get("jobs", 1))
+    except (TypeError, ValueError) as exc:
+        raise click.UsageError(f"invalid config value: {exc}")
     base = _sim_config(
         {k: v for k, v in doc.items() if k in _SIM_KEYS}, seed
     )

@@ -228,48 +228,53 @@ def attest_decision(
     return Attestation(validator=validator, slot=slot, target=target, creation_time=now)
 
 
-# -- array fast path (used by the simulation handlers) -----------------------
+# -- bitset fast path (used by the simulation handlers) ----------------------
 
 
 def head_from_arrays(
     parent: list,
     children: list,
-    lm_slot_row: np.ndarray,
-    lm_target_row: np.ndarray,
-    seen_row: np.ndarray,
-    n_blocks: int,
-    extra_block: int = -1,
+    blocks: int,
+    votes: int,
+    vote_slots: list,
+    vote_settled: dict,
+    width: int,
 ) -> int:
-    """LMD-GHOST head over one node's local arrays.
+    """LMD-GHOST head over one node's block and vote bitsets.
 
-    Votes whose target the node has not received are skipped.  ``extra_block``
-    lets a proposer include its own not-yet-released block.
+    ``blocks`` has bit b set when the node holds block b.  ``votes`` has bit
+    ``k * width + validator`` set when it holds that validator's vote of
+    window slot k, whose targets ``vote_slots[k]`` maps to validator
+    bitsets.  ``vote_settled`` maps (slot, target) to the validators whose
+    latest vote predates the window.  A validator's latest message is its
+    highest-slot vote; votes whose target the node has not received are
+    skipped.
     """
-    targets = lm_target_row[: len(lm_slot_row)]
-    valid = lm_slot_row >= 0
-    if valid.any():
-        tv = targets[valid]
-        vis = seen_row[tv]
-        if extra_block >= 0:
-            vis = vis | (tv == extra_block)
-        tv = tv[vis]
-        w = np.bincount(tv, minlength=n_blocks).astype(np.float64)
-    else:
-        w = np.zeros(n_blocks)
+    n_blocks = len(parent)
+    w = [0] * n_blocks
+    mask = (1 << width) - 1
+    covered = 0
+    for k in range(len(vote_slots) - 1, -1, -1):
+        fresh = (votes >> (k * width)) & mask & ~covered
+        if fresh:
+            covered |= fresh
+            for target, bits in vote_slots[k].items():
+                if blocks >> target & 1:
+                    w[target] += (fresh & bits).bit_count()
+    for (_, target), bits in vote_settled.items():
+        if blocks >> target & 1:
+            w[target] += (bits & ~covered).bit_count()
     for b in range(n_blocks - 1, 0, -1):
-        p = parent[b]
         if w[b]:
-            w[p] += w[b]
+            w[parent[b]] += w[b]
     head = GENESIS_ID
     while True:
         best = -1
-        bw = -1.0
+        bw = -1
         for c in children[head]:
-            if c < n_blocks and (seen_row[c] or c == extra_block):
-                cw = w[c]
-                if cw > bw:
-                    bw = cw
-                    best = c
+            if blocks >> c & 1 and w[c] > bw:
+                bw = w[c]
+                best = c
         if best < 0:
             return head
         head = best

@@ -1,13 +1,26 @@
 """Random peer-to-peer topologies and the continuous-time gossip event engine.
 
-The engine carries two message classes between adjacent nodes:
+The engine carries two message classes between adjacent nodes.  Each node
+holds what it knows of each as one Python-int bitset:
 
-* blocks, forwarded with plain set semantics (receiver gains every block the
-  sender knows and it lacks), and
-* attestations, forwarded with keyed-latest semantics: each validator's newest
-  vote supersedes older ones, so only the per-validator latest (slot, target)
-  pair travels.  Older votes can never alter a latest-message table, which
-  makes this exchange outcome-equivalent to forwarding every stored vote.
+* blocks: bit ``b`` is set once the node has block ``b``;
+* votes: bit ``(slot - base) * n_validators + validator`` is set once the
+  node has that validator's vote of that slot.  One global table maps each
+  slot to ``{target: validator bitset}``.  The first target published for a
+  (validator, slot) is that vote everywhere, and later conflicting publishes
+  are ignored: the engine assumes non-equivocating validators.
+
+Gossip is the union rule for both classes: an interaction leaves both
+endpoints (one-way: the receiver) with the union of their sets.  A
+validator's latest message at a node is its highest-slot vote in the node's
+set.  Each validator casts at most one vote per slot, so this is the latest
+message that forwarding each validator's newest (slot, target) pair, and
+replacing only on a strictly later slot, would leave.
+
+At each attestation deadline the oldest vote slots that every node holds
+identically are folded into a settled table of latest votes and shifted out
+of every bitset.  A bitset then spans only the few slots still in flight, so
+the cost of a slot does not grow with the run's duration.
 
 Interaction times per ordered adjacent pair form a renewal process with
 exponential gaps of mean ``tau``.  Internally the engine draws the superposed
@@ -18,7 +31,7 @@ class), which is statistically identical and much cheaper to schedule.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import IntEnum
 
 import numpy as np
@@ -28,6 +41,7 @@ ATTEST_DEADLINE_OFFSET = 4.0
 
 _MAX_CONNECT_ATTEMPTS = 100
 _RNG_BATCH = 1 << 15
+_DRAW_SLICE = 1 << 11  # draws converted to Python lists at a time
 
 
 class TopologyError(Exception):
@@ -121,9 +135,9 @@ def generate_er_graph(n: int, mean_degree: float, seed: int) -> Topology:
     if not 0 < mean_degree < n:
         raise ValueError("mean_degree must be in (0, n)")
     p = mean_degree / (n - 1)
+    iu, ju = np.triu_indices(n, k=1)
     for attempt in range(_MAX_CONNECT_ATTEMPTS):
         rng = np.random.default_rng([seed, attempt])
-        iu, ju = np.triu_indices(n, k=1)
         mask = rng.random(iu.shape[0]) < p
         edges = frozenset(zip(iu[mask].tolist(), ju[mask].tolist()))
         if _connected(n, edges):
@@ -154,11 +168,12 @@ class EngineError(Exception):
         self.cause = cause
 
 
-@dataclass
-class _PendingRelease:
-    time: float
-    node: int
-    block_id: int
+def _bitset_rows(ints, nbits: int) -> np.ndarray:
+    """Boolean ``(len(ints), nbits)`` array: row i holds the low bits of ints[i]."""
+    nbytes = (nbits + 7) // 8
+    raw = b"".join(x.to_bytes(nbytes, "little") for x in ints)
+    packed = np.frombuffer(raw, dtype=np.uint8).reshape(len(ints), nbytes)
+    return np.unpackbits(packed, axis=1, count=nbits, bitorder="little").astype(bool)
 
 
 class EventEngine:
@@ -171,7 +186,19 @@ class EventEngine:
         on_sim_end(engine, t)               # optional, may be absent
 
     Blocks enter circulation via ``publish_block`` (usually from a scheduled
-    release), attestations via ``publish_attestation``.
+    release), votes via ``publish_attestation``.  A vote must be published
+    by its slot's attestation deadline: later, its slot may be settled.
+
+    Knowledge state, as fork choice reads it:
+
+    * ``blocks[v]``: node v's block bitset;
+    * ``votes[v]``: node v's vote bitset over the slots from ``vote_base``;
+    * ``vote_slots[k]``: ``{target: validator bitset}`` of slot ``vote_base + k``;
+    * ``vote_settled``: ``{(slot, target): validator bitset}``, the latest
+      vote before ``vote_base`` of each validator, which every node holds.
+
+    ``block_seen``, ``lm_slot`` and ``lm_target`` build dense arrays from the
+    bitsets on each read, for inspection after a run.
     """
 
     def __init__(
@@ -193,7 +220,7 @@ class EventEngine:
         self.handlers = handlers
         self.end_time = float(end_time)
         self.record_trace = record_trace
-        self.trace: list = [] if record_trace else None
+        self.trace: list | None = None  # set by run(): the trace covers the run
 
         self.n_nodes = topology.n
         self.n_validators = n_validators if n_validators is not None else topology.n
@@ -204,36 +231,26 @@ class EventEngine:
         self._src = [p[0] for p in pairs]
         self._dst = [p[1] for p in pairs]
         self._n_dir = len(pairs)
-        index = {p: i for i, p in enumerate(pairs)}
-        self._rev = [index[(v, u)] for u, v in pairs]
         self._bidirectional = gossip.bidirectional
 
         # Knowledge state.
-        self.block_seen = np.zeros((self.n_nodes, cap), dtype=bool)
+        self.blocks = [0] * self.n_nodes
         self.block_arrival = np.full((self.n_nodes, cap), np.nan)
-        self.lm_slot = np.full((self.n_nodes, self.n_validators), -1, dtype=np.int32)
-        self.lm_target = np.zeros((self.n_nodes, self.n_validators), dtype=np.int32)
-
-        # Version counters let the gossip loop skip interactions where the
-        # sender gained nothing since it last synced this edge.
-        self._bver = [1] * self.n_nodes
-        self._aver = [1] * self.n_nodes
-        self._bsync = [0] * self._n_dir
-        self._async_ = [0] * self._n_dir
+        self.votes = [0] * self.n_nodes
+        self.vote_base = 0
+        self.vote_slots: list = []
+        self.vote_settled: dict = {}
 
         self._rng = np.random.default_rng(seed)
         rate_b = self._n_dir / gossip.tau_block
         rate_a = self._n_dir / gossip.tau_attestation
         self._total_rate = rate_b + rate_a
         self._p_block = rate_b / self._total_rate
+        self._batch = None
+        self._draw_pos = _RNG_BATCH
 
         self._pending_releases: list = []  # kept sorted by (time, insertion)
         self._release_seq = 0
-
-        self._gaps = None
-        self._edges_draw = None
-        self._kinds_draw = None
-        self._draw_idx = 0
 
     # -- scheduling ---------------------------------------------------------
 
@@ -243,66 +260,111 @@ class EventEngine:
         self._pending_releases.sort()
 
     def publish_block(self, node: int, block_id: int, time: float) -> None:
-        if not self.block_seen[node, block_id]:
-            self.block_seen[node, block_id] = True
+        bit = 1 << block_id
+        if not self.blocks[node] & bit:
             self.block_arrival[node, block_id] = time
-            self._bver[node] += 1
-        if self.record_trace:
+            self.blocks[node] |= bit
+        if self.trace is not None:
             self.trace.append((time, "BLOCK_RELEASE", node, f"block={block_id}"))
 
     def publish_attestation(
         self, node: int, validator: int, slot: int, target: int, time: float
     ) -> None:
-        if slot > self.lm_slot[node, validator]:
-            self.lm_slot[node, validator] = slot
-            self.lm_target[node, validator] = target
-            self._aver[node] += 1
+        k = slot - self.vote_base
+        if k < 0:
+            raise ValueError(f"vote of slot {slot} published after the slot settled")
+        while len(self.vote_slots) <= k:
+            self.vote_slots.append({})
+        group = self.vote_slots[k]
+        bit = 1 << validator
+        if not any(bits & bit for bits in group.values()):
+            group[target] = group.get(target, 0) | bit
+        self.votes[node] |= bit << (k * self.n_validators)
 
-    # -- gossip internals ---------------------------------------------------
+    # -- knowledge state ----------------------------------------------------
 
-    def _refill(self):
-        self._gaps = self._rng.exponential(1.0 / self._total_rate, _RNG_BATCH)
-        self._edges_draw = self._rng.integers(0, self._n_dir, _RNG_BATCH)
-        self._kinds_draw = self._rng.random(_RNG_BATCH) < self._p_block
-        self._draw_idx = 0
+    def _arrive(self, node: int, new: int, t: float) -> None:
+        arrival = self.block_arrival
+        while new:
+            low = new & -new
+            arrival[node, low.bit_length() - 1] = t
+            new ^= low
 
-    def _push_block(self, u: int, v: int, t: float) -> None:
-        new = self.block_seen[u] & ~self.block_seen[v]
-        if new.any():
-            self.block_seen[v] |= new
-            self.block_arrival[v, new] = t
-            self._bver[v] += 1
+    def _compact(self, slot: int) -> None:
+        """Settle the oldest vote slots, up to ``slot``, that all nodes hold alike."""
+        width = self.n_validators
+        mask = (1 << width) - 1
+        votes = self.votes
+        settled = self.vote_settled
+        k = 0
+        while k < len(self.vote_slots) and self.vote_base + k <= slot:
+            shift = k * width
+            held = (votes[0] >> shift) & mask
+            if any((x >> shift) & mask != held for x in votes):
+                break
+            for key in list(settled):
+                rest = settled[key] & ~held
+                if rest:
+                    settled[key] = rest
+                else:
+                    del settled[key]
+            for target, bits in self.vote_slots[k].items():
+                settled[(self.vote_base + k, target)] = bits
+            k += 1
+        if k:
+            shift = k * width
+            votes[:] = [x >> shift for x in votes]
+            del self.vote_slots[:k]
+            self.vote_base += k
 
-    def _gossip_block(self, u: int, v: int, e: int, t: float) -> None:
-        if self._bidirectional:
-            r = self._rev[e]
-            if self._bsync[e] != self._bver[u] or self._bsync[r] != self._bver[v]:
-                self._push_block(u, v, t)
-                self._push_block(v, u, t)
-                self._bsync[e] = self._bver[u]
-                self._bsync[r] = self._bver[v]
-        elif self._bsync[e] != self._bver[u]:
-            self._push_block(u, v, t)
-            self._bsync[e] = self._bver[u]
+    @property
+    def block_seen(self) -> np.ndarray:
+        return _bitset_rows(self.blocks, self.block_arrival.shape[1])
 
-    def _push_attestation(self, u: int, v: int) -> None:
-        newer = self.lm_slot[u] > self.lm_slot[v]
-        if newer.any():
-            self.lm_slot[v][newer] = self.lm_slot[u][newer]
-            self.lm_target[v][newer] = self.lm_target[u][newer]
-            self._aver[v] += 1
+    def _latest_votes(self):
+        """Dense ``(n_nodes, n_validators)`` latest-message slots and targets."""
+        n, width = self.n_nodes, self.n_validators
+        lm_slot = np.full((n, width), -1, dtype=np.int32)
+        lm_target = np.zeros((n, width), dtype=np.int32)
+        for (slot, target), bits in self.vote_settled.items():
+            mine = _bitset_rows([bits], width)[0]
+            lm_slot[:, mine] = slot
+            lm_target[:, mine] = target
+        window = len(self.vote_slots)
+        held = _bitset_rows(self.votes, window * width).reshape(n, window, width)
+        for k, group in enumerate(self.vote_slots):
+            voted = np.zeros(width, dtype=np.int32)
+            for target, bits in group.items():
+                voted[_bitset_rows([bits], width)[0]] = target
+            has = held[:, k, :]
+            lm_slot[has] = self.vote_base + k
+            lm_target[has] = np.broadcast_to(voted, has.shape)[has]
+        return lm_slot, lm_target
 
-    def _gossip_attestation(self, u: int, v: int, e: int, t: float) -> None:
-        if self._bidirectional:
-            r = self._rev[e]
-            if self._async_[e] != self._aver[u] or self._async_[r] != self._aver[v]:
-                self._push_attestation(u, v)
-                self._push_attestation(v, u)
-                self._async_[e] = self._aver[u]
-                self._async_[r] = self._aver[v]
-        elif self._async_[e] != self._aver[u]:
-            self._push_attestation(u, v)
-            self._async_[e] = self._aver[u]
+    @property
+    def lm_slot(self) -> np.ndarray:
+        return self._latest_votes()[0]
+
+    @property
+    def lm_target(self) -> np.ndarray:
+        return self._latest_votes()[1]
+
+    # -- gossip stream ------------------------------------------------------
+
+    def _next_draws(self):
+        """The next slice of the gossip stream as Python lists: gaps, edge
+        indices and block-class flags, one entry per interaction."""
+        if self._draw_pos == _RNG_BATCH:
+            rng = self._rng
+            self._batch = (
+                rng.exponential(1.0 / self._total_rate, _RNG_BATCH),
+                rng.integers(0, self._n_dir, _RNG_BATCH),
+                rng.random(_RNG_BATCH) < self._p_block,
+            )
+            self._draw_pos = 0
+        lo = self._draw_pos
+        self._draw_pos = lo + _DRAW_SLICE
+        return [a[lo : self._draw_pos].tolist() for a in self._batch]
 
     # -- main loop ----------------------------------------------------------
 
@@ -311,12 +373,17 @@ class EventEngine:
         end = self.end_time
         src = self._src
         dst = self._dst
-        trace = self.trace
-        record = self.record_trace
+        blocks = self.blocks
+        votes = self.votes
+        arrive = self._arrive
+        bidirectional = self._bidirectional
+        self.trace = trace = [] if self.record_trace else None
+        record = trace is not None
 
-        self._refill()
-        gossip_t = self._gaps[0]
-        self._draw_idx = 1
+        gaps, edges, kinds = self._next_draws()
+        slice_len = len(gaps)
+        j = 0
+        gossip_t = gaps[0]
 
         slot = 0
         next_slot_t = 0.0 if self.n_slots > 0 else math.inf
@@ -324,57 +391,63 @@ class EventEngine:
         dl_head = 0
 
         def next_structural():
-            # Returns (time, priority, tag) of the earliest non-gossip event.
-            best = (end, EventKind.SIM_END, None)
+            # Returns (time, priority) of the earliest non-gossip event.
+            best = (end, EventKind.SIM_END)
             if self._pending_releases:
                 r = self._pending_releases[0]
-                if (r[0], EventKind.BLOCK_RELEASE) < (best[0], best[1]):
-                    best = (r[0], EventKind.BLOCK_RELEASE, None)
-            if next_slot_t < math.inf and (next_slot_t, EventKind.SLOT_START) < (
-                best[0],
-                best[1],
-            ):
-                best = (next_slot_t, EventKind.SLOT_START, None)
+                if (r[0], EventKind.BLOCK_RELEASE) < best:
+                    best = (r[0], EventKind.BLOCK_RELEASE)
+            if next_slot_t < math.inf and (next_slot_t, EventKind.SLOT_START) < best:
+                best = (next_slot_t, EventKind.SLOT_START)
             if dl_head < len(deadlines):
                 d = deadlines[dl_head]
-                if (d[0], EventKind.ATTEST_DEADLINE) < (best[0], best[1]):
-                    best = (d[0], EventKind.ATTEST_DEADLINE, None)
+                if (d[0], EventKind.ATTEST_DEADLINE) < best:
+                    best = (d[0], EventKind.ATTEST_DEADLINE)
             return best
 
         while True:
-            s_time, s_kind, _ = next_structural()
+            s_time, s_kind = next_structural()
 
             # Drain gossip interactions strictly before the next structural
             # event (ties go to the structural event: lower priority number).
-            gaps = self._gaps
-            edges = self._edges_draw
-            kinds = self._kinds_draw
-            i = self._draw_idx
             while gossip_t < s_time:
-                e = int(edges[i - 1])
+                e = edges[j]
                 u = src[e]
                 v = dst[e]
-                if kinds[i - 1]:
-                    self._gossip_block(u, v, e, gossip_t)
+                if kinds[j]:
+                    a = blocks[u]
+                    b = blocks[v]
+                    if a != b:
+                        if bidirectional:
+                            blocks[u] = blocks[v] = a | b
+                            if b & ~a:
+                                arrive(u, b & ~a, gossip_t)
+                            if a & ~b:
+                                arrive(v, a & ~b, gossip_t)
+                        elif a & ~b:
+                            blocks[v] = a | b
+                            arrive(v, a & ~b, gossip_t)
                     if record:
                         trace.append(
                             (gossip_t, "GOSSIP_INTERACTION", u, f"->{v}:block")
                         )
                 else:
-                    self._gossip_attestation(u, v, e, gossip_t)
+                    a = votes[u]
+                    b = votes[v]
+                    if a != b:
+                        if bidirectional:
+                            votes[u] = votes[v] = a | b
+                        else:
+                            votes[v] = a | b
                     if record:
                         trace.append(
                             (gossip_t, "GOSSIP_INTERACTION", u, f"->{v}:attestation")
                         )
-                if i == _RNG_BATCH:
-                    self._refill()
-                    gaps = self._gaps
-                    edges = self._edges_draw
-                    kinds = self._kinds_draw
-                    i = 0
-                gossip_t += gaps[i]
-                i += 1
-            self._draw_idx = i
+                j += 1
+                if j == slice_len:
+                    gaps, edges, kinds = self._next_draws()
+                    j = 0
+                gossip_t += gaps[j]
 
             try:
                 if s_kind == EventKind.SIM_END:
@@ -403,24 +476,11 @@ class EventEngine:
                     if record:
                         trace.append((t, "ATTEST_DEADLINE", -1, f"slot={dslot}"))
                     self.handlers.on_attest_deadline(self, t, dslot)
+                    self._compact(dslot)
             except EngineError:
                 raise
             except Exception as exc:
                 raise EngineError((s_time, s_kind), exc) from exc
-
-
-def run_engine(
-    topology: Topology,
-    gossip: GossipConfig,
-    handlers,
-    end_time: float,
-    seed,
-    **kwargs,
-):
-    """Convenience wrapper: build an engine, run it, return (engine, trace)."""
-    engine = EventEngine(topology, gossip, handlers, end_time, seed, **kwargs)
-    trace = engine.run()
-    return engine, trace
 
 
 def write_trace_csv(trace, path) -> None:

@@ -25,7 +25,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .consensus import BlockTree, head_from_arrays, mainchain
+from .consensus import GENESIS_ID, BlockTree, head_from_arrays, mainchain
 from .simnet import EventEngine, GossipConfig, Topology, generate_er_graph
 
 DEFAULT_LAMBDA_ETH_PER_MS = 5.71e-6
@@ -70,6 +70,20 @@ class SimConfig:
     proposer_boost: bool = False
     payoff: PayoffModel = field(default_factory=PayoffModel)
     record_trace: bool = False
+
+    def __post_init__(self):
+        if self.n < 2:
+            raise ValueError("n must be at least 2")
+        if not 0 < self.mean_degree < self.n:
+            raise ValueError("mean_degree must lie in (0, n)")
+        if not self.duration > 0:
+            raise ValueError("duration must be positive")
+        if not 0.0 <= self.x_d <= 1.0:
+            raise ValueError("x_d must lie in [0, 1]")
+        if not 0.0 <= self.t_d <= 12.0:
+            raise ValueError("t_d must lie in [0, 12]")
+        if not (self.tau_block > 0 and self.tau_attestation > 0):
+            raise ValueError("tau_block and tau_attestation must be positive")
 
 
 @dataclass
@@ -165,10 +179,11 @@ class _ChainHandlers:
         head = head_from_arrays(
             self.tree.parent,
             self.tree.children,
-            engine.lm_slot[proposer],
-            engine.lm_target[proposer],
-            engine.block_seen[proposer],
-            len(self.tree),
+            engine.blocks[proposer],
+            engine.votes[proposer],
+            engine.vote_slots,
+            engine.vote_settled,
+            engine.n_validators,
         )
         release_at = release_time(proposer, t, self.policy, self.assignment)
         block_id = self.tree.add(slot, proposer, head, release_at)
@@ -180,18 +195,29 @@ class _ChainHandlers:
 
     def on_attest_deadline(self, engine: EventEngine, t: float, slot: int) -> None:
         proposer = self.proposer_of_slot[slot]
-        nb = len(self.tree)
         parent = self.tree.parent
         children = self.tree.children
-        lm_slot = engine.lm_slot
-        lm_target = engine.lm_target
-        seen = engine.block_seen
+        blocks = engine.blocks
+        votes = engine.votes
+        # By the deadline most nodes share one view; a vote published in
+        # the loop changes only its own node's view, so a head computed for
+        # a view holds for every node with that view.
+        heads: dict = {}
         for v in range(self.n):
             if v == proposer:
                 continue
-            target = head_from_arrays(
-                parent, children, lm_slot[v], lm_target[v], seen[v], nb
-            )
+            view = (blocks[v], votes[v])
+            target = heads.get(view)
+            if target is None:
+                target = heads[view] = head_from_arrays(
+                    parent,
+                    children,
+                    blocks[v],
+                    votes[v],
+                    engine.vote_slots,
+                    engine.vote_settled,
+                    engine.n_validators,
+                )
             engine.publish_attestation(v, v, slot, target, t)
             self.final_table[v] = (slot, target)
 
@@ -221,8 +247,8 @@ def simulate(config: SimConfig) -> SimulationOutput:
         record_trace=config.record_trace,
     )
     # Everyone starts from genesis.
-    engine.block_seen[:, 0] = True
-    engine.block_arrival[:, 0] = 0.0
+    for v in range(config.n):
+        engine.publish_block(v, GENESIS_ID, 0.0)
     trace = engine.run()
 
     tree = handlers.tree

@@ -58,6 +58,33 @@ def test_sim_run_unknown_key(tmp_path):
     assert run(["sim", "run", "--config", cfg, "--out", tmp_path / "x.csv"]) == EXIT_USAGE
 
 
+@pytest.mark.parametrize(
+    "command, line",
+    [
+        ("run", "duration: -5"),
+        ("run", "n: 1"),
+        ("run", "mean_degree: 0"),
+        ("run", "x_d: 2"),
+        ("run", "t_d: 13"),
+        ("run", "tau_block: 0"),
+        ("sweep", "x_values: 0.5"),
+        ("sweep", "t_values: [a]"),
+        ("sweep", "duration: -5"),
+        ("sweep", "seeds: a"),
+        ("sweep", "jobs: [1]"),
+        ("run", "base_value_eth: a"),
+    ],
+)
+def test_sim_rejects_bad_config(tmp_path, capsys, command, line):
+    cfg = tmp_path / "cfg.yaml"
+    cfg.write_text(line + "\n")
+    out = tmp_path / "out.csv"
+    assert run(["sim", command, "--config", cfg, "--out", out]) == EXIT_USAGE
+    err = capsys.readouterr().err.strip().splitlines()
+    assert len(err) == 1 and err[0].startswith("error: ")
+    assert not out.exists()
+
+
 def test_sim_sweep_byte_identical(tmp_path):
     cfg = tmp_path / "cfg.yaml"
     cfg.write_text(

@@ -164,19 +164,69 @@ def test_validator_view_attest_uses_strictly_earlier_arrivals():
     assert att2.target == b
 
 
+N_VALIDATORS = 64
+SETTLED_BELOW = 10
+
+
+def vote_bitsets(rng, table, n_blocks):
+    """One node's vote bitset and the vote tables holding ``table``.
+
+    Latest votes before slot SETTLED_BELOW go to the settled table.  The
+    window and the settled table also hold superseded older votes of the
+    node's validators, and the window votes of other validators that the
+    node has not received.
+    """
+    n_slots = 40 - SETTLED_BELOW
+    slots = [{} for _ in range(n_slots)]
+    settled = {}
+    votes = 0
+
+    def settle(slot, validator, target):
+        key = (slot, target)
+        settled[key] = settled.get(key, 0) | 1 << validator
+
+    def record(slot, validator, target, held):
+        nonlocal votes
+        k = slot - SETTLED_BELOW
+        group = slots[k]
+        group[target] = group.get(target, 0) | 1 << validator
+        if held:
+            votes |= 1 << (k * N_VALIDATORS + validator)
+
+    for validator in range(N_VALIDATORS):
+        latest = table.get(validator)
+        if latest is None:
+            slot = int(rng.integers(SETTLED_BELOW, 40))
+            record(slot, validator, int(rng.integers(0, n_blocks)), held=False)
+            continue
+        slot, target = latest
+        if slot < SETTLED_BELOW:
+            settle(slot, validator, target)
+            continue
+        record(slot, validator, target, held=True)
+        if slot > SETTLED_BELOW:
+            older = int(rng.integers(SETTLED_BELOW, slot))
+            record(older, validator, int(rng.integers(0, n_blocks)), held=True)
+        if rng.random() < 0.5:
+            older = int(rng.integers(0, SETTLED_BELOW))
+            settle(older, validator, int(rng.integers(0, n_blocks)))
+    return votes, slots, settled
+
+
+def bitset(mask):
+    return sum(1 << int(b) for b in np.flatnonzero(mask))
+
+
 def test_head_from_arrays_matches_reference():
     rng = np.random.default_rng(2024)
     for _ in range(200):
         tree, table = random_tree_and_votes(rng)
         nb = len(tree)
-        n_validators = 64
-        lm_slot = np.full(n_validators, -1, dtype=np.int32)
-        lm_target = np.zeros(n_validators, dtype=np.int32)
-        for v, (slot, target) in table.items():
-            lm_slot[v] = slot
-            lm_target[v] = target
-        seen = np.ones(nb, dtype=bool)
-        got = head_from_arrays(tree.parent, tree.children, lm_slot, lm_target, seen, nb)
+        votes, slots, settled = vote_bitsets(rng, table, nb)
+        blocks = (1 << nb) - 1
+        got = head_from_arrays(
+            tree.parent, tree.children, blocks, votes, slots, settled, N_VALIDATORS
+        )
         assert got == lmd_ghost_head(tree, table)
 
 
@@ -194,12 +244,11 @@ def test_head_from_arrays_respects_visibility():
                 while p is not None and not seen[p]:
                     seen[p] = True
                     p = tree.parent[p]
-        lm_slot = np.full(64, -1, dtype=np.int32)
-        lm_target = np.zeros(64, dtype=np.int32)
-        for v, (slot, target) in table.items():
-            lm_slot[v] = slot
-            lm_target[v] = target
-        got = head_from_arrays(tree.parent, tree.children, lm_slot, lm_target, seen, nb)
+        votes, slots, settled = vote_bitsets(rng, table, nb)
+        got = head_from_arrays(
+            tree.parent, tree.children, bitset(seen), votes, slots, settled,
+            N_VALIDATORS,
+        )
         assert got == lmd_ghost_head(tree, table, visible=seen)
 
 

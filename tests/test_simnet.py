@@ -17,7 +17,6 @@ from timinggames.simnet import (
     TopologyError,
     gap_from_uniform,
     generate_er_graph,
-    run_engine,
     sample_interaction_gap,
     write_trace_csv,
 )
@@ -219,7 +218,7 @@ def test_slot_and_deadline_cadence():
 
     rec = Recorder()
     # Slot count is floor(duration / 12): 3 full slots fit into 40s.
-    engine, _ = run_engine(topo, GossipConfig(), rec, end_time=40.0, seed=0)
+    EventEngine(topo, GossipConfig(), rec, end_time=40.0, seed=0).run()
     assert rec.slots == [(0.0, 0), (SLOT_SECONDS, 1), (2 * SLOT_SECONDS, 2)]
     assert rec.deadlines == [
         (s * SLOT_SECONDS + ATTEST_DEADLINE_OFFSET, s) for s in range(3)
@@ -247,7 +246,7 @@ def test_handler_errors_are_wrapped():
             raise RuntimeError("boom")
 
     with pytest.raises(EngineError) as excinfo:
-        run_engine(topo, GossipConfig(), Broken(), end_time=12.0, seed=0)
+        EventEngine(topo, GossipConfig(), Broken(), end_time=12.0, seed=0).run()
     assert "boom" in str(excinfo.value)
 
 
@@ -261,12 +260,79 @@ def test_gossip_config_validation():
 
 def test_trace_csv(tmp_path):
     topo = two_node_topology()
-    engine, trace = run_engine(
+    trace = EventEngine(
         topo, GossipConfig(), ReleaseOnce(), end_time=13.0, seed=0, record_trace=True
-    )
+    ).run()
     path = tmp_path / "trace.csv"
     write_trace_csv(trace, path)
     lines = path.read_text().splitlines()
     assert lines[0] == "time,kind,node,detail"
     assert any("SLOT_START" in line for line in lines)
     assert any("BLOCK_RELEASE" in line for line in lines)
+
+
+def test_trace_csv_times_parse_as_floats(tmp_path):
+    topo = generate_er_graph(16, 8.0, 5)
+    trace = EventEngine(
+        topo, GossipConfig(), ReleaseOnce(), end_time=36.0, seed=3, record_trace=True
+    ).run()
+    path = tmp_path / "trace.csv"
+    write_trace_csv(trace, path)
+    rows = [line.split(",") for line in path.read_text().splitlines()[1:]]
+    assert sum(row[1] == "GOSSIP_INTERACTION" for row in rows) > 1000
+    times = [float(row[0]) for row in rows]
+    assert times == sorted(times)
+
+
+def test_trace_starts_with_the_run():
+    # Blocks published before run() seed the state without trace rows.
+    engine = EventEngine(
+        two_node_topology(), GossipConfig(), NullHandlers(), end_time=12.0, seed=0,
+        record_trace=True,
+    )
+    engine.publish_block(0, 0, 0.0)
+    engine.publish_block(1, 0, 0.0)
+    trace = engine.run()
+    assert trace[0] == (0.0, "SLOT_START", -1, "slot=0")
+    assert all(row[1] != "BLOCK_RELEASE" for row in trace)
+    assert engine.block_seen[:, 0].all()
+
+
+def test_settling_votes_keeps_latest_messages(monkeypatch):
+    # Votes every node holds move to the settled table.  At every deadline
+    # the latest-message views must read as they do when nothing is ever
+    # settled.  Slow vote gossip keeps slots in flight across deadlines.
+    topo = generate_er_graph(12, 4.0, 1)
+    gossip = GossipConfig(tau_attestation=15.0)
+
+    class VoteMostSlots(NullHandlers):
+        def __init__(self):
+            self.views = []
+
+        def on_attest_deadline(self, engine, t, slot):
+            self.views.append((engine.lm_slot, engine.lm_target))
+            for v in range(engine.n_nodes):
+                if (v + slot) % 3:
+                    engine.publish_attestation(v, v, slot, target=slot % 2, time=t)
+
+    def run():
+        handlers = VoteMostSlots()
+        engine = EventEngine(
+            topo, gossip, handlers, end_time=240.0, seed=2, max_blocks=2
+        )
+        engine.run()
+        return engine, handlers.views
+
+    settled, settled_views = run()
+    with monkeypatch.context() as m:
+        m.setattr(EventEngine, "_compact", lambda self, slot: None)
+        dense, dense_views = run()
+    assert dense.vote_base == 0 and not dense.vote_settled
+    assert settled.vote_base > 10 and settled.vote_settled
+    assert max(x.bit_length() for x in settled.votes) <= 4 * 12
+    assert len(settled_views) == len(dense_views) == 20
+    for (slot_a, target_a), (slot_b, target_b) in zip(settled_views, dense_views):
+        assert np.array_equal(slot_a, slot_b)
+        assert np.array_equal(target_a, target_b)
+    with pytest.raises(ValueError):
+        settled.publish_attestation(0, 0, settled.vote_base - 1, target=0, time=240.0)

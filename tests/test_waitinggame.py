@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from timinggames import waitinggame
 from timinggames.consensus import BlockTree
 from timinggames.waitinggame import (
     DEFAULT_LAMBDA_ETH_PER_MS,
@@ -225,3 +226,40 @@ def test_orphans_follow_an_unseen_delayer_block():
         previous = block_of_slot.get(tree.slot[b] - 1)
         assert previous is not None and tree.proposer[previous] in delayers
         assert tree.parent[b] != previous
+
+
+def test_settled_votes_bound_the_vote_state(monkeypatch):
+    # Settling fully spread vote slots keeps every vote bitset a few slots
+    # wide, however long the run.
+    widths = []
+    deadline = waitinggame._ChainHandlers.on_attest_deadline
+
+    def measured(self, engine, t, slot):
+        deadline(self, engine, t, slot)
+        widths.append(max(x.bit_length() for x in engine.votes))
+
+    monkeypatch.setattr(waitinggame._ChainHandlers, "on_attest_deadline", measured)
+    config = SimConfig(duration=5000.0)
+    simulate(config)
+    assert len(widths) == 5000 // 12
+    assert max(widths) < 8 * config.n
+
+
+@pytest.mark.parametrize(
+    "field, value",
+    [
+        ("n", 1),
+        ("mean_degree", 0.0),
+        ("mean_degree", 128.0),
+        ("duration", -5.0),
+        ("duration", 0.0),
+        ("x_d", 2.0),
+        ("x_d", -0.1),
+        ("t_d", 12.5),
+        ("tau_block", 0.0),
+        ("tau_attestation", -1.0),
+    ],
+)
+def test_sim_config_rejects_out_of_range(field, value):
+    with pytest.raises(ValueError):
+        replace(SimConfig(), **{field: value})
