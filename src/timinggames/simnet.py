@@ -42,6 +42,7 @@ ATTEST_DEADLINE_OFFSET = 4.0
 _MAX_CONNECT_ATTEMPTS = 100
 _RNG_BATCH = 1 << 15
 _DRAW_SLICE = 1 << 11  # draws converted to Python lists at a time
+_PAIR_CHUNK = 1 << 16  # node-pair draws held at once while sampling a graph
 
 
 class TopologyError(Exception):
@@ -124,6 +125,41 @@ def _connected(n: int, edges) -> bool:
     return count == n
 
 
+def _sample_er_pairs(n: int, p: float, rng: np.random.Generator):
+    """One G(n, p) sample as lists ``(us, vs)``, or None if a node is isolated.
+
+    Pair ``(i, j)``, ``i < j``, is an edge when the draw at its place in
+    row-major upper-triangle order is below p, as ``rng.random(n * (n - 1)
+    // 2) < p`` would decide.  ``Generator.random`` maps a raw 64-bit draw r
+    to ``(r >> 11) * 2**-53``, so u < p exactly when r <= ceil(p * 2**53)
+    * 2**11 - 1, and raw draws are compared instead.  Rows are drawn about
+    ``_PAIR_CHUNK`` pairs at a time, so no n x n array is built, and the
+    sample is given up at the first node that has no neighbour once all of
+    its pairs are drawn.  Edges come out in upper-triangle order.
+    """
+    top = np.uint64(min((math.ceil(p * 2.0**53) << 11) - 1, 2**64 - 1))
+    rows = np.arange(n, dtype=np.int64)
+    starts = rows * (2 * n - rows - 1) // 2  # flat index of (i, i + 1)
+    degree = np.zeros(n, dtype=np.int64)
+    us, vs = [], []
+    lo = 0
+    while lo < n - 1:
+        hi = int(np.searchsorted(starts, starts[lo] + _PAIR_CHUNK, side="right")) - 1
+        hi = max(hi, lo + 1)
+        hits = np.flatnonzero(rng.bit_generator.random_raw(int(starts[hi] - starts[lo])) <= top)
+        hits += starts[lo]
+        u = np.searchsorted(starts, hits, side="right") - 1
+        v = hits - starts[u] + u + 1
+        degree += np.bincount(u, minlength=n) + np.bincount(v, minlength=n)
+        # Nodes below hi have drawn every pair they belong to.
+        if not degree[lo:hi].all():
+            return None
+        us += u.tolist()
+        vs += v.tolist()
+        lo = hi
+    return (us, vs) if degree[n - 1] else None
+
+
 def generate_er_graph(n: int, mean_degree: float, seed: int) -> Topology:
     """G(n, p) with p = mean_degree / (n - 1), resampled until connected.
 
@@ -135,11 +171,11 @@ def generate_er_graph(n: int, mean_degree: float, seed: int) -> Topology:
     if not 0 < mean_degree < n:
         raise ValueError("mean_degree must be in (0, n)")
     p = mean_degree / (n - 1)
-    iu, ju = np.triu_indices(n, k=1)
     for attempt in range(_MAX_CONNECT_ATTEMPTS):
-        rng = np.random.default_rng([seed, attempt])
-        mask = rng.random(iu.shape[0]) < p
-        edges = frozenset(zip(iu[mask].tolist(), ju[mask].tolist()))
+        sample = _sample_er_pairs(n, p, np.random.default_rng([seed, attempt]))
+        if sample is None:
+            continue
+        edges = frozenset(zip(*sample))
         if _connected(n, edges):
             return Topology(n=n, edges=edges, seed=seed)
     raise TopologyError(

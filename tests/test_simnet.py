@@ -15,6 +15,7 @@ from timinggames.simnet import (
     SLOT_SECONDS,
     Topology,
     TopologyError,
+    _connected,
     gap_from_uniform,
     generate_er_graph,
     sample_interaction_gap,
@@ -69,6 +70,31 @@ def test_er_graph_mean_degree_close():
 
 def test_er_graph_seed_changes_graph():
     assert generate_er_graph(64, 8.0, 1).edges != generate_er_graph(64, 8.0, 2).edges
+
+
+def dense_er_edges(n, mean_degree, seed):
+    """The sampler's definition: one ``Generator.random`` draw per
+    upper-triangle pair, each attempt on its own stream, until connected."""
+    p = mean_degree / (n - 1)
+    iu, ju = np.triu_indices(n, k=1)
+    for attempt in range(100):
+        mask = np.random.default_rng([seed, attempt]).random(iu.shape[0]) < p
+        edges = frozenset(zip(iu[mask].tolist(), ju[mask].tolist()))
+        if _connected(n, edges):
+            return edges
+    raise AssertionError("no connected sample")
+
+
+@pytest.mark.parametrize(
+    "n, mean_degree, seed",
+    # p = 1.5, p = 0.5 exactly, a one-chunk graph, and multi-chunk graphs
+    # whose first samples mostly hold an isolated node.
+    [(2, 1.5, 0), (64, 31.5, 5), (64, 3.0, 2), (600, 6.0, 3), (600, 6.0, 4), (600, 6.0, 7)],
+)
+def test_er_graph_matches_dense_sampling(n, mean_degree, seed):
+    edges = generate_er_graph(n, mean_degree, seed).edges
+    # Equal sets built in the same order iterate alike.
+    assert list(edges) == list(dense_er_edges(n, mean_degree, seed))
 
 
 def test_er_graph_rejects_bad_params():
