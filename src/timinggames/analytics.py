@@ -1,10 +1,11 @@
 """Bid-timing analytics: marginal value of waiting, winner classification,
 attestation shares and orphaned-block timing.
 
-The regression first strips slot and builder fixed effects from bid values by
-alternating group demeaning, then fits residual value on arrival time by
-ordinary least squares.  The slope is the marginal ETH value of one extra
-millisecond of waiting.
+The regression is the two-way within estimator: ``residualize`` strips slot
+and builder fixed effects from bid value and from arrival time by an exact
+solve, then ``fit_marginal_value`` fits residual value on residual arrival
+time by ordinary least squares (Frisch-Waugh-Lovell).  The slope is the
+marginal ETH value of one extra millisecond of waiting.
 """
 
 from __future__ import annotations
@@ -18,8 +19,11 @@ import numpy as np
 from .relaydata import BidRecord
 
 REORG_SHARE_THRESHOLD = 0.40
-DEMEAN_TOLERANCE = 1e-12
-DEMEAN_MAX_ITER = 1000
+# Largest accepted normal-equation residual of the builder solve, relative to
+# the scale of its terms; a sound solve sits near 1e-15.
+SOLVE_TOLERANCE = 1e-9
+# Slot-builder pairs expanded at once while the builder system is assembled.
+PAIR_BLOCK = 1 << 18
 
 CLASS_EARLY = "EARLY"
 CLASS_LATE = "LATE"
@@ -70,48 +74,105 @@ class OrphanReport:
     considered_count: int
 
 
-def residualize(
-    values: Sequence[float],
-    slot_ids: Sequence,
-    builder_ids: Sequence,
-    *,
-    tolerance: float = DEMEAN_TOLERANCE,
-    max_iter: int = DEMEAN_MAX_ITER,
-) -> np.ndarray:
-    """Two-way fixed-effect residuals by alternating demeaning.
+def residualize(values, slot_ids: Sequence, builder_ids: Sequence) -> np.ndarray:
+    """Two-way (slot, builder) fixed-effect residuals, by an exact solve.
 
-    Subtracts slot-group means, then builder-group means, repeating until the
-    largest per-iteration change drops below ``tolerance``.
+    ``values`` is a sequence of n numbers, or an (n, k) array whose columns
+    are residualized together.  Slot effects are eliminated by group means;
+    the builder effects then solve the B x B normal equations built from the
+    (slot, builder) cells, by least squares, so builders in separate
+    connected components need no reference level and the residuals do not
+    depend on one (Guimaraes & Portugal 2010).  Memory is O(n + B^2): no
+    slot x builder array is formed.  Raises ``AnalyticsError`` when the
+    solve misses the normal equations by more than ``SOLVE_TOLERANCE``.
     """
     if not (len(values) == len(slot_ids) == len(builder_ids)):
         raise AnalyticsError("values, slot_ids and builder_ids must align")
     if len(values) == 0:
         raise AnalyticsError("empty input")
-    r = np.asarray(values, dtype=np.float64).copy()
-    slot_codes, slot_counts = _codes(slot_ids)
-    builder_codes, builder_counts = _codes(builder_ids)
-    for _ in range(max_iter):
-        before = r.copy()
-        means = np.bincount(slot_codes, weights=r) / slot_counts
-        r -= means[slot_codes]
-        means = np.bincount(builder_codes, weights=r) / builder_counts
-        r -= means[builder_codes]
-        if np.max(np.abs(r - before)) < tolerance:
-            break
-    return r
+    v = np.asarray(values, dtype=np.float64)
+    columns = v.reshape(len(v), -1)
+    s, n_slots = _codes(slot_ids)
+    b, n_builders = _codes(builder_ids)
+    slot_sizes = np.bincount(s, minlength=n_slots).astype(np.float64)
+
+    r = columns - _group_means(s, columns, slot_sizes)
+    rhs = _group_sums(b, r, n_builders)
+    normal = _builder_normal_matrix(s, b, slot_sizes, n_builders)
+    try:
+        effects = np.linalg.lstsq(normal, rhs, rcond=None)[0]
+    except np.linalg.LinAlgError as exc:
+        raise AnalyticsError(f"fixed-effect solve failed: {exc}") from exc
+    # Rounding in the builder sums is of order eps * sum|r|, and that in the
+    # solve of order eps * |normal| |effects|.
+    miss = np.linalg.norm(normal @ effects - rhs, axis=0)
+    scale = (
+        np.linalg.norm(normal) * np.linalg.norm(effects, axis=0)
+        + np.linalg.norm(_group_sums(b, np.abs(r), n_builders), axis=0)
+    )
+    if not np.all(miss <= SOLVE_TOLERANCE * scale):
+        raise AnalyticsError(
+            f"fixed-effect solve is inaccurate: normal-equation residual "
+            f"{float(np.max(miss / np.where(scale > 0, scale, 1.0))):.2e} of scale"
+        )
+    fx = effects[b]
+    r -= fx - _group_means(s, fx, slot_sizes)
+    return r.reshape(v.shape)
+
+
+def _group_sums(codes, x, size: int) -> np.ndarray:
+    """Per-group sums of each column of the (n, k) array ``x``: (size, k)."""
+    return np.stack([np.bincount(codes, col, size) for col in x.T], axis=1)
+
+
+def _group_means(codes, x, sizes) -> np.ndarray:
+    """Each row's group mean of each column of ``x``: (n, k)."""
+    return (_group_sums(codes, x, len(sizes)) / sizes[:, None])[codes]
+
+
+def _builder_normal_matrix(s, b, slot_sizes, n_builders: int) -> np.ndarray:
+    """``diag(N_b) - C^T diag(1/N_s) C`` for the slot x builder count matrix C.
+
+    C is never formed: its nonzero cells are expanded into the pairs of cells
+    that share a slot, at most ``PAIR_BLOCK`` pairs (or one slot) at a time.
+    """
+    keys = s.astype(np.int64) * n_builders + b
+    cells, count = np.unique(keys, return_counts=True)
+    cell_slot = cells // n_builders
+    cell_builder = cells % n_builders
+    # Cells are sorted by slot: the cells of slot i are first[i]:first[i + 1].
+    first = np.searchsorted(cell_slot, np.arange(len(slot_sizes) + 1))
+    width = np.diff(first)[cell_slot]  # cells in each cell's slot
+    weight = count / slot_sizes[cell_slot]
+    pairs_before = np.concatenate(([0], np.cumsum(width)))
+    slot_pairs = pairs_before[first]
+    out = np.zeros(n_builders * n_builders)
+    i = 0
+    while i < len(slot_sizes):
+        # Slots i:j, holding at most PAIR_BLOCK pairs, or one slot.
+        j = int(np.searchsorted(slot_pairs, slot_pairs[i] + PAIR_BLOCK, "right")) - 1
+        j = max(j, i + 1)
+        lo, hi = first[i], first[j]
+        reps = width[lo:hi]
+        left = np.repeat(np.arange(lo, hi), reps)
+        run_start = np.repeat(pairs_before[lo:hi] - pairs_before[lo], reps)
+        right = np.arange(len(left)) - run_start + np.repeat(first[cell_slot[lo:hi]], reps)
+        out += np.bincount(
+            cell_builder[left] * n_builders + cell_builder[right],
+            weight[left] * count[right],
+            n_builders * n_builders,
+        )
+        i = j
+    normal = -out.reshape(n_builders, n_builders)
+    normal[np.diag_indices(n_builders)] += np.bincount(b, minlength=n_builders)
+    return normal
 
 
 def _codes(ids: Sequence):
-    codes, counts = {}, []
-    out = np.empty(len(ids), dtype=np.intp)
-    for i, key in enumerate(ids):
-        c = codes.get(key)
-        if c is None:
-            c = codes[key] = len(counts)
-            counts.append(0)
-        counts[c] += 1
-        out[i] = c
-    return out, np.asarray(counts, dtype=np.float64)
+    """Dense integer codes in first-seen order, and how many there are."""
+    index = {key: code for code, key in enumerate(dict.fromkeys(ids))}
+    codes = np.fromiter(map(index.__getitem__, ids), dtype=np.intp, count=len(ids))
+    return codes, len(index)
 
 
 def fit_marginal_value(

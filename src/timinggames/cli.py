@@ -23,8 +23,10 @@ import csv
 import hashlib
 import json
 import sys
+from operator import attrgetter
 
 import click
+import numpy as np
 import yaml
 
 from . import __version__
@@ -132,17 +134,36 @@ def _write_manifest(out_path, command: str, config_path, seed, outputs) -> None:
 
 
 def _read_csv(path, required) -> list:
+    """(line number, row dict) for each row of a CSV that holds every
+    ``required`` column; any other row is a ``DataError``."""
     try:
-        with open(path, newline="") as fh:
+        with open(path, newline="", encoding="utf-8") as fh:
             reader = csv.DictReader(fh)
-            missing = set(required) - set(reader.fieldnames or [])
-            if missing:
-                raise DataError(
-                    f"{path}: missing columns: {', '.join(sorted(missing))}"
-                )
-            return list(reader)
+            try:
+                missing = set(required) - set(reader.fieldnames or [])
+                if missing:
+                    raise DataError(
+                        f"{path}: missing columns: {', '.join(sorted(missing))}"
+                    )
+                rows = []
+                for row in reader:
+                    if any(row[column] is None for column in required):
+                        raise DataError(f"{path}, line {reader.line_num}: too few fields")
+                    rows.append((reader.line_num, row))
+                return rows
+            except csv.Error as exc:
+                raise DataError(f"{path}, line {reader.line_num}: {exc}")
     except OSError as exc:
         raise DataError(f"cannot read {path}: {exc}")
+    except UnicodeDecodeError:
+        raise DataError(f"{path}, line {relaydata.undecodable_line(path)}: not valid UTF-8")
+
+
+def _int(row: dict, column: str, path, line: int) -> int:
+    try:
+        return int(row[column])
+    except ValueError:
+        raise DataError(f"{path}, line {line}: {column} is not an integer: {row[column]!r}")
 
 
 @click.group()
@@ -199,7 +220,7 @@ def ingest(bid_inputs, genesis_ms, window, out, stats_out, verbose):
         all_raw.extend(bids)
         per_relay_clean.extend(relaydata.dedup_within_relay(bids, relay))
     merged = relaydata.dedup_across_relays(per_relay_clean)
-    merged.sort(key=lambda b: (b.slot, b.arrival_ms, b.relay_id, b.block_hash))
+    merged.sort(key=attrgetter("slot", "arrival_ms", "relay_id", "block_hash"))
     relaydata.write_bids_csv(merged, out)
 
     stats = relaydata.duplicate_stats(all_raw)
@@ -233,11 +254,19 @@ def regress(bids, out):
     records = relaydata.read_bids_csv(bids)
     if len(records) < 2:
         raise DataError("need at least 2 bids to regress")
-    values = [b.value_eth for b in records]
-    residuals = analytics.residualize(
-        values, [b.slot for b in records], [b.builder_id for b in records]
-    )
-    result = analytics.fit_marginal_value([b.arrival_ms for b in records], residuals)
+    try:
+        panel = np.array([(b.value_eth, b.arrival_ms) for b in records], dtype=np.float64)
+    except OverflowError:
+        raise DataError(f"{bids}: arrival_ms too large")
+    # Frisch-Waugh-Lovell: both sides lose the slot and builder effects.
+    value_res, arrival_res = analytics.residualize(
+        panel, [b.slot for b in records], [b.builder_id for b in records]
+    ).T
+    # Within variation below rounding level means the effects fix arrival time.
+    arrival = panel[:, 1]
+    if not np.linalg.norm(arrival_res) > 1e-9 * np.linalg.norm(arrival - arrival.mean()):
+        raise DataError("arrival time does not vary within slot and builder")
+    result = analytics.fit_marginal_value(arrival_res, value_res)
     with open(out, "w", newline="") as fh:
         fh.write("n,slope_eth_per_ms,intercept_eth,r_squared\n")
         fh.write(f"{result.n},{result.slope!r},{result.intercept!r},{result.r_squared!r}\n")
@@ -259,10 +288,9 @@ def winners(bids, delivered, out):
     by_slot: dict = {}
     for b in records:
         by_slot.setdefault(b.slot, []).append(b)
-    rows = _read_csv(delivered, ["slot", "block_hash"])
     timings = []
-    for row in rows:
-        slot = int(row["slot"])
+    for line, row in _read_csv(delivered, ["slot", "block_hash"]):
+        slot = _int(row, "slot", delivered, line)
         slot_bids = by_slot.get(slot)
         if not slot_bids:
             continue
@@ -306,22 +334,18 @@ def winners(bids, delivered, out):
 @click.option("--out", required=True, type=click.Path())
 def shares(attestations, out):
     """Next-slot attestation share and boost-reorg vulnerability per block."""
-    rows = _read_csv(attestations, ["slot", "attestor_count", "committee_size"])
     uniform_gwei = 32 * 10**9
     out_rows = []
-    for row in rows:
-        try:
-            slot = int(row["slot"])
-            count = int(row["attestor_count"])
-            committee = int(row["committee_size"])
-        except ValueError as exc:
-            raise DataError(f"bad attestation row {row}: {exc}")
+    for line, row in _read_csv(attestations, ["slot", "attestor_count", "committee_size"]):
+        slot = _int(row, "slot", attestations, line)
+        count = _int(row, "attestor_count", attestations, line)
+        committee = _int(row, "committee_size", attestations, line)
         try:
             share = analytics.attestation_share(
                 count * uniform_gwei, committee * uniform_gwei
             )
-        except analytics.AnalyticsError as exc:
-            raise DataError(str(exc))
+        except (analytics.AnalyticsError, OverflowError) as exc:
+            raise DataError(f"{attestations}, line {line}: {exc}")
         out_rows.append((slot, share, analytics.reorg_vulnerable(share)))
     out_rows.sort()
     with open(out, "w", newline="") as fh:
@@ -349,12 +373,12 @@ def orphans(status, bids, out):
         if key not in arrival or b.arrival_ms < arrival[key]:
             arrival[key] = b.arrival_ms
     blocks = []
-    for row in _read_csv(status, ["slot", "block_hash", "status"]):
+    for line, row in _read_csv(status, ["slot", "block_hash", "status"]):
         st = row["status"]
         if st == analytics.STATUS_MISSED:
             blocks.append({"arrival_ms": None, "status": st})
             continue
-        key = (int(row["slot"]), row["block_hash"])
+        key = (_int(row, "slot", status, line), row["block_hash"])
         if key not in arrival:
             raise DataError(f"no bid arrival for block {key}")
         blocks.append({"arrival_ms": arrival[key], "status": st})
@@ -390,17 +414,15 @@ def rewards_cmd(blocks, out):
     rows = _read_csv(blocks, ["epoch", "slot", "mev_wei", "proposal_gwei"])
     if not rows:
         raise DataError("no reward rows")
-    try:
-        per_block = [
-            {
-                "epoch": int(r["epoch"]),
-                "mev_eth": int(r["mev_wei"]) / 1e18,
-                "proposal_eth": int(r["proposal_gwei"]) / 1e9,
-            }
-            for r in rows
-        ]
-    except ValueError as exc:
-        raise DataError(f"bad reward row: {exc}")
+    per_block = []
+    for line, r in rows:
+        epoch = _int(r, "epoch", blocks, line)
+        try:
+            mev_eth = _int(r, "mev_wei", blocks, line) / 1e18
+            proposal_eth = _int(r, "proposal_gwei", blocks, line) / 1e9
+        except OverflowError as exc:
+            raise DataError(f"{blocks}, line {line}: {exc}")
+        per_block.append({"epoch": epoch, "mev_eth": mev_eth, "proposal_eth": proposal_eth})
     cmp_result = rewards.compare_rewards(per_block)
     with open(out, "w", newline="") as fh:
         fh.write("epoch,median_mev_eth,median_proposal_eth\n")

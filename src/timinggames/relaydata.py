@@ -12,13 +12,16 @@ ETH happens only at analysis boundaries.
 
 from __future__ import annotations
 
+import csv
 import json
-from dataclasses import dataclass
-from typing import Iterable, Sequence
+from collections import Counter
+from operator import itemgetter
+from typing import Iterable, NamedTuple, Sequence
 
 SLOT_MS = 12_000
 MAINNET_GENESIS_UNIX_MS = 1_606_824_023_000  # config preset, never hardcoded in logic
 DEFAULT_PLAUSIBILITY_WINDOW_MS = (-24_000, 24_000)
+WEI_LIMIT = 2**256  # values are EVM uint256
 
 CSV_HEADER = "slot,relay,builder,block_hash,value_wei,arrival_ms,num_tx"
 
@@ -31,8 +34,9 @@ DEFAULT_FIELD_MAP = {
     "num_transactions": "num_tx",
     "timestamp_ms": "timestamp_ms",
     "timestamp_s": "timestamp",
-    "proposer_id": "proposer_pubkey",
 }
+_MAPPED_FIELDS = tuple(DEFAULT_FIELD_MAP)
+_json_decode = json.JSONDecoder().raw_decode
 
 
 class IngestError(Exception):
@@ -43,8 +47,13 @@ class IngestError(Exception):
         self.record = record
 
 
-@dataclass(frozen=True)
-class BidRecord:
+# Positions in a BidRecord: slot 0, relay 1, builder 2, hash 3, value 5,
+# arrival 7.
+_dedup_key = itemgetter(0, 2, 3, 5)
+_arrival = itemgetter(7)
+
+
+class _BidFields(NamedTuple):
     slot: int
     relay_id: str
     builder_id: str
@@ -54,35 +63,44 @@ class BidRecord:
     num_transactions: int
     arrival_ms: int
 
-    def __post_init__(self):
-        if self.slot < 0:
-            raise ValueError("slot must be non-negative")
-        if self.value_wei < 0:
-            raise ValueError("value_wei must be non-negative")
-        if self.num_transactions < 0:
-            raise ValueError("num_transactions must be non-negative")
 
-    @property
-    def dedup_key(self) -> "DedupKey":
-        return DedupKey(self.slot, self.builder_id, self.block_hash, self.value_wei)
+class BidRecord(_BidFields):
+    """One relay bid: an immutable tuple that validates on construction."""
+
+    __slots__ = ()
+
+    def __new__(
+        cls,
+        slot: int,
+        relay_id: str,
+        builder_id: str,
+        block_hash: str,
+        parent_hash: str,
+        value_wei: int,
+        num_transactions: int,
+        arrival_ms: int,
+    ):
+        if slot < 0:
+            raise ValueError("slot must be non-negative")
+        if not 0 <= value_wei < WEI_LIMIT:
+            raise ValueError("value_wei must lie in [0, 2**256)")
+        if num_transactions < 0:
+            raise ValueError("num_transactions must be non-negative")
+        return tuple.__new__(
+            cls,
+            (slot, relay_id, builder_id, block_hash, parent_hash,
+             value_wei, num_transactions, arrival_ms),
+        )
+
+    # A bid's identity, as a plain tuple equal to the matching ``DedupKey``.
+    dedup_key = property(_dedup_key)
 
     @property
     def value_eth(self) -> float:
         return self.value_wei / 1e18
 
 
-@dataclass(frozen=True)
-class DeliveredPayload:
-    slot: int
-    relay_id: str
-    builder_id: str
-    block_hash: str
-    value_wei: int
-    proposer_id: str
-
-
-@dataclass(frozen=True)
-class DedupKey:
+class DedupKey(NamedTuple):
     slot: int
     builder_id: str
     block_hash: str
@@ -114,41 +132,40 @@ def dedup_within_relay(bids: Sequence[BidRecord], relay_id: str) -> list:
     Output sorted by ascending arrival_ms, stable on ties.
     """
     best: dict = {}
+    get = best.get
     for bid in bids:
-        if bid.relay_id != relay_id:
+        if bid[1] != relay_id:
             raise ValueError(f"bid from relay {bid.relay_id!r}, expected {relay_id!r}")
-        key = bid.dedup_key
-        held = best.get(key)
-        if held is None or bid.arrival_ms < held[1].arrival_ms:
-            best[key] = (len(best), bid)
-    survivors = [bid for _, bid in best.values()]
-    survivors.sort(key=lambda b: b.arrival_ms)
+        key = _dedup_key(bid)
+        held = get(key)
+        # Replacing a value keeps the key's place: survivors stay in first-read order.
+        if held is None or bid[7] < held[7]:
+            best[key] = bid
+    survivors = list(best.values())
+    survivors.sort(key=_arrival)
     return survivors
 
 
 def dedup_across_relays(bids: Sequence[BidRecord]) -> list:
     """Globally earliest record per key; survivors keep their relay_id."""
     best: dict = {}
+    get = best.get
     for bid in bids:
-        key = bid.dedup_key
-        held = best.get(key)
-        if held is None or bid.arrival_ms < held.arrival_ms:
+        key = _dedup_key(bid)
+        held = get(key)
+        if held is None or bid[7] < held[7]:
             best[key] = bid
     survivors = list(best.values())
-    survivors.sort(key=lambda b: b.arrival_ms)
+    survivors.sort(key=_arrival)
     return survivors
 
 
 def duplicate_stats(bids: Sequence[BidRecord]) -> dict:
     """Duplicate counts (raw records minus unique keys) per (relay, slot),
     plus the per-relay average over the slots that relay saw."""
-    raw: dict = {}
-    keys: dict = {}
-    for bid in bids:
-        cell = (bid.relay_id, bid.slot)
-        raw[cell] = raw.get(cell, 0) + 1
-        keys.setdefault(cell, set()).add(bid.dedup_key)
-    per_cell = {cell: raw[cell] - len(keys[cell]) for cell in raw}
+    raw = Counter(map(itemgetter(1, 0), bids))
+    unique = Counter(map(itemgetter(0, 1), set(map(itemgetter(1, 0, 2, 3, 5), bids))))
+    per_cell = {cell: count - unique[cell] for cell, count in raw.items()}
     relay_totals: dict = {}
     relay_slots: dict = {}
     for (relay, _), count in per_cell.items():
@@ -156,6 +173,12 @@ def duplicate_stats(bids: Sequence[BidRecord]) -> dict:
         relay_slots[relay] = relay_slots.get(relay, 0) + 1
     per_relay_avg = {r: relay_totals[r] / relay_slots[r] for r in relay_totals}
     return {"per_relay_slot": per_cell, "per_relay_avg": per_relay_avg}
+
+
+def _field_names(field_map: dict | None) -> tuple:
+    """The record keys of the mapped fields, in ``DEFAULT_FIELD_MAP`` order."""
+    fm = field_map or DEFAULT_FIELD_MAP
+    return tuple(fm[field] for field in _MAPPED_FIELDS)
 
 
 def parse_bid_line(
@@ -166,39 +189,42 @@ def parse_bid_line(
     window_ms=DEFAULT_PLAUSIBILITY_WINDOW_MS,
 ) -> BidRecord:
     """One newline-delimited JSON record in the relay data API schema."""
-    fm = field_map or DEFAULT_FIELD_MAP
+    return _parse_bid(line, relay_id, genesis_unix_ms, _field_names(field_map), window_ms)
+
+
+def _parse_bid(line, relay_id, genesis_unix_ms, names, window_ms) -> BidRecord:
+    k_slot, k_builder, k_hash, k_parent, k_value, k_num_tx, k_ms, k_s = names
     try:
-        raw = json.loads(line)
-    except json.JSONDecodeError as exc:
+        # ``line`` is stripped, so this is ``json.loads`` less two wrappers.
+        raw, end = _json_decode(line)
+    except (json.JSONDecodeError, RecursionError) as exc:
         raise IngestError(f"not valid JSON: {exc}", record=line) from exc
+    if end != len(line):
+        raise IngestError(f"not valid JSON: extra data at char {end}", record=line)
     try:
-        slot = int(raw[fm["slot"]])
-        builder = str(raw[fm["builder_id"]])
-        block_hash = str(raw[fm["block_hash"]])
-        parent_hash = str(raw.get(fm["parent_hash"], ""))
-        value_wei = int(raw[fm["value_wei"]])
-        num_tx = int(raw.get(fm["num_transactions"], 0))
-    except (KeyError, ValueError, TypeError) as exc:
+        slot = int(raw[k_slot])
+        builder = str(raw[k_builder])
+        block_hash = str(raw[k_hash])
+        parent_hash = str(raw.get(k_parent, ""))
+        value_wei = int(raw[k_value])
+        num_tx = int(raw.get(k_num_tx, 0))
+        if k_ms in raw:
+            unix_ms = int(raw[k_ms])
+        elif k_s in raw:
+            unix_ms = int(raw[k_s]) * 1000
+        else:
+            raise IngestError("no timestamp field", record=raw)
+    except (KeyError, ValueError, TypeError, OverflowError) as exc:
         raise IngestError(f"malformed record: {exc}", record=raw) from exc
     if not _plausible_hash(block_hash):
         raise IngestError(f"non-hex block hash {block_hash!r}", record=raw)
-    if fm["timestamp_ms"] in raw:
-        unix_ms = int(raw[fm["timestamp_ms"]])
-    elif fm["timestamp_s"] in raw:
-        unix_ms = int(raw[fm["timestamp_s"]]) * 1000
-    else:
-        raise IngestError("no timestamp field", record=raw)
     arrival = normalize_arrival(unix_ms, slot, genesis_unix_ms, window_ms)
-    return BidRecord(
-        slot=slot,
-        relay_id=relay_id,
-        builder_id=builder,
-        block_hash=block_hash,
-        parent_hash=parent_hash,
-        value_wei=value_wei,
-        num_transactions=num_tx,
-        arrival_ms=arrival,
-    )
+    try:
+        return BidRecord(
+            slot, relay_id, builder, block_hash, parent_hash, value_wei, num_tx, arrival
+        )
+    except ValueError as exc:
+        raise IngestError(f"malformed record: {exc}", record=raw) from exc
 
 
 def _plausible_hash(value: str) -> bool:
@@ -212,6 +238,18 @@ def _plausible_hash(value: str) -> bool:
     return True
 
 
+def undecodable_line(path) -> int:
+    """The 1-based number of the first line of ``path`` that is not UTF-8."""
+    number = 0
+    with open(path, "rb") as fh:
+        for number, raw in enumerate(fh, 1):
+            try:
+                raw.decode("utf-8")
+            except UnicodeDecodeError:
+                return number
+    return number
+
+
 def load_bids(
     path,
     relay_id: str,
@@ -220,87 +258,78 @@ def load_bids(
     window_ms=DEFAULT_PLAUSIBILITY_WINDOW_MS,
 ):
     """Read an NDJSON bid dump.  Malformed or out-of-window records are
-    skipped and counted, not fatal.  Returns (bids, skipped_count)."""
+    skipped and counted, not fatal; a file that is not UTF-8 raises
+    ``IngestError``.  Returns (bids, skipped_count)."""
+    names = _field_names(field_map)
     bids = []
     skipped = 0
-    with open(path) as fh:
-        for line in fh:
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                bids.append(
-                    parse_bid_line(line, relay_id, genesis_unix_ms, field_map, window_ms)
-                )
-            except IngestError:
-                skipped += 1
+    try:
+        with open(path, encoding="utf-8") as fh:
+            for line in fh:
+                line = line.strip()
+                if not line:
+                    continue
+                try:
+                    bids.append(_parse_bid(line, relay_id, genesis_unix_ms, names, window_ms))
+                except IngestError:
+                    skipped += 1
+    except UnicodeDecodeError:
+        raise IngestError(f"{path}, line {undecodable_line(path)}: not valid UTF-8") from None
     return bids, skipped
-
-
-def load_delivered(
-    path, relay_id: str, field_map: dict | None = None
-):
-    """Read an NDJSON delivered-payload dump; returns (payloads, skipped)."""
-    fm = field_map or DEFAULT_FIELD_MAP
-    payloads = []
-    skipped = 0
-    seen = set()
-    with open(path) as fh:
-        for line in fh:
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                raw = json.loads(line)
-                payload = DeliveredPayload(
-                    slot=int(raw[fm["slot"]]),
-                    relay_id=relay_id,
-                    builder_id=str(raw[fm["builder_id"]]),
-                    block_hash=str(raw[fm["block_hash"]]),
-                    value_wei=int(raw[fm["value_wei"]]),
-                    proposer_id=str(raw.get(fm["proposer_id"], "")),
-                )
-            except (json.JSONDecodeError, KeyError, ValueError, TypeError):
-                skipped += 1
-                continue
-            if (payload.slot, relay_id) in seen:
-                skipped += 1
-                continue
-            seen.add((payload.slot, relay_id))
-            payloads.append(payload)
-    return payloads, skipped
 
 
 def write_bids_csv(bids: Iterable[BidRecord], path) -> None:
     with open(path, "w", newline="") as fh:
         fh.write(CSV_HEADER + "\n")
-        for b in bids:
-            fh.write(
-                f"{b.slot},{b.relay_id},{b.builder_id},{b.block_hash},"
-                f"{b.value_wei},{b.arrival_ms},{b.num_transactions}\n"
-            )
+        fh.writelines(
+            f"{b.slot},{b.relay_id},{b.builder_id},{b.block_hash},"
+            f"{b.value_wei},{b.arrival_ms},{b.num_transactions}\n"
+            for b in bids
+        )
 
 
 def read_bids_csv(path) -> list:
-    import csv
-
+    """Read a dedup bid CSV; a row that does not hold a valid bid raises
+    ``IngestError`` naming the file and line."""
     bids = []
-    with open(path, newline="") as fh:
-        reader = csv.DictReader(fh)
-        missing = set(CSV_HEADER.split(",")) - set(reader.fieldnames or [])
-        if missing:
-            raise IngestError(f"missing columns: {sorted(missing)}")
-        for row in reader:
-            bids.append(
-                BidRecord(
-                    slot=int(row["slot"]),
-                    relay_id=row["relay"],
-                    builder_id=row["builder"],
-                    block_hash=row["block_hash"],
-                    parent_hash="",
-                    value_wei=int(row["value_wei"]),
-                    num_transactions=int(row["num_tx"]),
-                    arrival_ms=int(row["arrival_ms"]),
-                )
+    with open(path, newline="", encoding="utf-8") as fh:
+        reader = csv.reader(fh)
+        try:
+            # The last of equal column names wins, as in ``csv.DictReader``.
+            column = {name: i for i, name in enumerate(next(reader, []))}
+            missing = set(CSV_HEADER.split(",")) - column.keys()
+            if missing:
+                raise IngestError(f"{path}: missing columns: {sorted(missing)}")
+            i_slot, i_relay, i_builder, i_hash, i_value, i_arrival, i_num_tx = (
+                column[name] for name in CSV_HEADER.split(",")
             )
+            for row in reader:
+                if not row:
+                    continue
+                try:
+                    bids.append(
+                        BidRecord(
+                            int(row[i_slot]),
+                            row[i_relay],
+                            row[i_builder],
+                            row[i_hash],
+                            "",
+                            int(row[i_value]),
+                            int(row[i_num_tx]),
+                            int(row[i_arrival]),
+                        )
+                    )
+                except IndexError:
+                    raise IngestError(
+                        f"{path}, line {reader.line_num}: {len(row)} fields, "
+                        f"too few for the header"
+                    ) from None
+                except ValueError as exc:
+                    raise IngestError(f"{path}, line {reader.line_num}: {exc}") from None
+        except csv.Error as exc:
+            raise IngestError(f"{path}, line {reader.line_num}: {exc}") from None
+        except UnicodeDecodeError:
+            raise IngestError(
+                f"{path}, line {undecodable_line(path)}: not valid UTF-8"
+            ) from None
     return bids

@@ -184,17 +184,6 @@ def generate_er_graph(n: int, mean_degree: float, seed: int) -> Topology:
     )
 
 
-def gap_from_uniform(tau: float, u: float) -> float:
-    """Inverse-CDF exponential gap with mean tau; u must lie in (0, 1]."""
-    if tau <= 0:
-        raise ValueError("tau must be positive")
-    return -tau * math.log(u)
-
-
-def sample_interaction_gap(tau: float, rng: np.random.Generator) -> float:
-    return gap_from_uniform(tau, 1.0 - rng.random())
-
-
 class EngineError(Exception):
     """A handler failure, with the offending event attached."""
 

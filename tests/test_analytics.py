@@ -1,5 +1,7 @@
 """Regression, winner classification, shares and orphan timing."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -89,6 +91,106 @@ def test_residualize_zero_group_means():
 def test_residualize_length_mismatch():
     with pytest.raises(AnalyticsError):
         residualize([1.0], [0, 1], ["b"])
+
+
+def _dense_residuals(values, slots, builders):
+    """Least squares on dense one-hot slot and builder dummies."""
+    s_index = {k: i for i, k in enumerate(dict.fromkeys(slots))}
+    b_index = {k: i for i, k in enumerate(dict.fromkeys(builders))}
+    x = np.zeros((len(values), len(s_index) + len(b_index)))
+    for row, (slot, builder) in enumerate(zip(slots, builders)):
+        x[row, s_index[slot]] = 1.0
+        x[row, len(s_index) + b_index[builder]] = 1.0
+    y = np.asarray(values, dtype=float)
+    return y - x @ np.linalg.lstsq(x, y, rcond=None)[0]
+
+
+def _alternating_demeaning(values, slots, builders, tolerance=1e-15, max_iter=10_000):
+    """Slot then builder group demeaning, repeated until it stops moving."""
+    r = np.asarray(values, dtype=float).copy()
+    groups = [np.unique(np.asarray(g), return_inverse=True)[1] for g in (slots, builders)]
+    for _ in range(max_iter):
+        before = r.copy()
+        for codes in groups:
+            r -= (np.bincount(codes, r) / np.bincount(codes))[codes]
+        if np.max(np.abs(r - before)) < tolerance:
+            return r
+    raise AssertionError("alternating demeaning did not converge")
+
+
+def _two_component_panel(rng):
+    """Unbalanced: slots 0-29 draw builders a-d, slots 30-59 builders e-g,
+    each present builder with 1-4 bids; no builder spans both halves."""
+    slots, builders = [], []
+    for slot in range(60):
+        pool = "abcd" if slot < 30 else "efg"
+        present = rng.choice(list(pool), size=int(rng.integers(1, len(pool) + 1)), replace=False)
+        for builder in present:
+            k = int(rng.integers(1, 5))
+            slots += [slot] * k
+            builders += [str(builder)] * k
+    return slots, builders
+
+
+def test_residualize_matches_dense_one_hot_fit():
+    rng = np.random.default_rng(21)
+    slots, builders = _two_component_panel(rng)
+    values = rng.normal(0.0, 1.0, len(slots)) + 5.0 * np.asarray([ord(b) for b in builders])
+    got = residualize(values, slots, builders)
+    want = _dense_residuals(values, slots, builders)
+    assert np.max(np.abs(got - want)) < 1e-10
+
+
+def test_residualize_matches_alternating_demeaning_balanced():
+    rng = np.random.default_rng(22)
+    slots = [s for s in range(12) for _ in range(5) for _ in range(3)]
+    builders = [b for _ in range(12) for b in range(5) for _ in range(3)]
+    values = rng.normal(0.0, 1.0, len(slots)) + rng.normal(0, 3, 12)[slots]
+    got = residualize(values, slots, builders)
+    want = _alternating_demeaning(values, slots, builders)
+    assert np.max(np.abs(got - want)) < 1e-10
+
+
+def test_residualize_columns_together_equal_one_by_one():
+    rng = np.random.default_rng(23)
+    slots, builders = _two_component_panel(rng)
+    panel = rng.normal(size=(len(slots), 2)) * [1e-3, 1e3]
+    together = residualize(panel, slots, builders)
+    for j in range(2):
+        assert np.array_equal(together[:, j], residualize(panel[:, j], slots, builders))
+
+
+def test_residualize_builds_no_slot_by_builder_array():
+    # 20 000 slots x 300 builders would take 48 MB dense.
+    rng = np.random.default_rng(24)
+    starts = rng.integers(-60, 20_000, 300)
+    slots, builders = [], []
+    for slot in range(20_000):
+        active = np.flatnonzero((starts <= slot) & (slot < starts + 60))
+        for builder in active if len(active) else (slot % 300,):
+            slots.append(slot)
+            builders.append(int(builder))
+    values = rng.normal(size=len(slots))
+    tracemalloc.start()
+    try:
+        residualize(values, slots, builders)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 16 * 2**20
+
+
+def test_residualize_raises_on_inaccurate_solve(monkeypatch):
+    rng = np.random.default_rng(25)
+    slots, builders = _two_component_panel(rng)
+    values = rng.normal(size=len(slots))
+
+    def no_solve(a, b, rcond=None):
+        return np.zeros((a.shape[1],) + b.shape[1:]), None, None, None
+
+    monkeypatch.setattr(np.linalg, "lstsq", no_solve)
+    with pytest.raises(AnalyticsError, match="inaccurate"):
+        residualize(values, slots, builders)
 
 
 # -- fit_marginal_value -------------------------------------------------------

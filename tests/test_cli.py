@@ -1,9 +1,17 @@
 """Command-line behavior: exit codes, determinism, report schemas."""
 
+import contextlib
+import io
 import json
+import tempfile
+from pathlib import Path
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from timinggames import analytics
 from timinggames.cli import EXIT_DATA, EXIT_OK, EXIT_USAGE, main
 
 HASH_A = "0x" + "aa" * 32
@@ -253,3 +261,177 @@ def test_analyze_rewards_permutation_stable(tmp_path):
     assert (tmp_path / "o1.csv.summary.csv").read_bytes() == (
         tmp_path / "o2.csv.summary.csv"
     ).read_bytes()
+
+
+# -- data-file contract -------------------------------------------------------
+
+BID_HEADER = "slot,relay,builder,block_hash,value_wei,arrival_ms,num_tx"
+
+
+def _bad_bids(tmp_path, row):
+    path = tmp_path / "bad_bids.csv"
+    path.write_text(f"{BID_HEADER}\n5,r,b,h0,1000,10,0\n{row}\n5,r,b,h2,3000,30,0\n")
+    return path
+
+
+def _case_short_row(tmp_path, bid_csv):
+    path = _bad_bids(tmp_path, "5,r,b,h1,2000")
+    return ["analyze", "regress", "--bids", path], path, 3
+
+
+def _case_bad_value(tmp_path, bid_csv):
+    path = _bad_bids(tmp_path, "5,r,b,h1,lots,20,0")
+    return ["analyze", "regress", "--bids", path], path, 3
+
+
+def _case_delivered_slot(tmp_path, bid_csv):
+    path = tmp_path / "delivered.csv"
+    path.write_text(f"slot,block_hash\n100,{HASH_A}\nsoon,{HASH_B}\n")
+    return ["analyze", "winners", "--bids", bid_csv, "--delivered", path], path, 3
+
+
+def _case_status_slot(tmp_path, bid_csv):
+    path = tmp_path / "status.csv"
+    path.write_text(f"slot,block_hash,status\n1e2,{HASH_A},orphaned\n")
+    return ["analyze", "orphans", "--status", path, "--bids", bid_csv], path, 2
+
+
+def _case_ndjson_encoding(tmp_path, bid_csv):
+    path = tmp_path / "dump.ndjson"
+    path.write_bytes(b'{"slot": 1}\n{"builder_pubkey": "\xff\xfe"}\n')
+    return ["ingest", "--bids", f"A={path}"], path, 2
+
+
+def _case_csv_encoding(tmp_path, bid_csv):
+    path = tmp_path / "bids.csv"
+    path.write_bytes(BID_HEADER.encode() + b"\n5,r,b,h0,1000,10,0\n5,r,\xe9,h1,1000,10,0\n")
+    return ["analyze", "regress", "--bids", path], path, 3
+
+
+@pytest.mark.parametrize(
+    "case",
+    [_case_short_row, _case_bad_value, _case_delivered_slot, _case_status_slot,
+     _case_ndjson_encoding, _case_csv_encoding],
+    ids=["short-row", "bad-value", "delivered-slot", "status-slot",
+         "ndjson-encoding", "csv-encoding"],
+)
+def test_bad_data_file_is_one_error_line(tmp_path, bid_csv, capsys, case):
+    argv, path, line = case(tmp_path, bid_csv)
+    assert run([*argv, "--out", tmp_path / "out.csv"]) == EXIT_DATA
+    err = capsys.readouterr().err.strip().splitlines()
+    assert len(err) == 1 and err[0].startswith("error: ")
+    assert f"{path}, line {line}:" in err[0]
+
+
+def test_analyze_regress_recovers_slope_with_correlated_arrival(tmp_path):
+    # Noiseless and unbalanced: builders bid in rolling windows, and those
+    # that bid later carry larger builder effects, so arrival time is
+    # correlated with the builder effect.  Residualizing value alone would
+    # shrink the slope.
+    lam = 5.71e-6
+    rng = np.random.default_rng(31)
+    n_slots, n_builders, window = 80, 12, 20
+    builder_fx = np.linspace(-0.02, 0.02, n_builders)
+    lateness = 600.0 + 3e4 * builder_fx
+    slot_fx = 0.1 + rng.exponential(0.05, n_slots)
+    starts = rng.integers(1 - window, n_slots, n_builders)
+    rows, slots, builders, values, arrivals = [BID_HEADER], [], [], [], []
+    for slot in range(n_slots):
+        active = [b for b in range(n_builders) if starts[b] <= slot < starts[b] + window]
+        active = active or [slot % n_builders, (slot + 1) % n_builders]
+        for b in active:
+            for k in range(int(rng.integers(1, 4))):
+                arrival = int(lateness[b] + rng.integers(-500, 500))
+                wei = int(round((slot_fx[slot] + builder_fx[b] + lam * arrival) * 1e18))
+                rows.append(f"{slot},r,b{b},h{slot}-{b}-{k},{wei},{arrival},0")
+                slots.append(slot)
+                builders.append(b)
+                values.append(wei / 1e18)
+                arrivals.append(arrival)
+    path = tmp_path / "bids.csv"
+    path.write_text("\n".join(rows) + "\n")
+    out = tmp_path / "regress.csv"
+    assert run(["analyze", "regress", "--bids", path, "--out", out]) == EXIT_OK
+    header, row = out.read_text().splitlines()
+    fields = dict(zip(header.split(","), map(float, row.split(","))))
+    assert abs(fields["slope_eth_per_ms"] / lam - 1) < 1e-9
+    assert abs(fields["intercept_eth"]) < 1e-12
+    assert fields["r_squared"] == pytest.approx(1.0, abs=1e-9)
+    # The value-only residualization misses: this panel tells the two apart.
+    one_sided = analytics.fit_marginal_value(
+        arrivals, analytics.residualize(values, slots, builders)
+    ).slope
+    assert abs(one_sided / lam - 1) > 1e-3
+
+
+def test_analyze_regress_rejects_arrival_fixed_by_effects(tmp_path, capsys):
+    # One bid per slot: the slot effects absorb every arrival time.
+    path = tmp_path / "bids.csv"
+    rows = [f"{s},r,b,h{s},{s * 10},{s * 7},0" for s in range(5)]
+    path.write_text("\n".join([BID_HEADER, *rows]) + "\n")
+    code = run(["analyze", "regress", "--bids", path, "--out", tmp_path / "o.csv"])
+    assert code == EXIT_DATA
+    assert "does not vary within slot and builder" in capsys.readouterr().err
+
+
+# -- fuzz: any data file gives exit code 0, 1 or 2 ----------------------------
+
+_TOKENS = st.one_of(
+    st.integers(-(2**70), 2**70).map(str),
+    st.sampled_from(["", "x", "1e3", "0x" + "ab" * 32, HASH_A, "nan", "2" * 400, '"', "\u00e9"]),
+    st.text(max_size=8),
+)
+_CSV_ROWS = st.lists(st.lists(_TOKENS, max_size=9).map(",".join), max_size=8)
+_JSON_VALUES = st.one_of(st.none(), st.booleans(), st.floats(), _TOKENS, st.integers(),
+                         st.lists(st.integers(), max_size=2))
+_NDJSON_LINES = st.lists(
+    st.one_of(
+        st.dictionaries(
+            st.sampled_from(["slot", "builder_pubkey", "block_hash", "parent_hash",
+                             "value", "num_tx", "timestamp_ms", "timestamp"]),
+            _JSON_VALUES,
+        ).map(json.dumps),
+        st.text(max_size=20),
+    ),
+    max_size=8,
+)
+
+
+def _file_bytes(header):
+    """Arbitrary bytes, or the header followed by arbitrary rows."""
+    rows = _NDJSON_LINES if header is None else _CSV_ROWS.map(lambda r: [header, *r])
+    return st.one_of(
+        st.binary(max_size=120),
+        rows.map(lambda lines: ("\n".join(lines) + "\n").encode("utf-8", "surrogatepass")),
+    )
+
+
+@given(
+    dump=_file_bytes(None),
+    bids=_file_bytes(BID_HEADER),
+    delivered=_file_bytes("slot,relay,builder,block_hash,value_wei,proposer"),
+    status=_file_bytes("slot,block_hash,status"),
+)
+@settings(max_examples=60, deadline=None)
+def test_data_commands_never_raise(dump, bids, delivered, status):
+    with tempfile.TemporaryDirectory() as tmp:
+        d = Path(tmp)
+        for name, data in (("dump.ndjson", dump), ("bids.csv", bids),
+                           ("delivered.csv", delivered), ("status.csv", status)):
+            (d / name).write_bytes(data)
+        commands = [
+            ["ingest", "--bids", f"A={d / 'dump.ndjson'}", "--genesis-ms", "0",
+             "--window", "-1000000000", "1000000000", "--out", d / "ingested.csv"],
+            ["analyze", "regress", "--bids", d / "ingested.csv", "--out", d / "r0.csv"],
+        ]
+        for bid_file in ("bids.csv", "ingested.csv"):
+            commands += [
+                ["analyze", "regress", "--bids", d / bid_file, "--out", d / "r.csv"],
+                ["analyze", "winners", "--bids", d / bid_file,
+                 "--delivered", d / "delivered.csv", "--out", d / "w.csv"],
+                ["analyze", "orphans", "--status", d / "status.csv",
+                 "--bids", d / bid_file, "--out", d / "o.csv"],
+            ]
+        with contextlib.redirect_stderr(io.StringIO()):
+            codes = [run(argv) for argv in commands]
+    assert set(codes) <= {EXIT_OK, EXIT_USAGE, EXIT_DATA}

@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from timinggames.relaydata import (
+    DEFAULT_FIELD_MAP,
     BidRecord,
     DedupKey,
     IngestError,
@@ -243,3 +244,146 @@ def test_bid_record_validation():
 def test_dedup_key_fields():
     key = make_bid().dedup_key
     assert key == DedupKey(100, "b1", "h", 10**16)
+
+
+def test_dedup_key_hashes_like_dedup_key_tuple():
+    bid = make_bid()
+    key = DedupKey(100, "b1", "h", 10**16)
+    assert {bid.dedup_key: 1}[key] == 1
+    assert bid.value_eth == pytest.approx(0.01)
+
+
+def test_bid_record_bounds():
+    with pytest.raises(ValueError):
+        make_bid(num_tx=-1)
+    with pytest.raises(ValueError):
+        make_bid(value=2**256)
+    assert make_bid(value=2**256 - 1).value_wei == 2**256 - 1
+
+
+@pytest.mark.parametrize(
+    "record",
+    [
+        {"value": "-5"},  # a negative value is malformed, not fatal
+        {"value": str(2**256)},
+        {"timestamp_ms": "soon"},
+        {"timestamp_ms": float("inf")},
+        {"num_tx": [1]},
+    ],
+)
+def test_parse_bid_line_rejects_bad_values(record):
+    raw = {"slot": 1, "builder_pubkey": "b", "block_hash": HASH, "value": "1",
+           "timestamp_ms": SLOT_MS + 5, **record}
+    with pytest.raises(IngestError):
+        parse_bid_line(json.dumps(raw), "r", 0)
+
+
+@pytest.mark.parametrize(
+    "line",
+    ["[1, 2]", "7", "null", '{"slot": 1} {}', "[" * 100_000],
+    ids=["array", "number", "null", "extra-data", "deep"],
+)
+def test_parse_bid_line_rejects_non_records(line):
+    with pytest.raises(IngestError):
+        parse_bid_line(line, "r", 0)
+
+
+def test_parse_bid_line_field_map():
+    raw = {"slot": 3, "builder": "b", "block_hash": HASH, "value": "9",
+           "timestamp_ms": 3 * SLOT_MS + 7}
+    field_map = dict(DEFAULT_FIELD_MAP, builder_id="builder")
+    bid = parse_bid_line(json.dumps(raw), "r", 0, field_map=field_map)
+    assert (bid.builder_id, bid.arrival_ms) == ("b", 7)
+
+
+def test_load_bids_names_undecodable_line(tmp_path):
+    path = tmp_path / "bids.ndjson"
+    path.write_bytes(b'{"slot": 1}\n\n{"slot": "\xff"}\n')
+    with pytest.raises(IngestError, match=r"bids\.ndjson, line 3: not valid UTF-8"):
+        load_bids(path, "r", 0)
+
+
+def _dictreader_bids(path):
+    """The ``csv.DictReader`` reading that ``read_bids_csv`` replaced."""
+    import csv
+
+    with open(path, newline="") as fh:
+        return [
+            BidRecord(
+                slot=int(row["slot"]),
+                relay_id=row["relay"],
+                builder_id=row["builder"],
+                block_hash=row["block_hash"],
+                parent_hash="",
+                value_wei=int(row["value_wei"]),
+                num_transactions=int(row["num_tx"]),
+                arrival_ms=int(row["arrival_ms"]),
+            )
+            for row in csv.DictReader(fh)
+        ]
+
+
+def test_read_bids_csv_matches_dictreader(tmp_path):
+    # Reordered and extra columns, a repeated column name (the last wins),
+    # quoted fields, blank lines and long rows.
+    path = tmp_path / "bids.csv"
+    path.write_text(
+        "extra,num_tx,arrival_ms,value_wei,block_hash,builder,relay,slot,relay\n"
+        'x,3,-20,500,"h,1",b1,ignored,7,A\n'
+        "\n"
+        "y,0,15,9,h2,b2,ignored,8,B,surplus,fields\n"
+        "\n"
+    )
+    got = read_bids_csv(path)
+    assert got == _dictreader_bids(path)
+    assert [(b.relay_id, b.block_hash) for b in got] == [("A", "h,1"), ("B", "h2")]
+
+
+@pytest.mark.parametrize(
+    "row, message",
+    [
+        ("1,A,b,h,5,0", "line 3: 6 fields"),
+        ("1,A,b,h,lots,0,1", "line 3: invalid literal"),
+        ("1,A,b,h,-5,0,1", "line 3: value_wei must lie"),
+        ("1,A,b," + "h" * 200_000 + ",5,0,1", "line 3: field larger than field limit"),
+    ],
+    ids=["short", "not-integer", "negative", "huge-field"],
+)
+def test_read_bids_csv_names_bad_row(tmp_path, row, message):
+    path = tmp_path / "bids.csv"
+    path.write_text(CSV_HEADER_LINE + "2,A,b,h,5,0,1\n" + row + "\n")
+    with pytest.raises(IngestError, match=message) as info:
+        read_bids_csv(path)
+    assert str(path) in str(info.value)
+
+
+def test_read_bids_csv_names_undecodable_line(tmp_path):
+    path = tmp_path / "bids.csv"
+    path.write_bytes(CSV_HEADER_LINE.encode() + b"2,A,b,h,5,0,1\n2,A,\xc3(,h,5,0,1\n")
+    with pytest.raises(IngestError, match=r"line 3: not valid UTF-8"):
+        read_bids_csv(path)
+
+
+CSV_HEADER_LINE = "slot,relay,builder,block_hash,value_wei,arrival_ms,num_tx\n"
+
+
+def _naive_duplicate_stats(bids):
+    """Raw records minus distinct keys per (relay, slot), by brute force."""
+    cells = {}
+    for b in bids:
+        cells.setdefault((b.relay_id, b.slot), []).append(b.dedup_key)
+    per_cell = {cell: len(keys) - len(set(keys)) for cell, keys in cells.items()}
+    per_relay = {}
+    for (relay, _), count in per_cell.items():
+        per_relay.setdefault(relay, []).append(count)
+    return per_cell, {r: sum(c) / len(c) for r, c in per_relay.items()}
+
+
+def test_duplicate_stats_matches_naive_randomized():
+    rng = np.random.default_rng(13)
+    bids = _random_bids(rng, 3000)
+    stats = duplicate_stats(bids)
+    per_cell, per_relay = _naive_duplicate_stats(bids)
+    assert stats["per_relay_slot"] == per_cell
+    assert list(stats["per_relay_slot"]) == list(per_cell)  # first-seen order
+    assert stats["per_relay_avg"] == per_relay

@@ -16,9 +16,7 @@ from timinggames.simnet import (
     Topology,
     TopologyError,
     _connected,
-    gap_from_uniform,
     generate_er_graph,
-    sample_interaction_gap,
     write_trace_csv,
 )
 
@@ -118,24 +116,30 @@ def test_directed_pairs_sorted_and_complete():
 # -- gap sampling -------------------------------------------------------------
 
 
-def test_gap_from_uniform_inverse_cdf():
-    assert gap_from_uniform(3.0, 1.0) == 0.0
-    assert gap_from_uniform(3.0, math.exp(-1.0)) == pytest.approx(3.0)
-    with pytest.raises(ValueError):
-        gap_from_uniform(0.0, 0.5)
+def _engine_gaps(tau, seed, slices):
+    """Gaps of the engine's superposed interaction stream, and its total rate."""
+    topo = generate_er_graph(8, 3.0, 0)
+    engine = EventEngine(
+        topo, GossipConfig(tau_block=tau, tau_attestation=2 * tau), NullHandlers(),
+        end_time=12.0, seed=seed,
+    )
+    gaps = [g for _ in range(slices) for g in engine._next_draws()[0]]
+    rate = len(topo.directed_pairs()) * (1 / tau + 1 / (2 * tau))
+    return np.array(gaps), rate
 
 
 @given(st.floats(0.1, 50.0), st.integers(0, 2**32))
 @settings(max_examples=50, deadline=None)
 def test_gap_sampling_positive(tau, seed):
-    rng = np.random.default_rng(seed)
-    assert sample_interaction_gap(tau, rng) >= 0.0
+    gaps, _ = _engine_gaps(tau, seed, slices=1)
+    assert np.all(gaps >= 0.0)
 
 
 def test_gap_sample_mean():
-    rng = np.random.default_rng(0)
-    gaps = [sample_interaction_gap(3.0, rng) for _ in range(20000)]
-    assert np.mean(gaps) == pytest.approx(3.0, rel=0.05)
+    # The engine's stream superposes every pair's clocks: mean gap 1/total rate.
+    gaps, rate = _engine_gaps(3.0, 0, slices=10)
+    assert len(gaps) == 20480
+    assert np.mean(gaps) == pytest.approx(1.0 / rate, rel=0.05)
 
 
 # -- engine -------------------------------------------------------------------
