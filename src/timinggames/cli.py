@@ -23,6 +23,7 @@ import csv
 import hashlib
 import json
 import sys
+from dataclasses import fields
 from operator import attrgetter
 
 import click
@@ -30,8 +31,8 @@ import numpy as np
 import yaml
 
 from . import __version__
-from . import analytics, relaydata, rewards
-from .waitinggame import PayoffModel, SimConfig, run_simulation, sweep
+from . import analytics, relaydata, rewards, simnet
+from .waitinggame import PayoffModel, SimConfig, check_number, run_simulation, sweep
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -41,19 +42,11 @@ DEFAULT_X_GRID = (0.0, 0.25, 0.5, 0.75, 1.0)
 DEFAULT_T_GRID = tuple(float(t) for t in range(12))
 DEFAULT_SEEDS = 20
 
-_SIM_KEYS = {
-    "n",
-    "mean_degree",
-    "tau_block",
-    "tau_attestation",
-    "duration",
-    "x_d",
-    "t_d",
-    "seed",
-    "proposer_boost",
-    "base_value_eth",
-    "lambda_eth_per_ms",
-}
+# YAML keys of a simulation: the payoff fields are top-level keys, and
+# record_trace is not a config key.
+_CONFIG_KEYS = {f.name for f in fields(SimConfig)} - {"payoff", "record_trace"}
+_PAYOFF_KEYS = {f.name for f in fields(PayoffModel)}
+_SIM_KEYS = _CONFIG_KEYS | _PAYOFF_KEYS
 _SWEEP_ONLY_KEYS = {"x_values", "t_values", "seeds", "jobs"}
 
 
@@ -69,7 +62,8 @@ def _load_config(path, allowed) -> dict:
             doc = yaml.safe_load(fh) or {}
     except OSError as exc:
         raise click.UsageError(f"cannot read config: {exc}")
-    except yaml.YAMLError as exc:
+    except (yaml.YAMLError, ValueError, RecursionError) as exc:
+        # PyYAML raises ValueError for an integer past Python's digit limit.
         raise click.UsageError(f"invalid config document: {exc}")
     if not isinstance(doc, dict):
         raise click.UsageError("config must be a key/value document")
@@ -80,25 +74,14 @@ def _load_config(path, allowed) -> dict:
 
 
 def _sim_config(doc: dict, seed_override) -> SimConfig:
+    """``SimConfig`` from the simulation keys of ``doc``; absent keys take
+    the dataclass defaults, and ``SimConfig`` checks every value."""
+    sim = {k: v for k, v in doc.items() if k in _CONFIG_KEYS}
+    if seed_override is not None:
+        sim["seed"] = seed_override
     try:
-        payoff = PayoffModel(
-            base_value_eth=float(doc.get("base_value_eth", 0.0)),
-            lambda_eth_per_ms=float(
-                doc.get("lambda_eth_per_ms", PayoffModel().lambda_eth_per_ms)
-            ),
-        )
-        return SimConfig(
-            n=int(doc.get("n", 128)),
-            mean_degree=float(doc.get("mean_degree", 8.0)),
-            tau_block=float(doc.get("tau_block", 3.0)),
-            tau_attestation=float(doc.get("tau_attestation", 3.0)),
-            duration=float(doc.get("duration", 1000.0)),
-            x_d=float(doc.get("x_d", 0.0)),
-            t_d=float(doc.get("t_d", 0.0)),
-            seed=int(seed_override if seed_override is not None else doc.get("seed", 0)),
-            proposer_boost=bool(doc.get("proposer_boost", False)),
-            payoff=payoff,
-        )
+        payoff = PayoffModel(**{k: v for k, v in doc.items() if k in _PAYOFF_KEYS})
+        return SimConfig(**sim, payoff=payoff)
     except (TypeError, ValueError) as exc:
         raise click.UsageError(f"invalid config value: {exc}")
 
@@ -108,9 +91,16 @@ def _grid_values(doc: dict, key: str, default) -> list:
     if not isinstance(values, (list, tuple)):
         raise click.UsageError(f"{key} must be a list of numbers")
     try:
-        return [float(v) for v in values]
+        return [check_number(f"{key} entry", v) for v in values]
     except (TypeError, ValueError) as exc:
-        raise click.UsageError(f"invalid {key} entry: {exc}")
+        raise click.UsageError(f"invalid config value: {exc}")
+
+
+def _count(doc: dict, key: str, default) -> int:
+    try:
+        return check_number(key, doc.get(key, default), integral=True)
+    except (TypeError, ValueError) as exc:
+        raise click.UsageError(f"invalid config value: {exc}")
 
 
 def _digest(path) -> str | None:
@@ -483,14 +473,9 @@ def sim_sweep(config_path, seed, out, jobs, verbose):
     doc = _load_config(config_path, _SIM_KEYS | _SWEEP_ONLY_KEYS)
     x_values = _grid_values(doc, "x_values", DEFAULT_X_GRID)
     t_values = _grid_values(doc, "t_values", DEFAULT_T_GRID)
-    try:
-        seeds = int(doc.get("seeds", DEFAULT_SEEDS))
-        n_jobs = jobs if jobs is not None else int(doc.get("jobs", 1))
-    except (TypeError, ValueError) as exc:
-        raise click.UsageError(f"invalid config value: {exc}")
-    base = _sim_config(
-        {k: v for k, v in doc.items() if k in _SIM_KEYS}, seed
-    )
+    seeds = _count(doc, "seeds", DEFAULT_SEEDS)
+    n_jobs = jobs if jobs is not None else _count(doc, "jobs", 1)
+    base = _sim_config(doc, seed)
     try:
         result = sweep(x_values, t_values, seeds, base, jobs=n_jobs)
     except ValueError as exc:
@@ -514,7 +499,7 @@ def main(argv=None) -> int:
         return EXIT_OK
     except click.exceptions.Exit as exc:
         return exc.exit_code
-    except (click.UsageError, yaml.YAMLError) as exc:
+    except (click.UsageError, yaml.YAMLError, simnet.TopologyError) as exc:
         click.echo(f"error: {exc.format_message() if hasattr(exc, 'format_message') else exc}", err=True)
         return EXIT_USAGE
     except (DataError, relaydata.IngestError, analytics.AnalyticsError) as exc:

@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import csv
 import json
+import re
 from collections import Counter
 from operator import itemgetter
 from typing import Iterable, NamedTuple, Sequence
@@ -227,15 +228,12 @@ def _parse_bid(line, relay_id, genesis_unix_ms, names, window_ms) -> BidRecord:
         raise IngestError(f"malformed record: {exc}", record=raw) from exc
 
 
+_HEX_HASH = re.compile(r"(?:0x)?[0-9a-fA-F]{64}")
+
+
 def _plausible_hash(value: str) -> bool:
-    body = value[2:] if value.startswith("0x") else value
-    if len(body) != 64:
-        return False
-    try:
-        int(body, 16)
-    except ValueError:
-        return False
-    return True
+    """Exactly 64 ASCII hex digits, after an optional ``0x``."""
+    return _HEX_HASH.fullmatch(value) is not None
 
 
 def undecodable_line(path) -> int:

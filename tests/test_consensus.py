@@ -1,4 +1,10 @@
-"""Fork choice against a naive ancestor-walk oracle."""
+"""Fork choice against a naive ancestor-walk oracle.
+
+``head_from_arrays`` is the simulator's one head rule.  The tests feed it a
+latest-message table through ``kernel_head``, a thin adapter that holds the
+table as one window slot of votes, or through the vote tables of an
+``EventEngine``.
+"""
 
 import numpy as np
 import pytest
@@ -6,19 +12,22 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from timinggames.consensus import (
-    Attestation,
     BlockTree,
     ForkChoiceError,
     GENESIS_ID,
-    ValidatorView,
-    attest_decision,
     head_from_arrays,
-    lmd_ghost_head,
     mainchain,
-    proposer_boost_adjust,
-    subtree_weights,
-    update_latest_message,
 )
+from timinggames.simnet import EventEngine, GossipConfig, Topology
+
+N_VALIDATORS = 64
+
+
+def record_vote(table, validator, slot, target):
+    """Latest-message rule: replace only on a strictly later slot."""
+    entry = table.get(validator)
+    if entry is None or slot > entry[0]:
+        table[validator] = (slot, target)
 
 
 def random_tree_and_votes(rng, max_blocks=50, max_votes=200):
@@ -34,31 +43,50 @@ def random_tree_and_votes(rng, max_blocks=50, max_votes=200):
     for _ in range(n_votes):
         validator = int(rng.integers(0, 64))
         target = int(rng.integers(0, len(tree)))
-        update_latest_message(
-            table, Attestation(validator, int(rng.integers(0, 40)), target, 0.0)
-        )
+        record_vote(table, validator, int(rng.integers(0, 40)), target)
     return tree, table
 
 
-def oracle_head(tree, table, weights=None):
+def oracle_head(tree, table, weight=1.0, visible=None):
     # Independent oracle: subtree weight of b = sum of votes over all blocks
     # having b as an ancestor (naive per-vote ancestor walk), then greedy
-    # descent with ties to the smaller id.
+    # descent with ties to the smaller id.  ``visible`` masks the tree to a
+    # node's view: votes for unseen blocks and unseen children are skipped.
     w = [0.0] * len(tree)
-    for validator, (_, target) in table.items():
-        weight = 1.0 if weights is None else weights[validator]
+    for _, target in table.values():
+        if visible is not None and not visible[target]:
+            continue
         b = target
         while b is not None:
             w[b] += weight
             b = tree.parent[b]
     head = GENESIS_ID
-    while tree.children[head]:
+    while True:
         best = None
         for c in tree.children[head]:  # ascending id; strict > keeps smallest
+            if visible is not None and not visible[c]:
+                continue
             if best is None or w[c] > w[best]:
                 best = c
+        if best is None:
+            return head
         head = best
-    return head
+
+
+def bitset(mask):
+    return sum(1 << int(b) for b in np.flatnonzero(mask))
+
+
+def kernel_head(tree, table, visible=None):
+    """``head_from_arrays`` over ``table`` held as one window slot."""
+    by_target = {}
+    for validator, (_, target) in table.items():
+        by_target[target] = by_target.get(target, 0) | 1 << validator
+    blocks = (1 << len(tree)) - 1 if visible is None else bitset(visible)
+    votes = sum(1 << validator for validator in table)
+    return head_from_arrays(
+        tree.parent, tree.children, blocks, votes, [by_target], {}, N_VALIDATORS
+    )
 
 
 def test_tree_validation():
@@ -70,31 +98,51 @@ def test_tree_validation():
         tree.add(slot=0, proposer=0, parent=b, release_time=0.0)
 
 
+def two_node_engine(handlers=None, end_time=24.0):
+    topology = Topology(n=2, edges=frozenset({(0, 1)}), seed=0)
+    return EventEngine(topology, GossipConfig(), handlers, end_time, seed=0)
+
+
+def node_head(tree, engine, node):
+    return head_from_arrays(
+        tree.parent, tree.children, engine.blocks[node], engine.votes[node],
+        engine.vote_slots, engine.vote_settled, engine.n_validators,
+    )
+
+
 def test_latest_message_rule():
-    table = {}
-    assert update_latest_message(table, Attestation(1, 5, 10, 0.0))
-    # Equal slot keeps the first received.
-    assert not update_latest_message(table, Attestation(1, 5, 11, 0.0))
-    assert table[1] == (5, 10)
-    # Strictly later slot replaces.
-    assert update_latest_message(table, Attestation(1, 6, 11, 0.0))
-    assert table[1] == (6, 11)
+    tree = BlockTree()
+    a = tree.add(slot=0, proposer=0, parent=0, release_time=0.0)
+    b = tree.add(slot=0, proposer=1, parent=0, release_time=0.0)
+    engine = two_node_engine()
+    for block in (GENESIS_ID, a, b):
+        engine.publish_block(0, block, 0.0)
+    engine.publish_attestation(0, validator=1, slot=5, target=b, time=0.0)
+    assert node_head(tree, engine, 0) == b
+    # Equal slot keeps the first vote.
+    engine.publish_attestation(0, validator=1, slot=5, target=a, time=0.0)
+    assert (engine.lm_slot[0, 1], engine.lm_target[0, 1]) == (5, b)
+    assert node_head(tree, engine, 0) == b
+    # A strictly later slot replaces it.
+    engine.publish_attestation(0, validator=1, slot=6, target=a, time=0.0)
+    assert (engine.lm_slot[0, 1], engine.lm_target[0, 1]) == (6, a)
+    assert node_head(tree, engine, 0) == a
 
 
 def test_head_matches_oracle_randomized():
     rng = np.random.default_rng(123)
     for _ in range(300):
         tree, table = random_tree_and_votes(rng)
-        assert lmd_ghost_head(tree, table) == oracle_head(tree, table)
+        assert kernel_head(tree, table) == oracle_head(tree, table)
 
 
 def test_head_scaling_invariance():
+    # Uniform stake factors out of every comparison: the kernel's unit-weight
+    # head is the oracle's head under any uniform weight.
     rng = np.random.default_rng(9)
     for _ in range(50):
         tree, table = random_tree_and_votes(rng)
-        base = lmd_ghost_head(tree, table)
-        scaled = {v: 7.5 for v in range(64)}
-        assert lmd_ghost_head(tree, table, scaled) == base
+        assert kernel_head(tree, table) == oracle_head(tree, table, weight=7.5)
 
 
 def test_tie_break_smaller_id():
@@ -102,79 +150,80 @@ def test_tie_break_smaller_id():
     a = tree.add(slot=0, proposer=0, parent=0, release_time=0.0)
     b = tree.add(slot=0, proposer=1, parent=0, release_time=0.0)
     assert a < b
-    assert lmd_ghost_head(tree, {}) == a
-    table = {}
-    update_latest_message(table, Attestation(0, 1, b, 0.0))
-    assert lmd_ghost_head(tree, table) == b
-
-
-def test_subtree_weights_reject_unknown_target():
-    tree = BlockTree()
-    with pytest.raises(ForkChoiceError):
-        subtree_weights(tree, {0: (1, 99)})
+    assert kernel_head(tree, {}) == a
+    assert kernel_head(tree, {0: (1, b)}) == b
+    assert kernel_head(tree, {0: (1, b), 1: (1, a)}) == a
 
 
 def test_visibility_mask_hides_blocks_and_votes():
     tree = BlockTree()
     a = tree.add(slot=0, proposer=0, parent=0, release_time=0.0)
     b = tree.add(slot=1, proposer=1, parent=a, release_time=12.0)
-    table = {}
-    update_latest_message(table, Attestation(0, 1, b, 0.0))
     visible = np.array([True, True, False])
-    assert lmd_ghost_head(tree, table, visible=visible) == a
-
-
-def test_proposer_boost_window():
-    assert proposer_boost_adjust(3, 3.9, 100.0) == {3: pytest.approx(40.0)}
-    assert proposer_boost_adjust(3, 4.0, 100.0) == {}
-    assert proposer_boost_adjust(3, 1.0, 100.0, enabled=False) == {}
-
-
-def test_boost_can_flip_head():
-    tree = BlockTree()
-    a = tree.add(slot=0, proposer=0, parent=0, release_time=0.0)
-    b = tree.add(slot=1, proposer=1, parent=0, release_time=12.0)
-    table = {}
-    update_latest_message(table, Attestation(0, 0, a, 0.0))
-    assert lmd_ghost_head(tree, table) == a
-    bonus = proposer_boost_adjust(b, 1.0, 10.0)
-    assert lmd_ghost_head(tree, table, bonus=bonus) == b
+    assert kernel_head(tree, {0: (1, b)}, visible=visible) == a
+    assert kernel_head(tree, {0: (1, b)}) == b
 
 
 def test_mainchain_is_root_path():
     rng = np.random.default_rng(77)
-    tree, table = random_tree_and_votes(rng)
-    chain = mainchain(tree, table)
-    head = lmd_ghost_head(tree, table)
-    assert chain == [b for b in tree.path_to_root(head) if b != GENESIS_ID]
-    for earlier, later in zip(chain, chain[1:]):
-        assert tree.parent[later] == earlier
+    for _ in range(20):
+        tree, table = random_tree_and_votes(rng)
+        _, slots, settled = vote_bitsets(rng, table, len(tree), unreceived=False)
+        chain = mainchain(tree, slots, settled, N_VALIDATORS)
+        head = oracle_head(tree, table)
+        assert chain == [b for b in tree.path_to_root(head) if b != GENESIS_ID]
+        for earlier, later in zip(chain, chain[1:]):
+            assert tree.parent[later] == earlier
+
+
+def test_mainchain_counts_votes_older_than_the_last_slot():
+    # Validators 1 and 2 last voted in slot 0; validator 0 alone votes in
+    # slot 1.  Their slot-0 votes are still their latest messages.
+    tree = BlockTree()
+    a = tree.add(slot=0, proposer=0, parent=0, release_time=0.0)
+    b = tree.add(slot=0, proposer=1, parent=0, release_time=0.0)
+    assert mainchain(tree, [{b: 0b110}, {a: 0b001}], {}, 3) == [b]
+    assert mainchain(tree, [{a: 0b001}], {(0, b): 0b110}, 3) == [b]
 
 
 def test_validator_view_attest_uses_strictly_earlier_arrivals():
+    # Node 1 receives the slot-1 block by gossip exactly at the slot's 4 s
+    # deadline, or just before it.  Only the earlier arrival counts.
     tree = BlockTree()
     a = tree.add(slot=0, proposer=0, parent=0, release_time=0.0)
-    b = tree.add(slot=1, proposer=1, parent=a, release_time=12.0)
-    view = ValidatorView(tree=tree)
-    view.receive_block(a, 1.0)
-    view.receive_block(b, 16.0)  # exactly at the deadline: not yet usable
-    att = attest_decision(view, validator=5, slot=1, slot_block=b, now=16.0)
-    assert att.target == a
-    att2 = attest_decision(view, validator=5, slot=1, slot_block=b, now=16.0001)
-    assert att2.target == b
+    b = tree.add(slot=1, proposer=0, parent=a, release_time=12.0)
+
+    class Handlers:
+        def on_slot_start(self, engine, t, slot):
+            if slot == 1:
+                engine.publish_block(0, b, t)
+
+        def on_attest_deadline(self, engine, t, slot):
+            self.head = node_head(tree, engine, 1)
+
+    for arrival, expected in ((16.0, a), (15.999, b)):
+        handlers = Handlers()
+        engine = two_node_engine(handlers)
+        for node in (0, 1):
+            engine.publish_block(node, GENESIS_ID, 0.0)
+            engine.publish_block(node, a, 0.0)
+        # One block-class interaction on the edge 0 -> 1, then none.
+        engine._next_draws = lambda: ([arrival, 1e9], [0, 0], [True, True])
+        engine.run()
+        assert engine.block_arrival[1, b] == arrival
+        assert handlers.head == expected
 
 
-N_VALIDATORS = 64
 SETTLED_BELOW = 10
 
 
-def vote_bitsets(rng, table, n_blocks):
+def vote_bitsets(rng, table, n_blocks, unreceived=True):
     """One node's vote bitset and the vote tables holding ``table``.
 
     Latest votes before slot SETTLED_BELOW go to the settled table.  The
     window and the settled table also hold superseded older votes of the
-    node's validators, and the window votes of other validators that the
-    node has not received.
+    node's validators and, when ``unreceived``, the window votes of other
+    validators that the node has not received.
     """
     n_slots = 40 - SETTLED_BELOW
     slots = [{} for _ in range(n_slots)]
@@ -196,6 +245,8 @@ def vote_bitsets(rng, table, n_blocks):
     for validator in range(N_VALIDATORS):
         latest = table.get(validator)
         if latest is None:
+            if not unreceived:
+                continue
             slot = int(rng.integers(SETTLED_BELOW, 40))
             record(slot, validator, int(rng.integers(0, n_blocks)), held=False)
             continue
@@ -213,10 +264,6 @@ def vote_bitsets(rng, table, n_blocks):
     return votes, slots, settled
 
 
-def bitset(mask):
-    return sum(1 << int(b) for b in np.flatnonzero(mask))
-
-
 def test_head_from_arrays_matches_reference():
     rng = np.random.default_rng(2024)
     for _ in range(200):
@@ -227,7 +274,7 @@ def test_head_from_arrays_matches_reference():
         got = head_from_arrays(
             tree.parent, tree.children, blocks, votes, slots, settled, N_VALIDATORS
         )
-        assert got == lmd_ghost_head(tree, table)
+        assert got == oracle_head(tree, table)
 
 
 def test_head_from_arrays_respects_visibility():
@@ -249,7 +296,7 @@ def test_head_from_arrays_respects_visibility():
             tree.parent, tree.children, bitset(seen), votes, slots, settled,
             N_VALIDATORS,
         )
-        assert got == lmd_ghost_head(tree, table, visible=seen)
+        assert got == oracle_head(tree, table, visible=seen)
 
 
 @given(st.integers(0, 2**32))
@@ -257,4 +304,4 @@ def test_head_from_arrays_respects_visibility():
 def test_head_oracle_property(seed):
     rng = np.random.default_rng(seed)
     tree, table = random_tree_and_votes(rng, max_blocks=20, max_votes=60)
-    assert lmd_ghost_head(tree, table) == oracle_head(tree, table)
+    assert kernel_head(tree, table) == oracle_head(tree, table)

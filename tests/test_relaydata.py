@@ -216,6 +216,25 @@ def test_load_bids_skips_and_counts(tmp_path):
     assert skipped == 1
 
 
+@pytest.mark.parametrize(
+    "block_hash",
+    ["0x-" + "a" * 63, "0x  " + "a" * 62, "0x" + "a_" * 32, "0x" + "\u0663" * 64],
+    ids=["sign", "spaces", "underscores", "arabic-indic-digits"],
+)
+def test_load_bids_counts_non_hex_hash_as_malformed(tmp_path, block_hash):
+    record = {"slot": 2, "builder_pubkey": "b", "value": "5",
+              "timestamp_ms": 2 * SLOT_MS + 40}
+    path = tmp_path / "bids.ndjson"
+    path.write_text(
+        json.dumps({**record, "block_hash": HASH}) + "\n"
+        + json.dumps({**record, "block_hash": block_hash}) + "\n",
+        encoding="utf-8",
+    )
+    bids, skipped = load_bids(path, "r", 0)
+    assert [b.block_hash for b in bids] == [HASH]
+    assert skipped == 1
+
+
 def test_csv_round_trip(tmp_path):
     rng = np.random.default_rng(5)
     bids = dedup_across_relays(_random_bids(rng, 200))

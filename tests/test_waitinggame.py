@@ -11,16 +11,13 @@ from timinggames import waitinggame
 from timinggames.consensus import BlockTree
 from timinggames.waitinggame import (
     DEFAULT_LAMBDA_ETH_PER_MS,
-    DelayPolicy,
     PayoffModel,
     SimConfig,
-    StrategyAssignment,
     assign_strategies,
     delayer_orphan_count,
     derive_cell_seed,
     mainchain_rate,
     mev_payoff,
-    release_time,
     run_simulation,
     simulate,
     sweep,
@@ -58,20 +55,24 @@ def test_assign_strategies_validation():
 
 
 def test_delay_policy_range():
-    DelayPolicy(0.0)
-    DelayPolicy(12.0)
+    assert SimConfig(t_d=0.0).t_d == 0.0
+    assert SimConfig(t_d=12.0).t_d == 12.0
     with pytest.raises(ValueError):
-        DelayPolicy(12.1)
+        SimConfig(t_d=12.1)
     with pytest.raises(ValueError):
-        DelayPolicy(-0.1)
+        SimConfig(t_d=-0.1)
 
 
 def test_release_time_rules():
-    assignment = StrategyAssignment(n=4, x_d=0.5, delayers=frozenset({1, 2}))
-    policy = DelayPolicy(t_d=9.0)
-    assert release_time(0, 120.0, policy, assignment) == 120.0
-    assert release_time(1, 120.0, policy, assignment) == 129.0
-    assert release_time(1, 120.0, DelayPolicy(0.0), assignment) == 120.0
+    # Honest proposers release at the slot start, delayers t_d seconds later.
+    for t_d in (9.0, 0.0):
+        out = simulate(replace(FAST, x_d=0.5, t_d=t_d, seed=4))
+        tree, delayers = out.tree, out.assignment.delayers
+        by_delayer = [tree.proposer[b] in delayers for b in range(1, len(tree))]
+        assert set(by_delayer) == {False, True}
+        for b in range(1, len(tree)):
+            delay = t_d if tree.proposer[b] in delayers else 0.0
+            assert tree.release_time[b] == tree.slot[b] * 12.0 + delay
 
 
 def test_mev_payoff_values():
@@ -202,11 +203,19 @@ def test_sweep_validation():
 
 
 def test_sweep_isolates_failing_cells():
-    # t_d outside [0, 12] makes the cell's policy constructor fail.
-    result = sweep([0.0], [0.0, 13.0], seeds=1, base_config=FAST)
-    assert (0, 0) in result.cells
-    assert (0, 1) in result.errors
-    assert (0, 1) not in result.cells
+    # t_d outside [0, 12] makes the cell's SimConfig fail, on both paths.
+    for jobs in (1, 2):
+        result = sweep([0.0], [0.0, 13.0], seeds=2, base_config=FAST, jobs=jobs)
+        assert set(result.cells) == {(0, 0)}
+        assert result.errors == {(0, 1): "t_d must lie in [0, 12]"}
+
+
+def test_sweep_parallel_matches_serial(tmp_path):
+    serial, parallel = tmp_path / "serial.csv", tmp_path / "parallel.csv"
+    small = replace(FAST, duration=120.0)
+    sweep([0.0, 1.0], [0.0, 10.0], seeds=2, base_config=small).to_csv(serial)
+    sweep([0.0, 1.0], [0.0, 10.0], seeds=2, base_config=small, jobs=2).to_csv(parallel)
+    assert parallel.read_bytes() == serial.read_bytes()
 
 
 def test_orphans_follow_an_unseen_delayer_block():
