@@ -57,14 +57,6 @@ class WinnerTiming:
 
 
 @dataclass(frozen=True)
-class AttestationShareRecord:
-    slot: int
-    share: float
-    winner_arrival_ms: int | None
-    vulnerable: bool
-
-
-@dataclass(frozen=True)
 class OrphanReport:
     orphaned_count: int
     missed_count: int

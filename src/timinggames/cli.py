@@ -222,7 +222,7 @@ def ingest(bid_inputs, genesis_ms, window, out, stats_out, verbose):
             slots_per_relay[relay] = slots_per_relay.get(relay, 0) + 1
         for relay in sorted(stats["per_relay_avg"]):
             fh.write(
-                f"{relay},{slots_per_relay[relay]},"
+                f"{relaydata.csv_field(relay)},{slots_per_relay[relay]},"
                 f"{stats['per_relay_avg'][relay]!r}\n"
             )
     _write_manifest(out, "ingest", None, None, [out, stats_path])

@@ -17,7 +17,7 @@ import json
 import re
 from collections import Counter
 from operator import itemgetter
-from typing import Iterable, NamedTuple, Sequence
+from typing import NamedTuple, Sequence
 
 SLOT_MS = 12_000
 MAINNET_GENESIS_UNIX_MS = 1_606_824_023_000  # config preset, never hardcoded in logic
@@ -26,26 +26,21 @@ WEI_LIMIT = 2**256  # values are EVM uint256
 
 CSV_HEADER = "slot,relay,builder,block_hash,value_wei,arrival_ms,num_tx"
 
-DEFAULT_FIELD_MAP = {
-    "slot": "slot",
-    "builder_id": "builder_pubkey",
-    "block_hash": "block_hash",
-    "parent_hash": "parent_hash",
-    "value_wei": "value",
-    "num_transactions": "num_tx",
-    "timestamp_ms": "timestamp_ms",
-    "timestamp_s": "timestamp",
-}
-_MAPPED_FIELDS = tuple(DEFAULT_FIELD_MAP)
+# Record keys of the relay data API schema.
+_KEY_SLOT = "slot"
+_KEY_BUILDER = "builder_pubkey"
+_KEY_HASH = "block_hash"
+_KEY_PARENT = "parent_hash"
+_KEY_VALUE = "value"
+_KEY_NUM_TX = "num_tx"
+_KEY_MS = "timestamp_ms"
+_KEY_S = "timestamp"
+
 _json_decode = json.JSONDecoder().raw_decode
 
 
 class IngestError(Exception):
-    """A record rejected at ingest; carries the raw record."""
-
-    def __init__(self, message: str, record=None):
-        super().__init__(message)
-        self.record = record
+    """A record, or a data file, rejected at ingest."""
 
 
 # Positions in a BidRecord: slot 0, relay 1, builder 2, hash 3, value 5,
@@ -120,14 +115,11 @@ def normalize_arrival(
     arrival = unix_ms - slot_start
     lo, hi = window_ms
     if not lo <= arrival <= hi:
-        raise IngestError(
-            f"arrival {arrival}ms outside plausibility window [{lo}, {hi}]",
-            record={"unix_ms": unix_ms, "slot": slot},
-        )
+        raise IngestError(f"arrival {arrival}ms outside plausibility window [{lo}, {hi}]")
     return arrival
 
 
-def dedup_within_relay(bids: Sequence[BidRecord], relay_id: str) -> list:
+def _earliest_per_key(bids: Sequence[BidRecord]) -> list:
     """One record per key, keeping the earliest arrival (ties: first read).
 
     Output sorted by ascending arrival_ms, stable on ties.
@@ -135,8 +127,6 @@ def dedup_within_relay(bids: Sequence[BidRecord], relay_id: str) -> list:
     best: dict = {}
     get = best.get
     for bid in bids:
-        if bid[1] != relay_id:
-            raise ValueError(f"bid from relay {bid.relay_id!r}, expected {relay_id!r}")
         key = _dedup_key(bid)
         held = get(key)
         # Replacing a value keeps the key's place: survivors stay in first-read order.
@@ -147,18 +137,17 @@ def dedup_within_relay(bids: Sequence[BidRecord], relay_id: str) -> list:
     return survivors
 
 
+def dedup_within_relay(bids: Sequence[BidRecord], relay_id: str) -> list:
+    """Earliest record per key of one relay's bids, sorted by arrival."""
+    for bid in bids:
+        if bid[1] != relay_id:
+            raise ValueError(f"bid from relay {bid.relay_id!r}, expected {relay_id!r}")
+    return _earliest_per_key(bids)
+
+
 def dedup_across_relays(bids: Sequence[BidRecord]) -> list:
     """Globally earliest record per key; survivors keep their relay_id."""
-    best: dict = {}
-    get = best.get
-    for bid in bids:
-        key = _dedup_key(bid)
-        held = get(key)
-        if held is None or bid[7] < held[7]:
-            best[key] = bid
-    survivors = list(best.values())
-    survivors.sort(key=_arrival)
-    return survivors
+    return _earliest_per_key(bids)
 
 
 def duplicate_stats(bids: Sequence[BidRecord]) -> dict:
@@ -176,56 +165,44 @@ def duplicate_stats(bids: Sequence[BidRecord]) -> dict:
     return {"per_relay_slot": per_cell, "per_relay_avg": per_relay_avg}
 
 
-def _field_names(field_map: dict | None) -> tuple:
-    """The record keys of the mapped fields, in ``DEFAULT_FIELD_MAP`` order."""
-    fm = field_map or DEFAULT_FIELD_MAP
-    return tuple(fm[field] for field in _MAPPED_FIELDS)
-
-
 def parse_bid_line(
     line: str,
     relay_id: str,
     genesis_unix_ms: int,
-    field_map: dict | None = None,
     window_ms=DEFAULT_PLAUSIBILITY_WINDOW_MS,
 ) -> BidRecord:
-    """One newline-delimited JSON record in the relay data API schema."""
-    return _parse_bid(line, relay_id, genesis_unix_ms, _field_names(field_map), window_ms)
-
-
-def _parse_bid(line, relay_id, genesis_unix_ms, names, window_ms) -> BidRecord:
-    k_slot, k_builder, k_hash, k_parent, k_value, k_num_tx, k_ms, k_s = names
+    """One stripped newline-delimited JSON record in the relay data API schema."""
     try:
         # ``line`` is stripped, so this is ``json.loads`` less two wrappers.
         raw, end = _json_decode(line)
     except (json.JSONDecodeError, RecursionError) as exc:
-        raise IngestError(f"not valid JSON: {exc}", record=line) from exc
+        raise IngestError(f"not valid JSON: {exc}") from exc
     if end != len(line):
-        raise IngestError(f"not valid JSON: extra data at char {end}", record=line)
+        raise IngestError(f"not valid JSON: extra data at char {end}")
     try:
-        slot = int(raw[k_slot])
-        builder = str(raw[k_builder])
-        block_hash = str(raw[k_hash])
-        parent_hash = str(raw.get(k_parent, ""))
-        value_wei = int(raw[k_value])
-        num_tx = int(raw.get(k_num_tx, 0))
-        if k_ms in raw:
-            unix_ms = int(raw[k_ms])
-        elif k_s in raw:
-            unix_ms = int(raw[k_s]) * 1000
+        slot = int(raw[_KEY_SLOT])
+        builder = str(raw[_KEY_BUILDER])
+        block_hash = str(raw[_KEY_HASH])
+        parent_hash = str(raw.get(_KEY_PARENT, ""))
+        value_wei = int(raw[_KEY_VALUE])
+        num_tx = int(raw.get(_KEY_NUM_TX, 0))
+        if _KEY_MS in raw:
+            unix_ms = int(raw[_KEY_MS])
+        elif _KEY_S in raw:
+            unix_ms = int(raw[_KEY_S]) * 1000
         else:
-            raise IngestError("no timestamp field", record=raw)
+            raise IngestError("no timestamp field")
     except (KeyError, ValueError, TypeError, OverflowError) as exc:
-        raise IngestError(f"malformed record: {exc}", record=raw) from exc
+        raise IngestError(f"malformed record: {exc}") from exc
     if not _plausible_hash(block_hash):
-        raise IngestError(f"non-hex block hash {block_hash!r}", record=raw)
+        raise IngestError(f"non-hex block hash {block_hash!r}")
     arrival = normalize_arrival(unix_ms, slot, genesis_unix_ms, window_ms)
     try:
         return BidRecord(
             slot, relay_id, builder, block_hash, parent_hash, value_wei, num_tx, arrival
         )
     except ValueError as exc:
-        raise IngestError(f"malformed record: {exc}", record=raw) from exc
+        raise IngestError(f"malformed record: {exc}") from exc
 
 
 _HEX_HASH = re.compile(r"(?:0x)?[0-9a-fA-F]{64}")
@@ -252,13 +229,11 @@ def load_bids(
     path,
     relay_id: str,
     genesis_unix_ms: int,
-    field_map: dict | None = None,
     window_ms=DEFAULT_PLAUSIBILITY_WINDOW_MS,
 ):
     """Read an NDJSON bid dump.  Malformed or out-of-window records are
     skipped and counted, not fatal; a file that is not UTF-8 raises
     ``IngestError``.  Returns (bids, skipped_count)."""
-    names = _field_names(field_map)
     bids = []
     skipped = 0
     try:
@@ -268,7 +243,7 @@ def load_bids(
                 if not line:
                     continue
                 try:
-                    bids.append(_parse_bid(line, relay_id, genesis_unix_ms, names, window_ms))
+                    bids.append(parse_bid_line(line, relay_id, genesis_unix_ms, window_ms))
                 except IngestError:
                     skipped += 1
     except UnicodeDecodeError:
@@ -276,13 +251,26 @@ def load_bids(
     return bids, skipped
 
 
-def write_bids_csv(bids: Iterable[BidRecord], path) -> None:
+_csv_special = re.compile(r'[,"\r\n]').search
+
+
+def csv_field(text: str) -> str:
+    """``text`` as one CSV field: quoted, with inner quotes doubled, only
+    when it holds a comma, a quote or a line break."""
+    if _csv_special(text) is None:
+        return text
+    return '"' + text.replace('"', '""') + '"'
+
+
+def write_bids_csv(bids: Sequence[BidRecord], path) -> None:
+    """The dedup CSV.  Only ``relay_id`` and ``builder_id`` can need quotes:
+    every other field is an integer or a validated hex hash."""
+    # Each distinct id is checked once: bids repeat few relays and builders.
+    field = {s: csv_field(s) for s in {b[1] for b in bids} | {b[2] for b in bids}}
     with open(path, "w", newline="") as fh:
         fh.write(CSV_HEADER + "\n")
         fh.writelines(
-            f"{b.slot},{b.relay_id},{b.builder_id},{b.block_hash},"
-            f"{b.value_wei},{b.arrival_ms},{b.num_transactions}\n"
-            for b in bids
+            f"{b[0]},{field[b[1]]},{field[b[2]]},{b[3]},{b[5]},{b[7]},{b[6]}\n" for b in bids
         )
 
 

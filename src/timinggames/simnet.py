@@ -11,11 +11,11 @@ holds what it knows of each as one Python-int bitset:
   are ignored: the engine assumes non-equivocating validators.
 
 Gossip is the union rule for both classes: an interaction leaves both
-endpoints (one-way: the receiver) with the union of their sets.  A
-validator's latest message at a node is its highest-slot vote in the node's
-set.  Each validator casts at most one vote per slot, so this is the latest
-message that forwarding each validator's newest (slot, target) pair, and
-replacing only on a strictly later slot, would leave.
+endpoints with the union of their sets.  A validator's latest message at a
+node is its highest-slot vote in the node's set.  Each validator casts at
+most one vote per slot, so this is the latest message that forwarding each
+validator's newest (slot, target) pair, and replacing only on a strictly
+later slot, would leave.
 
 At each attestation deadline the oldest vote slots that every node holds
 identically are folded into a settled table of latest votes and shifted out
@@ -30,9 +30,10 @@ class), which is statistically identical and much cheaper to schedule.
 
 from __future__ import annotations
 
+import heapq
+import itertools
 import math
 from dataclasses import dataclass
-from enum import IntEnum
 
 import numpy as np
 
@@ -61,13 +62,6 @@ class Topology:
     def mean_degree(self) -> float:
         return 2.0 * len(self.edges) / self.n
 
-    def adjacency(self) -> list:
-        adj = [[] for _ in range(self.n)]
-        for u, v in sorted(self.edges):
-            adj[u].append(v)
-            adj[v].append(u)
-        return adj
-
     def directed_pairs(self) -> list:
         """All ordered adjacent pairs, sorted for determinism."""
         pairs = []
@@ -83,27 +77,21 @@ class GossipConfig:
     """Interaction clocks: one per ordered adjacent pair, exponential gaps
     with mean tau.
 
-    With ``bidirectional`` (the default) an interaction synchronizes both
-    endpoints, so content crosses each link at twice the one-way rate; with
-    it off only the pair's source pushes to its destination.
+    An interaction synchronizes both endpoints, so content crosses each link
+    at twice the rate of one clock.
     """
 
     tau_block: float = 3.0
     tau_attestation: float = 3.0
-    bidirectional: bool = True
 
     def __post_init__(self):
         if self.tau_block <= 0 or self.tau_attestation <= 0:
             raise ValueError("gossip latencies must be positive")
 
 
-class EventKind(IntEnum):
-    # Numeric order doubles as the tie-break priority at equal times.
-    BLOCK_RELEASE = 0
-    SLOT_START = 1
-    ATTEST_DEADLINE = 2
-    GOSSIP_INTERACTION = 3
-    SIM_END = 4
+# Structural event kinds.  The number orders events at equal times.
+_RELEASE, _SLOT_START, _DEADLINE, _END = range(4)
+_KIND_NAMES = ("BLOCK_RELEASE", "SLOT_START", "ATTEST_DEADLINE", "SIM_END")
 
 
 def _connected(n: int, edges) -> bool:
@@ -185,12 +173,10 @@ def generate_er_graph(n: int, mean_degree: float, seed: int) -> Topology:
 
 
 class EngineError(Exception):
-    """A handler failure, with the offending event attached."""
+    """A handler failure; the message names the event and the cause."""
 
     def __init__(self, event, cause):
         super().__init__(f"handler failed on {event}: {cause}")
-        self.event = event
-        self.cause = cause
 
 
 def _bitset_rows(ints, nbits: int) -> np.ndarray:
@@ -208,11 +194,16 @@ class EventEngine:
 
         on_slot_start(engine, t, slot)      # select proposer, create block
         on_attest_deadline(engine, t, slot) # attestors vote
-        on_sim_end(engine, t)               # optional, may be absent
 
     Blocks enter circulation via ``publish_block`` (usually from a scheduled
     release), votes via ``publish_attestation``.  A vote must be published
     by its slot's attestation deadline: later, its slot may be settled.
+
+    Block releases, slot starts, attestation deadlines and the end of the run
+    share one heap of ``(time, kind, seq, payload)``.  At equal times a
+    release runs first, then a slot start, then a deadline, then the end;
+    releases at one time run in the order they were scheduled.  Gossip
+    interactions run strictly before the next of these events.
 
     Knowledge state, as fork choice reads it:
 
@@ -234,8 +225,6 @@ class EventEngine:
         end_time: float,
         seed,
         *,
-        n_validators: int | None = None,
-        max_blocks: int | None = None,
         record_trace: bool = False,
     ):
         if end_time <= 0:
@@ -247,20 +236,17 @@ class EventEngine:
         self.record_trace = record_trace
         self.trace: list | None = None  # set by run(): the trace covers the run
 
-        self.n_nodes = topology.n
-        self.n_validators = n_validators if n_validators is not None else topology.n
+        self.n_nodes = self.n_validators = topology.n
         self.n_slots = int(self.end_time // SLOT_SECONDS)
-        cap = max_blocks if max_blocks is not None else self.n_slots + 2
 
         pairs = topology.directed_pairs()
         self._src = [p[0] for p in pairs]
         self._dst = [p[1] for p in pairs]
         self._n_dir = len(pairs)
-        self._bidirectional = gossip.bidirectional
 
         # Knowledge state.
         self.blocks = [0] * self.n_nodes
-        self.block_arrival = np.full((self.n_nodes, cap), np.nan)
+        self.block_arrival = np.full((self.n_nodes, self.n_slots + 2), np.nan)
         self.votes = [0] * self.n_nodes
         self.vote_base = 0
         self.vote_slots: list = []
@@ -274,15 +260,18 @@ class EventEngine:
         self._batch = None
         self._draw_pos = _RNG_BATCH
 
-        self._pending_releases: list = []  # kept sorted by (time, insertion)
-        self._release_seq = 0
+        self._seq = itertools.count()
+        self._queue = [(self.end_time, _END, next(self._seq), None)]
+        if self.n_slots:
+            self._push(0.0, _SLOT_START, 0)
 
     # -- scheduling ---------------------------------------------------------
 
+    def _push(self, time: float, kind: int, payload) -> None:
+        heapq.heappush(self._queue, (time, kind, next(self._seq), payload))
+
     def schedule_release(self, time: float, node: int, block_id: int) -> None:
-        self._pending_releases.append((time, self._release_seq, node, block_id))
-        self._release_seq += 1
-        self._pending_releases.sort()
+        self._push(time, _RELEASE, (node, block_id))
 
     def publish_block(self, node: int, block_id: int, time: float) -> None:
         bit = 1 << block_id
@@ -395,13 +384,12 @@ class EventEngine:
 
     def run(self):
         """Process events up to end_time; returns the trace (or None)."""
-        end = self.end_time
         src = self._src
         dst = self._dst
         blocks = self.blocks
         votes = self.votes
         arrive = self._arrive
-        bidirectional = self._bidirectional
+        queue = self._queue
         self.trace = trace = [] if self.record_trace else None
         record = trace is not None
 
@@ -410,32 +398,12 @@ class EventEngine:
         j = 0
         gossip_t = gaps[0]
 
-        slot = 0
-        next_slot_t = 0.0 if self.n_slots > 0 else math.inf
-        deadlines: list = []  # (time, slot), FIFO
-        dl_head = 0
-
-        def next_structural():
-            # Returns (time, priority) of the earliest non-gossip event.
-            best = (end, EventKind.SIM_END)
-            if self._pending_releases:
-                r = self._pending_releases[0]
-                if (r[0], EventKind.BLOCK_RELEASE) < best:
-                    best = (r[0], EventKind.BLOCK_RELEASE)
-            if next_slot_t < math.inf and (next_slot_t, EventKind.SLOT_START) < best:
-                best = (next_slot_t, EventKind.SLOT_START)
-            if dl_head < len(deadlines):
-                d = deadlines[dl_head]
-                if (d[0], EventKind.ATTEST_DEADLINE) < best:
-                    best = (d[0], EventKind.ATTEST_DEADLINE)
-            return best
-
         while True:
-            s_time, s_kind = next_structural()
+            t, kind, _, payload = heapq.heappop(queue)
 
-            # Drain gossip interactions strictly before the next structural
-            # event (ties go to the structural event: lower priority number).
-            while gossip_t < s_time:
+            # Drain gossip interactions strictly before the event: at a tie
+            # the event runs first.
+            while gossip_t < t:
                 e = edges[j]
                 u = src[e]
                 v = dst[e]
@@ -443,14 +411,10 @@ class EventEngine:
                     a = blocks[u]
                     b = blocks[v]
                     if a != b:
-                        if bidirectional:
-                            blocks[u] = blocks[v] = a | b
-                            if b & ~a:
-                                arrive(u, b & ~a, gossip_t)
-                            if a & ~b:
-                                arrive(v, a & ~b, gossip_t)
-                        elif a & ~b:
-                            blocks[v] = a | b
+                        blocks[u] = blocks[v] = a | b
+                        if b & ~a:
+                            arrive(u, b & ~a, gossip_t)
+                        if a & ~b:
                             arrive(v, a & ~b, gossip_t)
                     if record:
                         trace.append(
@@ -460,10 +424,7 @@ class EventEngine:
                     a = votes[u]
                     b = votes[v]
                     if a != b:
-                        if bidirectional:
-                            votes[u] = votes[v] = a | b
-                        else:
-                            votes[v] = a | b
+                        votes[u] = votes[v] = a | b
                     if record:
                         trace.append(
                             (gossip_t, "GOSSIP_INTERACTION", u, f"->{v}:attestation")
@@ -475,37 +436,28 @@ class EventEngine:
                 gossip_t += gaps[j]
 
             try:
-                if s_kind == EventKind.SIM_END:
+                if kind == _RELEASE:
+                    self.publish_block(*payload, t)
+                elif kind == _SLOT_START:
                     if record:
-                        trace.append((end, "SIM_END", -1, ""))
-                    on_end = getattr(self.handlers, "on_sim_end", None)
-                    if on_end is not None:
-                        on_end(self, end)
+                        trace.append((t, "SLOT_START", -1, f"slot={payload}"))
+                    self.handlers.on_slot_start(self, t, payload)
+                    self._push(t + ATTEST_DEADLINE_OFFSET, _DEADLINE, payload)
+                    if payload + 1 < self.n_slots:
+                        self._push((payload + 1) * SLOT_SECONDS, _SLOT_START, payload + 1)
+                elif kind == _DEADLINE:
+                    if record:
+                        trace.append((t, "ATTEST_DEADLINE", -1, f"slot={payload}"))
+                    self.handlers.on_attest_deadline(self, t, payload)
+                    self._compact(payload)
+                else:
+                    if record:
+                        trace.append((t, "SIM_END", -1, ""))
                     return trace
-                if s_kind == EventKind.BLOCK_RELEASE:
-                    t, _, node, block_id = self._pending_releases.pop(0)
-                    self.publish_block(node, block_id, t)
-                elif s_kind == EventKind.SLOT_START:
-                    t = next_slot_t
-                    if record:
-                        trace.append((t, "SLOT_START", -1, f"slot={slot}"))
-                    self.handlers.on_slot_start(self, t, slot)
-                    deadlines.append((t + ATTEST_DEADLINE_OFFSET, slot))
-                    slot += 1
-                    next_slot_t = (
-                        slot * SLOT_SECONDS if slot < self.n_slots else math.inf
-                    )
-                else:  # ATTEST_DEADLINE
-                    t, dslot = deadlines[dl_head]
-                    dl_head += 1
-                    if record:
-                        trace.append((t, "ATTEST_DEADLINE", -1, f"slot={dslot}"))
-                    self.handlers.on_attest_deadline(self, t, dslot)
-                    self._compact(dslot)
             except EngineError:
                 raise
             except Exception as exc:
-                raise EngineError((s_time, s_kind), exc) from exc
+                raise EngineError((t, _KIND_NAMES[kind]), exc) from exc
 
 
 def write_trace_csv(trace, path) -> None:

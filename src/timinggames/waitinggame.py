@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import math
 import numbers
+import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, fields, replace
 
@@ -34,13 +35,7 @@ DEFAULT_LAMBDA_ETH_PER_MS = 5.71e-6
 
 @dataclass(frozen=True)
 class StrategyAssignment:
-    n: int
-    x_d: float
     delayers: frozenset
-    seed: int | None = None
-
-    def is_delayer(self, validator: int) -> bool:
-        return validator in self.delayers
 
 
 def check_number(name: str, value, integral: bool = False):
@@ -154,12 +149,7 @@ def assign_strategies(n: int, x_d: float, seed) -> StrategyAssignment:
     size = int(round(x_d * n))
     rng = np.random.default_rng(seed)
     chosen = rng.choice(n, size=size, replace=False) if size else np.empty(0, int)
-    return StrategyAssignment(
-        n=n,
-        x_d=x_d,
-        delayers=frozenset(int(i) for i in chosen),
-        seed=seed if isinstance(seed, int) else None,
-    )
+    return StrategyAssignment(frozenset(int(i) for i in chosen))
 
 
 def mev_payoff(interval_since_previous_release_ms: float, model: PayoffModel) -> float:
@@ -191,14 +181,13 @@ def delayer_orphan_count(tree: BlockTree, mainchain_set, delayers):
 class _ChainHandlers:
     """Consensus-side event handlers driving one simulation run."""
 
-    def __init__(self, n, assignment, t_d, proposer_rng):
+    def __init__(self, n, delayers, t_d, proposer_rng):
         self.n = n
-        self.assignment = assignment
+        self.delayers = delayers
         self.t_d = t_d
         self.rng = proposer_rng
         self.tree = BlockTree()
         self.proposer_of_slot: list = []
-        self.block_of_slot: list = []
 
     def on_slot_start(self, engine: EventEngine, t: float, slot: int) -> None:
         proposer = int(self.rng.integers(self.n))
@@ -212,13 +201,9 @@ class _ChainHandlers:
             engine.vote_settled,
             engine.n_validators,
         )
-        release_at = t + self.t_d if self.assignment.is_delayer(proposer) else t
+        release_at = t + self.t_d if proposer in self.delayers else t
         block_id = self.tree.add(slot, proposer, head, release_at)
-        self.block_of_slot.append(block_id)
-        if release_at == t:
-            engine.publish_block(proposer, block_id, t)
-        else:
-            engine.schedule_release(release_at, proposer, block_id)
+        engine.schedule_release(release_at, proposer, block_id)
 
     def on_attest_deadline(self, engine: EventEngine, t: float, slot: int) -> None:
         proposer = self.proposer_of_slot[slot]
@@ -257,7 +242,7 @@ def simulate(config: SimConfig) -> SimulationOutput:
     )
     assignment = assign_strategies(config.n, config.x_d, strat_ss)
     handlers = _ChainHandlers(
-        config.n, assignment, config.t_d, np.random.default_rng(prop_ss)
+        config.n, assignment.delayers, config.t_d, np.random.default_rng(prop_ss)
     )
     engine = EventEngine(
         topology,
@@ -338,20 +323,12 @@ class CellStats:
         return float(np.std(self.mu, ddof=1)) if len(self.mu) > 1 else 0.0
 
     @property
-    def mu_stderr(self):
-        return self.mu_std / math.sqrt(len(self.mu))
-
-    @property
     def theta_mean(self):
         return float(np.mean(self.theta))
 
     @property
     def theta_std(self):
         return float(np.std(self.theta, ddof=1)) if len(self.theta) > 1 else 0.0
-
-    @property
-    def theta_stderr(self):
-        return self.theta_std / math.sqrt(len(self.theta))
 
     @property
     def theta_norm_mean(self):
@@ -411,11 +388,15 @@ def sweep(
     config's seed and the three indices, so results are reproducible and
     independent across cells.  A failing run fails its cell: the cell's
     first error in task order goes to ``errors``, and other cells proceed.
+    Runs go to min(jobs, runs, CPU count) worker processes, or run here
+    when that is 1.
     """
     if not x_values or not t_values:
         raise ValueError("grid must be non-empty")
     if seeds < 1:
         raise ValueError("seeds must be >= 1")
+    if jobs < 1:
+        raise ValueError("jobs must be >= 1")
     master = base_config.seed
     tasks = []
     for ix, x in enumerate(x_values):
@@ -424,8 +405,9 @@ def sweep(
                 tasks.append(((ix, it), (base_config, x, t, derive_cell_seed(master, ix, it, r))))
 
     args = [task[1] for task in tasks]
-    if jobs > 1:
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
+    workers = min(jobs, len(tasks), os.cpu_count() or 1)
+    if workers > 1:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
             outcomes = list(pool.map(_run_for_sweep_safe, args))
     else:
         outcomes = map(_run_for_sweep_safe, args)

@@ -15,7 +15,7 @@ import yaml
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from timinggames import analytics
+from timinggames import analytics, relaydata
 from timinggames.cli import EXIT_DATA, EXIT_OK, EXIT_USAGE, main
 from timinggames.waitinggame import PayoffModel, SimConfig
 
@@ -85,6 +85,8 @@ def test_sim_run_unknown_key(tmp_path):
         ("sweep", "duration: -5"),
         ("sweep", "seeds: a"),
         ("sweep", "jobs: [1]"),
+        ("sweep", "jobs: 0"),
+        ("sweep", "jobs: -3"),
         ("run", "base_value_eth: a"),
         ("run", "seed: -1"),
         ("run", "duration: .inf"),
@@ -127,6 +129,14 @@ def test_sim_rejects_negative_seed_flag(tmp_path, capsys, command):
     assert run(["sim", command, "--seed", -1, "--out", out]) == EXIT_USAGE
     err = capsys.readouterr().err.strip().splitlines()
     assert err == ["error: invalid config value: seed must be non-negative"]
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("jobs", [0, -3])
+def test_sim_sweep_rejects_jobs_flag_below_one(tmp_path, capsys, jobs):
+    out = tmp_path / "out.csv"
+    assert run(["sim", "sweep", "--jobs", jobs, "--out", out]) == EXIT_USAGE
+    assert capsys.readouterr().err.strip().splitlines() == ["error: jobs must be >= 1"]
     assert not out.exists()
 
 
@@ -202,6 +212,43 @@ def test_ingest_and_dedup(tmp_path):
     assert len(lines) == 3  # two unique bids survive
     stats = (tmp_path / "dedup.csv.dupstats.csv").read_text().splitlines()
     assert stats[1].startswith("A,1,1.0")
+
+
+def test_ingest_quotes_ids_for_the_analyses(tmp_path):
+    # Relay and builder ids holding a comma or a quote survive the dedup CSV,
+    # so the analyses read back the bids that ingest wrote.
+    lam = 5.71e-6
+    dump = tmp_path / "dump.ndjson"
+    records, delivered = [], ["slot,relay,builder,block_hash,value_wei,proposer"]
+    for slot in range(1, 4):
+        for k, builder in enumerate(['b,1', 'q"x']):
+            for ms in (100 + 37 * slot, 400 + 11 * k):
+                value = round((0.01 * slot + 0.002 * k + lam * ms) * 10**18)
+                block_hash = f"0x{slot:02x}{k:02x}{ms:060x}"
+                records.append({"slot": slot, "builder_pubkey": builder, "block_hash": block_hash,
+                                "value": str(value), "timestamp_ms": 12000 * slot + ms})
+        delivered.append(f"{slot},x,b,{block_hash},{value},1")
+    dump.write_text("\n".join(json.dumps(r) for r in records) + "\n")
+    (tmp_path / "delivered.csv").write_text("\n".join(delivered) + "\n")
+    out = tmp_path / "dedup.csv"
+    assert run(["ingest", "--bids", f"r,x={dump}", "--genesis-ms", 0, "--out", out]) == EXIT_OK
+    lines = out.read_text().splitlines()
+    assert lines[1].startswith('1,"r,x","b,1",')
+    assert any(',"r,x","q""x",' in line for line in lines)
+    bids = relaydata.read_bids_csv(out)
+    assert len(bids) == len(records)
+    assert {(b.relay_id, b.builder_id) for b in bids} == {("r,x", "b,1"), ("r,x", 'q"x')}
+    stats = (tmp_path / "dedup.csv.dupstats.csv").read_text().splitlines()
+    assert stats[1] == '"r,x",3,0.0'
+
+    assert run(["analyze", "regress", "--bids", out, "--out", tmp_path / "r.csv"]) == EXIT_OK
+    header, row = (tmp_path / "r.csv").read_text().splitlines()
+    fields = dict(zip(header.split(","), map(float, row.split(","))))
+    assert fields["n"] == len(records)
+    assert fields["slope_eth_per_ms"] == pytest.approx(lam, rel=1e-6)
+    assert run(["analyze", "winners", "--bids", out, "--delivered", tmp_path / "delivered.csv",
+                "--out", tmp_path / "w.csv"]) == EXIT_OK
+    assert len((tmp_path / "w.csv").read_text().splitlines()) == 4
 
 
 def test_ingest_empty_input(tmp_path):
@@ -484,18 +531,24 @@ def _file_bytes(header):
     bids=_file_bytes(BID_HEADER),
     delivered=_file_bytes("slot,relay,builder,block_hash,value_wei,proposer"),
     status=_file_bytes("slot,block_hash,status"),
+    attestations=_file_bytes("slot,block_root,attestor_count,committee_size"),
+    blocks=_file_bytes("epoch,slot,mev_wei,proposal_gwei"),
 )
 @settings(max_examples=60, deadline=None)
-def test_data_commands_never_raise(dump, bids, delivered, status):
+def test_data_commands_never_raise(dump, bids, delivered, status, attestations, blocks):
     with tempfile.TemporaryDirectory() as tmp:
         d = Path(tmp)
         for name, data in (("dump.ndjson", dump), ("bids.csv", bids),
-                           ("delivered.csv", delivered), ("status.csv", status)):
+                           ("delivered.csv", delivered), ("status.csv", status),
+                           ("attestations.csv", attestations), ("blocks.csv", blocks)):
             (d / name).write_bytes(data)
         commands = [
             ["ingest", "--bids", f"A={d / 'dump.ndjson'}", "--genesis-ms", "0",
              "--window", "-1000000000", "1000000000", "--out", d / "ingested.csv"],
             ["analyze", "regress", "--bids", d / "ingested.csv", "--out", d / "r0.csv"],
+            ["analyze", "shares", "--attestations", d / "attestations.csv",
+             "--out", d / "s.csv"],
+            ["analyze", "rewards", "--blocks", d / "blocks.csv", "--out", d / "rw.csv"],
         ]
         for bid_file in ("bids.csv", "ingested.csv"):
             commands += [

@@ -8,7 +8,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from timinggames.relaydata import (
-    DEFAULT_FIELD_MAP,
     BidRecord,
     DedupKey,
     IngestError,
@@ -305,14 +304,6 @@ def test_parse_bid_line_rejects_bad_values(record):
 def test_parse_bid_line_rejects_non_records(line):
     with pytest.raises(IngestError):
         parse_bid_line(line, "r", 0)
-
-
-def test_parse_bid_line_field_map():
-    raw = {"slot": 3, "builder": "b", "block_hash": HASH, "value": "9",
-           "timestamp_ms": 3 * SLOT_MS + 7}
-    field_map = dict(DEFAULT_FIELD_MAP, builder_id="builder")
-    bid = parse_bid_line(json.dumps(raw), "r", 0, field_map=field_map)
-    assert (bid.builder_id, bid.arrival_ms) == ("b", 7)
 
 
 def test_load_bids_names_undecodable_line(tmp_path):

@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 
 from timinggames import waitinggame
 from timinggames.consensus import BlockTree
+from timinggames.simnet import ATTEST_DEADLINE_OFFSET, SLOT_SECONDS
 from timinggames.waitinggame import (
     DEFAULT_LAMBDA_ETH_PER_MS,
     PayoffModel,
@@ -210,6 +211,36 @@ def test_sweep_isolates_failing_cells():
         assert result.errors == {(0, 1): "t_d must lie in [0, 12]"}
 
 
+def test_sweep_caps_worker_processes(monkeypatch):
+    made = []
+
+    class FakePool:
+        """Records its size and runs the tasks here: no process starts."""
+
+        def __init__(self, max_workers):
+            made.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, args):
+            return map(fn, args)
+
+    monkeypatch.setattr(waitinggame, "ProcessPoolExecutor", FakePool)
+    monkeypatch.setattr(waitinggame.os, "cpu_count", lambda: 4)
+    small = replace(FAST, duration=12.0)
+    sweep([0.0], [0.0, 1.0], seeds=1, base_config=small, jobs=64)  # 2 runs
+    sweep([0.0], [0.0, 1.0, 2.0], seeds=2, base_config=small, jobs=64)  # 4 CPUs
+    sweep([0.0], [0.0, 1.0, 2.0], seeds=2, base_config=small, jobs=3)
+    sweep([0.0], [0.0, 1.0], seeds=1, base_config=small, jobs=1)
+    monkeypatch.setattr(waitinggame.os, "cpu_count", lambda: None)
+    sweep([0.0], [0.0, 1.0], seeds=1, base_config=small, jobs=8)
+    assert made == [2, 4, 3]
+
+
 def test_sweep_parallel_matches_serial(tmp_path):
     serial, parallel = tmp_path / "serial.csv", tmp_path / "parallel.csv"
     small = replace(FAST, duration=120.0)
@@ -235,6 +266,42 @@ def test_orphans_follow_an_unseen_delayer_block():
         previous = block_of_slot.get(tree.slot[b] - 1)
         assert previous is not None and tree.proposer[previous] in delayers
         assert tree.parent[b] != previous
+
+
+@pytest.mark.parametrize("t_d", [4.0, 12.0])
+def test_event_order_at_equal_times(t_d):
+    # At one time a release runs before a deadline, a slot start and the end
+    # of the run, and an honest block is released right after its slot start.
+    duration = 4 * SLOT_SECONDS
+    ties = set()
+    for seed in range(4):
+        out = simulate(SimConfig(n=16, mean_degree=4.0, duration=duration, x_d=0.5,
+                                 t_d=t_d, seed=seed, record_trace=True))
+        events = [(t, kind, detail) for t, kind, _, detail in out.trace
+                  if kind != "GOSSIP_INTERACTION"]
+        position = {(kind, detail): i for i, (_, kind, detail) in enumerate(events)}
+        for i, (t, kind, detail) in enumerate(events):
+            if kind != "BLOCK_RELEASE":
+                continue
+            slot = out.tree.slot[int(detail.removeprefix("block="))]
+            start = slot * SLOT_SECONDS
+            if t == start:
+                assert events[i - 1] == (t, "SLOT_START", f"slot={slot}")
+                ties.add("slot start, honest release")
+                continue
+            if t == duration:
+                later = ("SIM_END", "")
+            elif t == start + ATTEST_DEADLINE_OFFSET:
+                later = ("ATTEST_DEADLINE", f"slot={slot}")
+            else:
+                assert t == start + SLOT_SECONDS
+                later = ("SLOT_START", f"slot={slot + 1}")
+            assert events[position[later]][0] == t and position[later] > i
+            ties.add(f"release, {later[0]}")
+    assert ties == {
+        4.0: {"slot start, honest release", "release, ATTEST_DEADLINE"},
+        12.0: {"slot start, honest release", "release, SLOT_START", "release, SIM_END"},
+    }[t_d]
 
 
 def test_settled_votes_bound_the_vote_state(monkeypatch):
