@@ -26,6 +26,15 @@ Interaction times per ordered adjacent pair form a renewal process with
 exponential gaps of mean ``tau``.  Internally the engine draws the superposed
 Poisson stream (one global clock, then a uniformly chosen edge and message
 class), which is statistically identical and much cheaper to schedule.
+
+Before each event the engine drains the stream's interactions up to it one
+message class at a time: all block interactions, then all vote
+interactions.  The classes touch disjoint state, so the result is that of
+the interleaved stream.  Per class the engine keeps the union of every
+node's set and the number of (node, item) pairs of it not yet delivered.
+Gossip never changes a union, and a count of 0 means every node holds the
+same set, where an interaction is a no-op: the class's remaining draws up
+to the event are then skipped without a look.
 """
 
 from __future__ import annotations
@@ -42,7 +51,7 @@ ATTEST_DEADLINE_OFFSET = 4.0
 
 _MAX_CONNECT_ATTEMPTS = 100
 _RNG_BATCH = 1 << 15
-_DRAW_SLICE = 1 << 11  # draws converted to Python lists at a time
+_DRAW_SLICE = 1 << 11  # draws timed and split by class at a time
 _PAIR_CHUNK = 1 << 16  # node-pair draws held at once while sampling a graph
 
 
@@ -92,6 +101,7 @@ class GossipConfig:
 # Structural event kinds.  The number orders events at equal times.
 _RELEASE, _SLOT_START, _DEADLINE, _END = range(4)
 _KIND_NAMES = ("BLOCK_RELEASE", "SLOT_START", "ATTEST_DEADLINE", "SIM_END")
+_CLASS_NAMES = ("attestation", "block")  # indexed by the block-class flag
 
 
 def _connected(n: int, edges) -> bool:
@@ -239,10 +249,8 @@ class EventEngine:
         self.n_nodes = self.n_validators = topology.n
         self.n_slots = int(self.end_time // SLOT_SECONDS)
 
-        pairs = topology.directed_pairs()
-        self._src = [p[0] for p in pairs]
-        self._dst = [p[1] for p in pairs]
-        self._n_dir = len(pairs)
+        self._src, self._dst = np.array(topology.directed_pairs(), dtype=np.int32).T.copy()
+        self._n_dir = len(self._src)
 
         # Knowledge state.
         self.blocks = [0] * self.n_nodes
@@ -251,6 +259,12 @@ class EventEngine:
         self.vote_base = 0
         self.vote_slots: list = []
         self.vote_settled: dict = {}
+        # Per class: the union of all nodes' sets, and the number of
+        # (node, item) pairs of it not yet delivered.
+        self._block_union = 0
+        self._blocks_undelivered = 0
+        self._vote_union = 0
+        self._votes_undelivered = 0
 
         self._rng = np.random.default_rng(seed)
         rate_b = self._n_dir / gossip.tau_block
@@ -278,6 +292,11 @@ class EventEngine:
         if not self.blocks[node] & bit:
             self.block_arrival[node, block_id] = time
             self.blocks[node] |= bit
+            if self._block_union & bit:
+                self._blocks_undelivered -= 1
+            else:
+                self._block_union |= bit
+                self._blocks_undelivered += self.n_nodes - 1
         if self.trace is not None:
             self.trace.append((time, "BLOCK_RELEASE", node, f"block={block_id}"))
 
@@ -289,11 +308,17 @@ class EventEngine:
             raise ValueError(f"vote of slot {slot} published after the slot settled")
         while len(self.vote_slots) <= k:
             self.vote_slots.append({})
-        group = self.vote_slots[k]
-        bit = 1 << validator
-        if not any(bits & bit for bits in group.values()):
-            group[target] = group.get(target, 0) | bit
-        self.votes[node] |= bit << (k * self.n_validators)
+        bit = 1 << (k * self.n_validators + validator)
+        if not self._vote_union & bit:
+            # The validator's first vote of this slot: it fixes the target.
+            group = self.vote_slots[k]
+            group[target] = group.get(target, 0) | 1 << validator
+            self._vote_union |= bit
+            self._votes_undelivered += self.n_nodes - 1
+            self.votes[node] |= bit
+        elif not self.votes[node] & bit:
+            self._votes_undelivered -= 1
+            self.votes[node] |= bit
 
     # -- knowledge state ----------------------------------------------------
 
@@ -328,6 +353,7 @@ class EventEngine:
         if k:
             shift = k * width
             votes[:] = [x >> shift for x in votes]
+            self._vote_union >>= shift
             del self.vote_slots[:k]
             self.vote_base += k
 
@@ -366,8 +392,8 @@ class EventEngine:
     # -- gossip stream ------------------------------------------------------
 
     def _next_draws(self):
-        """The next slice of the gossip stream as Python lists: gaps, edge
-        indices and block-class flags, one entry per interaction."""
+        """The next slice of the gossip stream: gaps, edge indices and
+        block-class flags, one entry per interaction, as arrays (or lists)."""
         if self._draw_pos == _RNG_BATCH:
             rng = self._rng
             self._batch = (
@@ -378,7 +404,26 @@ class EventEngine:
             self._draw_pos = 0
         lo = self._draw_pos
         self._draw_pos = lo + _DRAW_SLICE
-        return [a[lo : self._draw_pos].tolist() for a in self._batch]
+        return [a[lo : self._draw_pos] for a in self._batch]
+
+    def _next_slice(self, carry: float):
+        """The next slice of the stream, timed on from ``carry``.
+
+        Times are the running sum of the gaps.  ``cumsum`` adds left to
+        right, as ``t += gap`` one draw at a time would, so they are the
+        same floats.  Returns the slice's times, edge indices and
+        block-class flags, then ``(times, edge indices)`` of the block
+        class and of the vote class.
+        """
+        gaps, edges, kinds = self._next_draws()
+        gaps = np.array(gaps, dtype=np.float64)
+        gaps[0] += carry
+        times = np.cumsum(gaps)
+        edges = np.asarray(edges)
+        kinds = np.asarray(kinds, dtype=bool)
+        block = np.flatnonzero(kinds)
+        vote = np.flatnonzero(~kinds)
+        return times, edges, kinds, (times[block], edges[block]), (times[vote], edges[vote])
 
     # -- main loop ----------------------------------------------------------
 
@@ -393,47 +438,70 @@ class EventEngine:
         self.trace = trace = [] if self.record_trace else None
         record = trace is not None
 
-        gaps, edges, kinds = self._next_draws()
-        slice_len = len(gaps)
-        j = 0
-        gossip_t = gaps[0]
+        times, edges, kinds, (bt, be), (vt, ve) = self._next_slice(0.0)
+        bi = vi = ri = 0
 
         while True:
             t, kind, _, payload = heapq.heappop(queue)
 
-            # Drain gossip interactions strictly before the event: at a tie
-            # the event runs first.
-            while gossip_t < t:
-                e = edges[j]
-                u = src[e]
-                v = dst[e]
-                if kinds[j]:
-                    a = blocks[u]
-                    b = blocks[v]
-                    if a != b:
-                        blocks[u] = blocks[v] = a | b
-                        if b & ~a:
-                            arrive(u, b & ~a, gossip_t)
-                        if a & ~b:
-                            arrive(v, a & ~b, gossip_t)
-                    if record:
-                        trace.append(
-                            (gossip_t, "GOSSIP_INTERACTION", u, f"->{v}:block")
+            # Drain the gossip interactions strictly before the event (at a
+            # tie the event runs first) one class at a time, and skip the
+            # rest of a class once nothing of it is undelivered.  Only the
+            # spans that run become Python lists.  The trace gets a row per
+            # draw, skipped or not, in stream order.
+            block_gap = self._blocks_undelivered
+            vote_gap = self._votes_undelivered
+            while True:
+                end = int(bt.searchsorted(t))
+                if block_gap and end > bi:
+                    span = be[bi:end]
+                    pairs = zip(src[span].tolist(), dst[span].tolist())
+                    for i, (u, v) in enumerate(pairs, bi):
+                        a = blocks[u]
+                        b = blocks[v]
+                        if a != b:
+                            blocks[u] = blocks[v] = a | b
+                            if b & ~a:
+                                arrive(u, b & ~a, bt[i])
+                            if a & ~b:
+                                arrive(v, a & ~b, bt[i])
+                            block_gap -= (a ^ b).bit_count()
+                            if not block_gap:
+                                break
+                bi = end
+
+                end = int(vt.searchsorted(t))
+                if vote_gap and end > vi:
+                    span = ve[vi:end]
+                    for u, v in zip(src[span].tolist(), dst[span].tolist()):
+                        a = votes[u]
+                        b = votes[v]
+                        if a != b:
+                            votes[u] = votes[v] = a | b
+                            vote_gap -= (a ^ b).bit_count()
+                            if not vote_gap:
+                                break
+                vi = end
+
+                if record:
+                    end = int(times.searchsorted(t))
+                    span = edges[ri:end]
+                    trace += [
+                        (tt, "GOSSIP_INTERACTION", u, f"->{v}:{_CLASS_NAMES[k]}")
+                        for tt, u, v, k in zip(
+                            times[ri:end].tolist(),
+                            src[span].tolist(),
+                            dst[span].tolist(),
+                            kinds[ri:end].tolist(),
                         )
-                else:
-                    a = votes[u]
-                    b = votes[v]
-                    if a != b:
-                        votes[u] = votes[v] = a | b
-                    if record:
-                        trace.append(
-                            (gossip_t, "GOSSIP_INTERACTION", u, f"->{v}:attestation")
-                        )
-                j += 1
-                if j == slice_len:
-                    gaps, edges, kinds = self._next_draws()
-                    j = 0
-                gossip_t += gaps[j]
+                    ]
+                    ri = end
+                if times[-1] >= t:
+                    break
+                times, edges, kinds, (bt, be), (vt, ve) = self._next_slice(times[-1])
+                bi = vi = ri = 0
+            self._blocks_undelivered = block_gap
+            self._votes_undelivered = vote_gap
 
             try:
                 if kind == _RELEASE:
