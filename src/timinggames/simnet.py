@@ -292,11 +292,10 @@ class EventEngine:
         if not self.blocks[node] & bit:
             self.block_arrival[node, block_id] = time
             self.blocks[node] |= bit
-            if self._block_union & bit:
-                self._blocks_undelivered -= 1
-            else:
+            if not self._block_union & bit:
                 self._block_union |= bit
-                self._blocks_undelivered += self.n_nodes - 1
+                self._blocks_undelivered += self.n_nodes
+            self._blocks_undelivered -= 1
         if self.trace is not None:
             self.trace.append((time, "BLOCK_RELEASE", node, f"block={block_id}"))
 
@@ -314,9 +313,8 @@ class EventEngine:
             group = self.vote_slots[k]
             group[target] = group.get(target, 0) | 1 << validator
             self._vote_union |= bit
-            self._votes_undelivered += self.n_nodes - 1
-            self.votes[node] |= bit
-        elif not self.votes[node] & bit:
+            self._votes_undelivered += self.n_nodes
+        if not self.votes[node] & bit:
             self._votes_undelivered -= 1
             self.votes[node] |= bit
 
