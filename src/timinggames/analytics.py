@@ -237,8 +237,8 @@ def unrealized_value(timings: Sequence[WinnerTiming]) -> dict:
     late = [t for t in timings if t.winner_class == CLASS_LATE]
     non_highest = [t for t in timings if t.winner_class != CLASS_HIGHEST]
     return {
-        "unrealized_eth": sum(t.delta_v_eth for t in early),
-        "realizable_eth": sum(t.delta_v_eth for t in late),
+        "unrealized_eth": sum((t.delta_v_eth for t in early), 0.0),
+        "realizable_eth": sum((t.delta_v_eth for t in late), 0.0),
         "median_delta_t_ms": (
             statistics.median(t.delta_t_ms for t in non_highest)
             if non_highest

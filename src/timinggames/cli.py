@@ -19,11 +19,10 @@ can be regenerated exactly.
 
 from __future__ import annotations
 
-import csv
 import hashlib
 import json
 import sys
-from dataclasses import fields
+from dataclasses import astuple, fields
 from operator import attrgetter
 
 import click
@@ -123,39 +122,6 @@ def _write_manifest(out_path, command: str, config_path, seed, outputs) -> None:
         fh.write("\n")
 
 
-def _read_csv(path, required) -> list:
-    """(line number, row dict) for each row of a CSV that holds every
-    ``required`` column; any other row is a ``DataError``."""
-    try:
-        with open(path, newline="", encoding="utf-8") as fh:
-            reader = csv.DictReader(fh)
-            try:
-                missing = set(required) - set(reader.fieldnames or [])
-                if missing:
-                    raise DataError(
-                        f"{path}: missing columns: {', '.join(sorted(missing))}"
-                    )
-                rows = []
-                for row in reader:
-                    if any(row[column] is None for column in required):
-                        raise DataError(f"{path}, line {reader.line_num}: too few fields")
-                    rows.append((reader.line_num, row))
-                return rows
-            except csv.Error as exc:
-                raise DataError(f"{path}, line {reader.line_num}: {exc}")
-    except OSError as exc:
-        raise DataError(f"cannot read {path}: {exc}")
-    except UnicodeDecodeError:
-        raise DataError(f"{path}, line {relaydata.undecodable_line(path)}: not valid UTF-8")
-
-
-def _int(row: dict, column: str, path, line: int) -> int:
-    try:
-        return int(row[column])
-    except ValueError:
-        raise DataError(f"{path}, line {line}: {column} is not an integer: {row[column]!r}")
-
-
 @click.group()
 @click.version_option(__version__)
 def cli():
@@ -215,16 +181,15 @@ def ingest(bid_inputs, genesis_ms, window, out, stats_out, verbose):
 
     stats = relaydata.duplicate_stats(all_raw)
     stats_path = stats_out or (str(out) + ".dupstats.csv")
-    with open(stats_path, "w", newline="") as fh:
-        fh.write("relay,slots,avg_duplicates_per_slot\n")
-        slots_per_relay: dict = {}
-        for (relay, _slot) in stats["per_relay_slot"]:
-            slots_per_relay[relay] = slots_per_relay.get(relay, 0) + 1
-        for relay in sorted(stats["per_relay_avg"]):
-            fh.write(
-                f"{relaydata.csv_field(relay)},{slots_per_relay[relay]},"
-                f"{stats['per_relay_avg'][relay]!r}\n"
-            )
+    slots_per_relay: dict = {}
+    for (relay, _slot) in stats["per_relay_slot"]:
+        slots_per_relay[relay] = slots_per_relay.get(relay, 0) + 1
+    averages = sorted(stats["per_relay_avg"].items())
+    relaydata.write_csv(
+        stats_path,
+        "relay,slots,avg_duplicates_per_slot",
+        [(relay, slots_per_relay[relay], avg) for relay, avg in averages],
+    )
     _write_manifest(out, "ingest", None, None, [out, stats_path])
 
 
@@ -243,7 +208,7 @@ def regress(bids, out):
     """Marginal ETH value of one millisecond of waiting."""
     records = relaydata.read_bids_csv(bids)
     if len(records) < 2:
-        raise DataError("need at least 2 bids to regress")
+        raise DataError(f"{bids}: need at least 2 bids to regress")
     try:
         panel = np.array([(b.value_eth, b.arrival_ms) for b in records], dtype=np.float64)
     except OverflowError:
@@ -255,11 +220,12 @@ def regress(bids, out):
     # Within variation below rounding level means the effects fix arrival time.
     arrival = panel[:, 1]
     if not np.linalg.norm(arrival_res) > 1e-9 * np.linalg.norm(arrival - arrival.mean()):
-        raise DataError("arrival time does not vary within slot and builder")
-    result = analytics.fit_marginal_value(arrival_res, value_res)
-    with open(out, "w", newline="") as fh:
-        fh.write("n,slope_eth_per_ms,intercept_eth,r_squared\n")
-        fh.write(f"{result.n},{result.slope!r},{result.intercept!r},{result.r_squared!r}\n")
+        raise DataError(f"{bids}: arrival time does not vary within slot and builder")
+    fit = analytics.fit_marginal_value(arrival_res, value_res)
+    relaydata.write_csv(
+        out, "n,slope_eth_per_ms,intercept_eth,r_squared",
+        [(fit.n, fit.slope, fit.intercept, fit.r_squared)],
+    )
     _write_manifest(out, "analyze regress", None, None, [out])
 
 
@@ -279,38 +245,28 @@ def winners(bids, delivered, out):
     for b in records:
         by_slot.setdefault(b.slot, []).append(b)
     timings = []
-    for line, row in _read_csv(delivered, ["slot", "block_hash"]):
-        slot = _int(row, "slot", delivered, line)
-        slot_bids = by_slot.get(slot)
-        if not slot_bids:
-            continue
-        candidates = [b for b in slot_bids if b.block_hash == row["block_hash"]]
-        if not candidates:
-            continue
-        # The winner's time is its earliest bid arrival across relays.
-        winner = min(candidates, key=lambda b: b.arrival_ms)
-        timings.append(analytics.classify_winner(winner, slot_bids))
+    rows = relaydata.read_csv_rows(delivered, ("slot", "block_hash"))
+    try:
+        for line, (slot, block_hash) in rows:
+            slot_bids = by_slot.get(int(slot))
+            candidates = [b for b in slot_bids or () if b.block_hash == block_hash]
+            if candidates:
+                # The winner's time is its earliest bid arrival across relays.
+                winner = min(candidates, key=lambda b: b.arrival_ms)
+                timings.append(analytics.classify_winner(winner, slot_bids))
+    except ValueError as exc:
+        raise DataError(f"{delivered}, line {line}: {exc}")
     timings.sort(key=lambda t: t.slot)
-    with open(out, "w", newline="") as fh:
-        fh.write("slot,winner_arrival_ms,highest_arrival_ms,delta_t_ms,delta_v_eth,class\n")
-        for t in timings:
-            fh.write(
-                f"{t.slot},{t.winner_arrival_ms},{t.highest_arrival_ms},"
-                f"{t.delta_t_ms},{t.delta_v_eth!r},{t.winner_class}\n"
-            )
-    agg = analytics.unrealized_value(timings)
+    relaydata.write_csv(
+        out,
+        "slot,winner_arrival_ms,highest_arrival_ms,delta_t_ms,delta_v_eth,class",
+        map(astuple, timings),
+    )
     summary_path = str(out) + ".summary.csv"
-    with open(summary_path, "w", newline="") as fh:
-        fh.write(
-            "early_count,late_count,highest_count,"
-            "unrealized_eth,realizable_eth,median_delta_t_ms\n"
-        )
-        med = agg["median_delta_t_ms"]
-        fh.write(
-            f"{agg['early_count']},{agg['late_count']},{agg['highest_count']},"
-            f"{agg['unrealized_eth']!r},{agg['realizable_eth']!r},"
-            f"{'' if med is None else repr(med)}\n"
-        )
+    # The summary's columns are keys of unrealized_value's dict.
+    header = "early_count,late_count,highest_count,unrealized_eth,realizable_eth,median_delta_t_ms"
+    agg = analytics.unrealized_value(timings)
+    relaydata.write_csv(summary_path, header, [[agg[key] for key in header.split(",")]])
     _write_manifest(out, "analyze winners", None, None, [out, summary_path])
 
 
@@ -326,22 +282,17 @@ def shares(attestations, out):
     """Next-slot attestation share and boost-reorg vulnerability per block."""
     uniform_gwei = 32 * 10**9
     out_rows = []
-    for line, row in _read_csv(attestations, ["slot", "attestor_count", "committee_size"]):
-        slot = _int(row, "slot", attestations, line)
-        count = _int(row, "attestor_count", attestations, line)
-        committee = _int(row, "committee_size", attestations, line)
-        try:
+    rows = relaydata.read_csv_rows(attestations, ("slot", "attestor_count", "committee_size"))
+    try:
+        for line, (slot, count, committee) in rows:
             share = analytics.attestation_share(
-                count * uniform_gwei, committee * uniform_gwei
+                int(count) * uniform_gwei, int(committee) * uniform_gwei
             )
-        except (analytics.AnalyticsError, OverflowError) as exc:
-            raise DataError(f"{attestations}, line {line}: {exc}")
-        out_rows.append((slot, share, analytics.reorg_vulnerable(share)))
+            out_rows.append((int(slot), share, analytics.reorg_vulnerable(share)))
+    except (ValueError, OverflowError, analytics.AnalyticsError) as exc:
+        raise DataError(f"{attestations}, line {line}: {exc}")
     out_rows.sort()
-    with open(out, "w", newline="") as fh:
-        fh.write("slot,share,vulnerable\n")
-        for slot, share, vulnerable in out_rows:
-            fh.write(f"{slot},{share!r},{str(vulnerable).lower()}\n")
+    relaydata.write_csv(out, "slot,share,vulnerable", out_rows)
     _write_manifest(out, "analyze shares", None, None, [out])
 
 
@@ -363,31 +314,28 @@ def orphans(status, bids, out):
         if key not in arrival or b.arrival_ms < arrival[key]:
             arrival[key] = b.arrival_ms
     blocks = []
-    for line, row in _read_csv(status, ["slot", "block_hash", "status"]):
-        st = row["status"]
-        if st == analytics.STATUS_MISSED:
-            blocks.append({"arrival_ms": None, "status": st})
-            continue
-        key = (_int(row, "slot", status, line), row["block_hash"])
-        if key not in arrival:
-            raise DataError(f"no bid arrival for block {key}")
-        blocks.append({"arrival_ms": arrival[key], "status": st})
+    rows = relaydata.read_csv_rows(status, ("slot", "block_hash", "status"))
+    try:
+        for line, (slot, block_hash, st) in rows:
+            if st == analytics.STATUS_MISSED:
+                blocks.append({"arrival_ms": None, "status": st})
+                continue
+            key = (int(slot), block_hash)
+            if key not in arrival:
+                raise DataError(f"{status}, line {line}: no bid arrival for block {key}")
+            blocks.append({"arrival_ms": arrival[key], "status": st})
+    except ValueError as exc:
+        raise DataError(f"{status}, line {line}: {exc}")
     try:
         report = analytics.orphan_comparison(blocks)
     except analytics.AnalyticsError as exc:
-        raise DataError(str(exc))
-    with open(out, "w", newline="") as fh:
-        fh.write(
-            "orphaned_count,missed_count,median_orphaned_arrival_ms,"
-            "median_nonorphaned_arrival_ms,late_nonorphaned_count,considered_count\n"
-        )
-        mo = report.median_orphaned_arrival_ms
-        mn = report.median_nonorphaned_arrival_ms
-        fh.write(
-            f"{report.orphaned_count},{report.missed_count},"
-            f"{'' if mo is None else repr(mo)},{'' if mn is None else repr(mn)},"
-            f"{report.late_nonorphaned_count},{report.considered_count}\n"
-        )
+        raise DataError(f"{status}: {exc}")
+    relaydata.write_csv(
+        out,
+        "orphaned_count,missed_count,median_orphaned_arrival_ms,"
+        "median_nonorphaned_arrival_ms,late_nonorphaned_count,considered_count",
+        [astuple(report)],
+    )
     _write_manifest(out, "analyze orphans", None, None, [out])
 
 
@@ -401,30 +349,28 @@ def orphans(status, bids, out):
 @click.option("--out", required=True, type=click.Path())
 def rewards_cmd(blocks, out):
     """Per-epoch medians of MEV and proposal rewards."""
-    rows = _read_csv(blocks, ["epoch", "slot", "mev_wei", "proposal_gwei"])
-    if not rows:
-        raise DataError("no reward rows")
     per_block = []
-    for line, r in rows:
-        epoch = _int(r, "epoch", blocks, line)
-        try:
-            mev_eth = _int(r, "mev_wei", blocks, line) / 1e18
-            proposal_eth = _int(r, "proposal_gwei", blocks, line) / 1e9
-        except OverflowError as exc:
-            raise DataError(f"{blocks}, line {line}: {exc}")
-        per_block.append({"epoch": epoch, "mev_eth": mev_eth, "proposal_eth": proposal_eth})
-    cmp_result = rewards.compare_rewards(per_block)
-    with open(out, "w", newline="") as fh:
-        fh.write("epoch,median_mev_eth,median_proposal_eth\n")
-        for epoch, (m, p) in cmp_result.per_epoch.items():
-            fh.write(f"{epoch},{m!r},{p!r}\n")
+    rows = relaydata.read_csv_rows(blocks, ("epoch", "slot", "mev_wei", "proposal_gwei"))
+    try:
+        for line, (epoch, _slot, mev_wei, proposal_gwei) in rows:
+            per_block.append({"epoch": int(epoch), "mev_eth": int(mev_wei) / 1e18,
+                              "proposal_eth": int(proposal_gwei) / 1e9})
+    except (ValueError, OverflowError) as exc:
+        raise DataError(f"{blocks}, line {line}: {exc}")
+    if not per_block:
+        raise DataError(f"{blocks}: no reward rows")
+    result = rewards.compare_rewards(per_block)
+    relaydata.write_csv(
+        out,
+        "epoch,median_mev_eth,median_proposal_eth",
+        ((epoch, m, p) for epoch, (m, p) in result.per_epoch.items()),
+    )
     summary_path = str(out) + ".summary.csv"
-    with open(summary_path, "w", newline="") as fh:
-        fh.write("median_mev_eth,median_proposal_eth,mev_share_of_total\n")
-        fh.write(
-            f"{cmp_result.median_mev_eth!r},{cmp_result.median_proposal_eth!r},"
-            f"{cmp_result.mev_share_of_total!r}\n"
-        )
+    relaydata.write_csv(
+        summary_path,
+        "median_mev_eth,median_proposal_eth,mev_share_of_total",
+        [(result.median_mev_eth, result.median_proposal_eth, result.mev_share_of_total)],
+    )
     _write_manifest(out, "analyze rewards", None, None, [out, summary_path])
 
 
@@ -446,17 +392,11 @@ def sim_run(config_path, seed, out, verbose):
     doc = _load_config(config_path, _SIM_KEYS)
     config = _sim_config(doc, seed)
     metrics = run_simulation(config)
-    with open(out, "w", newline="") as fh:
-        fh.write(
-            "b_count,m_count,mu,theta_d,theta_d_normalized,"
-            "payoff_honest_eth,payoff_delayer_eth\n"
-        )
-        mu = "" if metrics.mu is None else repr(metrics.mu)
-        tn = "" if metrics.theta_d_normalized is None else repr(metrics.theta_d_normalized)
-        fh.write(
-            f"{metrics.b_count},{metrics.m_count},{mu},{metrics.theta_d},{tn},"
-            f"{metrics.payoff_honest_eth!r},{metrics.payoff_delayer_eth!r}\n"
-        )
+    relaydata.write_csv(
+        out,
+        "b_count,m_count,mu,theta_d,theta_d_normalized,payoff_honest_eth,payoff_delayer_eth",
+        [astuple(metrics)],
+    )
     if verbose:
         click.echo(f"mu={metrics.mu} theta_d={metrics.theta_d}", err=True)
     _write_manifest(out, "sim run", config_path, config.seed, [out])

@@ -8,6 +8,9 @@ earliest one does.
 
 Values stay as exact wei integers everywhere in this module; conversion to
 ETH happens only at analysis boundaries.
+
+The module also holds the one CSV reader (``read_csv_rows``) and writer
+(``write_csv``) that every command's data files and outputs go through.
 """
 
 from __future__ import annotations
@@ -25,6 +28,7 @@ DEFAULT_PLAUSIBILITY_WINDOW_MS = (-24_000, 24_000)
 WEI_LIMIT = 2**256  # values are EVM uint256
 
 CSV_HEADER = "slot,relay,builder,block_hash,value_wei,arrival_ms,num_tx"
+_BID_COLUMNS = CSV_HEADER.split(",")
 
 # Record keys of the relay data API schema.
 _KEY_SLOT = "slot"
@@ -88,19 +92,12 @@ class BidRecord(_BidFields):
              value_wei, num_transactions, arrival_ms),
         )
 
-    # A bid's identity, as a plain tuple equal to the matching ``DedupKey``.
+    # A bid's identity: the tuple (slot, builder_id, block_hash, value_wei).
     dedup_key = property(_dedup_key)
 
     @property
     def value_eth(self) -> float:
         return self.value_wei / 1e18
-
-
-class DedupKey(NamedTuple):
-    slot: int
-    builder_id: str
-    block_hash: str
-    value_wei: int
 
 
 def normalize_arrival(
@@ -278,44 +275,64 @@ def read_bids_csv(path) -> list:
     """Read a dedup bid CSV; a row that does not hold a valid bid raises
     ``IngestError`` naming the file and line."""
     bids = []
+    append = bids.append
+    rows = read_csv_rows(path, _BID_COLUMNS)
+    try:
+        for line, (slot, relay, builder, block_hash, value, arrival, num_tx) in rows:
+            append(BidRecord(int(slot), relay, builder, block_hash, "",
+                             int(value), int(num_tx), int(arrival)))
+    except ValueError as exc:
+        raise IngestError(f"{path}, line {line}: {exc}") from None
+    return bids
+
+
+def read_csv_rows(path, columns: Sequence[str]):
+    """(line number, the values of ``columns``) for each non-blank row of a
+    CSV with a header row; the last of equal column names wins, as in
+    ``csv.DictReader``.  A missing column, a row too short for one of
+    ``columns``, a malformed field or a file that is not UTF-8 raises
+    ``IngestError`` naming the file and line."""
     with open(path, newline="", encoding="utf-8") as fh:
         reader = csv.reader(fh)
         try:
-            # The last of equal column names wins, as in ``csv.DictReader``.
-            column = {name: i for i, name in enumerate(next(reader, []))}
-            missing = set(CSV_HEADER.split(",")) - column.keys()
+            index = {name: i for i, name in enumerate(next(reader, []))}
+            missing = set(columns) - index.keys()
             if missing:
                 raise IngestError(f"{path}: missing columns: {sorted(missing)}")
-            i_slot, i_relay, i_builder, i_hash, i_value, i_arrival, i_num_tx = (
-                column[name] for name in CSV_HEADER.split(",")
-            )
+            at = [index[name] for name in columns]
+            pick = itemgetter(*at) if len(at) > 1 else lambda row: (row[at[0]],)
             for row in reader:
-                if not row:
-                    continue
-                try:
-                    bids.append(
-                        BidRecord(
-                            int(row[i_slot]),
-                            row[i_relay],
-                            row[i_builder],
-                            row[i_hash],
-                            "",
-                            int(row[i_value]),
-                            int(row[i_num_tx]),
-                            int(row[i_arrival]),
-                        )
-                    )
-                except IndexError:
-                    raise IngestError(
-                        f"{path}, line {reader.line_num}: {len(row)} fields, "
-                        f"too few for the header"
-                    ) from None
-                except ValueError as exc:
-                    raise IngestError(f"{path}, line {reader.line_num}: {exc}") from None
+                if row:
+                    try:
+                        values = pick(row)
+                    except IndexError:
+                        raise IngestError(
+                            f"{path}, line {reader.line_num}: {len(row)} fields, "
+                            f"too few for the header"
+                        ) from None
+                    yield reader.line_num, values
         except csv.Error as exc:
             raise IngestError(f"{path}, line {reader.line_num}: {exc}") from None
         except UnicodeDecodeError:
             raise IngestError(
                 f"{path}, line {undecodable_line(path)}: not valid UTF-8"
             ) from None
-    return bids
+
+
+def _cell(value) -> str:
+    if value is None:
+        return ""
+    if isinstance(value, bool):
+        return "true" if value else "false"
+    if isinstance(value, str):
+        return csv_field(value)
+    return repr(value)
+
+
+def write_csv(path, header: str, rows) -> None:
+    """A CSV of the comma-separated ``header`` and one line per row.  A cell
+    is empty for None, ``true``/``false`` for a bool, ``csv_field`` of a
+    string and the ``repr`` of anything else."""
+    with open(path, "w", newline="") as fh:
+        fh.write(header + "\n")
+        fh.writelines(",".join(map(_cell, row)) + "\n" for row in rows)

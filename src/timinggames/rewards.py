@@ -1,8 +1,8 @@
-"""Consensus-layer reward arithmetic and MEV-versus-proposal comparison.
+"""The consensus-layer base reward, and MEV against proposal rewards.
 
-All reward quantities are gwei integers computed with floor division and
-``math.isqrt``, multiplication before division in the stated operand order,
-so results are exactly reproducible.
+``base_reward`` is exact integer gwei arithmetic (``math.isqrt``, multiplying
+before dividing), so results are exactly reproducible.  ``compare_rewards``
+sets per-block MEV beside protocol proposal rewards, in ETH.
 """
 
 from __future__ import annotations
@@ -12,102 +12,21 @@ import statistics
 from dataclasses import dataclass
 from typing import Sequence
 
-# Conventional flag presets (source, target, head over a common
-# denominator); shipped as data so configs can override them.
-DEFAULT_WEIGHT_DENOMINATOR = 64
-DEFAULT_FLAG_SPECS = (
-    ("source", 14, DEFAULT_WEIGHT_DENOMINATOR),
-    ("target", 26, DEFAULT_WEIGHT_DENOMINATOR),
-    ("head", 14, DEFAULT_WEIGHT_DENOMINATOR),
-)
+BASE_REWARD_FACTOR = 64
 
 
 class RewardError(Exception):
-    """Invalid balance or parameter input."""
+    """Invalid balance input."""
 
 
-@dataclass(frozen=True)
-class RewardParams:
-    base_reward_factor: int = 64
-    flag_specs: tuple = DEFAULT_FLAG_SPECS
-
-    def __post_init__(self):
-        if self.base_reward_factor <= 0:
-            raise RewardError("base_reward_factor must be positive")
-        for name, weight, denom in self.flag_specs:
-            if weight < 0:
-                raise RewardError(f"flag {name!r}: negative weight")
-            if denom <= 0:
-                raise RewardError(f"flag {name!r}: non-positive denominator")
-
-
-@dataclass(frozen=True)
-class BalanceState:
-    effective_balance_gwei: int
-    active_balance_gwei: int
-    attestation_balance_gwei: int
-
-    def __post_init__(self):
-        if not 0 <= self.attestation_balance_gwei <= self.active_balance_gwei:
-            raise RewardError("attestation balance outside [0, active]")
-        if self.effective_balance_gwei > self.active_balance_gwei:
-            raise RewardError("effective balance exceeds active balance")
-
-
-def base_reward(
-    effective_balance_gwei: int,
-    active_balance_gwei: int,
-    params: RewardParams = RewardParams(),
-) -> int:
+def base_reward(effective_balance_gwei: int, active_balance_gwei: int) -> int:
     """effective × factor / isqrt(active), rounded to the nearest gwei
     (half away from zero), in exact integer arithmetic."""
     if active_balance_gwei <= 0:
         raise RewardError("active balance must be positive")
     s = math.isqrt(active_balance_gwei)
-    num = effective_balance_gwei * params.base_reward_factor
+    num = effective_balance_gwei * BASE_REWARD_FACTOR
     return (2 * num + s) // (2 * s)
-
-
-def flag_reward(
-    flag_weight: int,
-    weight_denominator: int,
-    base_reward_gwei: int,
-    attestation_balance_gwei: int,
-    active_balance_gwei: int,
-) -> int:
-    if weight_denominator <= 0:
-        raise RewardError("weight denominator must be positive")
-    if active_balance_gwei <= 0:
-        raise RewardError("active balance must be positive")
-    return (
-        flag_weight
-        * base_reward_gwei
-        * attestation_balance_gwei
-        // (weight_denominator * active_balance_gwei)
-    )
-
-
-def attestation_reward(flag_rewards: Sequence[int]) -> int:
-    return sum(flag_rewards)
-
-
-def full_attestation_reward(
-    state: BalanceState, params: RewardParams = RewardParams()
-) -> int:
-    """Sum of all flag rewards for one attester under ``state``."""
-    base = base_reward(state.effective_balance_gwei, state.active_balance_gwei, params)
-    return attestation_reward(
-        [
-            flag_reward(
-                weight,
-                denom,
-                base,
-                state.attestation_balance_gwei,
-                state.active_balance_gwei,
-            )
-            for _, weight, denom in params.flag_specs
-        ]
-    )
 
 
 @dataclass(frozen=True)

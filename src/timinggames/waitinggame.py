@@ -28,6 +28,7 @@ from dataclasses import dataclass, field, fields, replace
 import numpy as np
 
 from .consensus import GENESIS_ID, BlockTree, head_from_arrays, mainchain
+from .relaydata import write_csv
 from .simnet import EventEngine, GossipConfig, Topology, generate_er_graph
 
 DEFAULT_LAMBDA_ETH_PER_MS = 5.71e-6
@@ -345,23 +346,22 @@ class SweepResult:
     errors: dict  # (x_index, t_index) -> str
 
     def to_csv(self, path) -> None:
-        with open(path, "w", newline="") as fh:
-            fh.write(
-                "x_d,t_d,seed_count,mu_mean,mu_std,theta_mean,theta_std,"
-                "theta_norm_mean,payoff_honest_mean,payoff_delayer_mean\n"
-            )
-            for ix, x in enumerate(self.x_values):
-                for it, t in enumerate(self.t_values):
-                    cell = self.cells.get((ix, it))
-                    if cell is None:
-                        continue
-                    fh.write(
-                        f"{x!r},{t!r},{self.seeds},{cell.mu_mean!r},{cell.mu_std!r},"
-                        f"{cell.theta_mean!r},{cell.theta_std!r},"
-                        f"{cell.theta_norm_mean!r},"
-                        f"{float(np.mean(cell.payoff_honest))!r},"
-                        f"{float(np.mean(cell.payoff_delayer))!r}\n"
-                    )
+        rows = []
+        for ix, x in enumerate(self.x_values):
+            for it, t in enumerate(self.t_values):
+                cell = self.cells.get((ix, it))
+                if cell is not None:
+                    rows.append((
+                        x, t, self.seeds, cell.mu_mean, cell.mu_std, cell.theta_mean,
+                        cell.theta_std, cell.theta_norm_mean,
+                        float(np.mean(cell.payoff_honest)), float(np.mean(cell.payoff_delayer)),
+                    ))
+        write_csv(
+            path,
+            "x_d,t_d,seed_count,mu_mean,mu_std,theta_mean,theta_std,"
+            "theta_norm_mean,payoff_honest_mean,payoff_delayer_mean",
+            rows,
+        )
 
 
 def _run_for_sweep_safe(args):

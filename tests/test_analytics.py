@@ -320,11 +320,12 @@ def _timing(cls, delta_v=0.0, delta_t=0):
 
 
 def test_unrealized_all_highest():
-    agg = unrealized_value([_timing(CLASS_HIGHEST) for _ in range(3)])
-    assert agg["unrealized_eth"] == 0.0
-    assert agg["realizable_eth"] == 0.0
-    assert agg["median_delta_t_ms"] is None
-    assert agg["highest_count"] == 3
+    for n in (3, 0):
+        agg = unrealized_value([_timing(CLASS_HIGHEST) for _ in range(n)])
+        # Float zeros, written as 0.0 in the summary's float columns.
+        assert repr(agg["unrealized_eth"]) == repr(agg["realizable_eth"]) == "0.0"
+        assert agg["median_delta_t_ms"] is None
+        assert agg["highest_count"] == n
 
 
 def test_unrealized_sums_early():

@@ -367,6 +367,16 @@ def test_analyze_rewards(tmp_path):
     assert summary[0] == "median_mev_eth,median_proposal_eth,mev_share_of_total"
 
 
+def test_analyze_rewards_undefined_share_is_empty(tmp_path):
+    # No MEV and no proposal reward: the MEV share of the total is undefined.
+    blocks = tmp_path / "blocks.csv"
+    blocks.write_text("epoch,slot,mev_wei,proposal_gwei\n0,1,0,0\n")
+    out = tmp_path / "rewards.csv"
+    assert run(["analyze", "rewards", "--blocks", blocks, "--out", out]) == EXIT_OK
+    summary = (tmp_path / "rewards.csv.summary.csv").read_text().splitlines()
+    assert summary[1] == "0.0,0.0,"
+
+
 def test_analyze_rewards_permutation_stable(tmp_path):
     header = "epoch,slot,mev_wei,proposal_gwei"
     rows = [f"{e},{s},{(s + 1) * 10**15},{(s + 2) * 10**6}"
@@ -428,19 +438,52 @@ def _case_csv_encoding(tmp_path, bid_csv):
     return ["analyze", "regress", "--bids", path], path, 3
 
 
+def _case_status_unknown_block(tmp_path, bid_csv):
+    path = tmp_path / "status.csv"
+    path.write_text(f"slot,block_hash,status\n100,{HASH_A},orphaned\n101,{HASH_C},canonical\n")
+    return ["analyze", "orphans", "--status", path, "--bids", bid_csv], path, 3
+
+
+def _case_status_unknown_value(tmp_path, bid_csv):
+    path = tmp_path / "status.csv"
+    path.write_text(f"slot,block_hash,status\n100,{HASH_A},late\n")
+    return ["analyze", "orphans", "--status", path, "--bids", bid_csv], path, None
+
+
+def _case_one_bid(tmp_path, bid_csv):
+    path = tmp_path / "bids.csv"
+    path.write_text(f"{BID_HEADER}\n5,r,b,h0,1000,10,0\n")
+    return ["analyze", "regress", "--bids", path], path, None
+
+
+def _case_arrival_fixed(tmp_path, bid_csv):
+    path = tmp_path / "bids.csv"
+    path.write_text(f"{BID_HEADER}\n5,r,b,h0,1000,10,0\n6,r,b,h1,3000,30,0\n")
+    return ["analyze", "regress", "--bids", path], path, None
+
+
+def _case_no_reward_rows(tmp_path, bid_csv):
+    path = tmp_path / "blocks.csv"
+    path.write_text("epoch,slot,mev_wei,proposal_gwei\n")
+    return ["analyze", "rewards", "--blocks", path], path, None
+
+
 @pytest.mark.parametrize(
     "case",
     [_case_short_row, _case_bad_value, _case_delivered_slot, _case_status_slot,
-     _case_ndjson_encoding, _case_csv_encoding],
+     _case_ndjson_encoding, _case_csv_encoding, _case_status_unknown_block,
+     _case_status_unknown_value, _case_one_bid, _case_arrival_fixed, _case_no_reward_rows],
     ids=["short-row", "bad-value", "delivered-slot", "status-slot",
-         "ndjson-encoding", "csv-encoding"],
+         "ndjson-encoding", "csv-encoding", "status-unknown-block",
+         "status-unknown-value", "one-bid", "arrival-fixed", "no-reward-rows"],
 )
 def test_bad_data_file_is_one_error_line(tmp_path, bid_csv, capsys, case):
+    # ``line`` is None for an error about the whole file.
     argv, path, line = case(tmp_path, bid_csv)
     assert run([*argv, "--out", tmp_path / "out.csv"]) == EXIT_DATA
     err = capsys.readouterr().err.strip().splitlines()
     assert len(err) == 1 and err[0].startswith("error: ")
-    assert f"{path}, line {line}:" in err[0]
+    assert (f"{path}:" if line is None else f"{path}, line {line}:") in err[0]
 
 
 def test_analyze_regress_recovers_slope_with_correlated_arrival(tmp_path):

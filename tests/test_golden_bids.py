@@ -1,12 +1,14 @@
-"""Golden outputs of the bid pipeline: ingest, winners and orphans.
+"""Golden outputs of every command.
 
 A small generated set of relay dumps goes through ``timinggames ingest``,
-``analyze winners`` and ``analyze orphans``.  The dumps hold malformed lines
-of each kind ``load_bids`` skips, resubmissions, exact ties inside one relay
-(same key, same arrival, different ``num_tx``, so the survivor shows) and
-exact ties across relays (the relay of the survivor shows).  The fixtures
-under ``tests/golden/bids/`` pin the dedup CSV, the duplicate-stats CSV and
-the ``winners``/``orphans`` outputs byte for byte.
+``analyze winners``, ``orphans`` and ``regress``.  The dumps hold malformed
+lines of each kind ``load_bids`` skips, resubmissions, exact ties inside one
+relay (same key, same arrival, different ``num_tx``, so the survivor shows)
+and exact ties across relays (the relay of the survivor shows).  Generated
+attestation and reward CSVs go through ``analyze shares`` and ``rewards``,
+and a small config through ``sim run`` and ``sim sweep``.  The fixtures
+under ``tests/golden/bids/`` and ``tests/golden/sim/`` pin every output CSV
+byte for byte.
 
 Regenerate (only when an output change is intended and documented)::
 
@@ -26,7 +28,14 @@ import pytest
 from timinggames.cli import EXIT_OK, main
 
 GOLDEN = Path(__file__).resolve().parent / "golden" / "bids"
-OUTPUTS = ("bids.csv", "dupstats.csv", "winners.csv", "winners.csv.summary.csv", "orphans.csv")
+OUTPUTS = (
+    "bids.csv", "dupstats.csv", "winners.csv", "winners.csv.summary.csv", "orphans.csv",
+    "regress.csv", "shares.csv", "rewards.csv", "rewards.csv.summary.csv",
+)
+GOLDEN_SIM = GOLDEN.parent / "sim"
+SIM_OUTPUTS = ("run.csv", "sweep.csv")
+SIM_CONFIG = "n: 16\nmean_degree: 4.0\nduration: 120\nx_d: 0.5\nt_d: 11.0\n"
+SWEEP_KEYS = "x_values: [0.0, 1.0]\nt_values: [0.0, 11.0]\nseeds: 2\n"
 
 SEED = 5
 RELAYS = ("agnostic", "flashbots", "ultrasound")
@@ -123,14 +132,33 @@ def write_inputs(workdir: Path) -> dict:
         path = workdir / f"{relay}.ndjson"
         path.write_text("\n".join(lines) + "\n")
         paths[relay] = path
-    for name, rows in (("delivered", delivered), ("status", status)):
+    for name, rows in (("delivered", delivered), ("status", status), *_share_reward_rows()):
         paths[name] = workdir / f"{name}.csv"
         paths[name].write_text("\n".join(rows) + "\n")
     return paths
 
 
+def _share_reward_rows() -> tuple:
+    """Attestation and per-block reward CSVs for the slots of the dumps, from
+    their own stream so the relay dumps stay as they were."""
+    rng = np.random.default_rng(SEED + 1)
+    attestations = ["slot,block_root,attestor_count,committee_size"]
+    blocks = ["epoch,slot,mev_wei,proposal_gwei"]
+    for i in range(N_SLOTS):
+        slot = FIRST_SLOT + i
+        committee = int(rng.integers(50, 200))
+        # The 40% boundary, a count above the committee, and random counts.
+        count = (2 * committee // 5 if i % 5 == 0 else committee + 3 if i % 5 == 1
+                 else int(rng.integers(0, committee + 1)))
+        attestations.append(f"{slot},0x{rng.bytes(32).hex()},{count},{committee}")
+        mev = int(rng.integers(0, 10**17)) if i % 4 else 0
+        # Epochs of 8 slots, so that the 24 slots span four epochs.
+        blocks.append(f"{slot // 8},{slot},{mev},{int(rng.integers(10**7, 6 * 10**7))}")
+    return ("attestations", attestations), ("blocks", blocks)
+
+
 def run_pipeline(workdir: Path) -> dict:
-    """Run ingest, winners and orphans on fresh inputs; returns output bytes."""
+    """Run ingest and the analyses on fresh inputs; returns output bytes."""
     paths = write_inputs(workdir)
     out = {name: workdir / name for name in OUTPUTS}
     dumps = [arg for relay in RELAYS for arg in ("--bids", f"{relay}={paths[relay]}")]
@@ -141,12 +169,33 @@ def run_pipeline(workdir: Path) -> dict:
          "--delivered", paths["delivered"], "--out", out["winners.csv"]],
         ["analyze", "orphans", "--status", paths["status"],
          "--bids", out["bids.csv"], "--out", out["orphans.csv"]],
+        ["analyze", "regress", "--bids", out["bids.csv"], "--out", out["regress.csv"]],
+        ["analyze", "shares", "--attestations", paths["attestations"],
+         "--out", out["shares.csv"]],
+        ["analyze", "rewards", "--blocks", paths["blocks"], "--out", out["rewards.csv"]],
     )
+    _run_all(commands)
+    return {name: out[name].read_bytes() for name in OUTPUTS}
+
+
+def run_sims(workdir: Path) -> dict:
+    """Run ``sim run`` and ``sim sweep`` on a small config; returns output bytes."""
+    run_config, sweep_config = workdir / "run.yaml", workdir / "sweep.yaml"
+    run_config.write_text(SIM_CONFIG)
+    sweep_config.write_text(SIM_CONFIG + SWEEP_KEYS)
+    out = {name: workdir / name for name in SIM_OUTPUTS}
+    _run_all((
+        ["sim", "run", "--config", run_config, "--out", out["run.csv"]],
+        ["sim", "sweep", "--config", sweep_config, "--out", out["sweep.csv"]],
+    ))
+    return {name: out[name].read_bytes() for name in SIM_OUTPUTS}
+
+
+def _run_all(commands) -> None:
     for argv in commands:
         code = main([str(a) for a in argv])
         if code != EXIT_OK:
             raise RuntimeError(f"{argv[:2]} exited {code}")
-    return {name: out[name].read_bytes() for name in OUTPUTS}
 
 
 @pytest.fixture(scope="module")
@@ -157,6 +206,16 @@ def outputs(tmp_path_factory):
 @pytest.mark.parametrize("name", OUTPUTS)
 def test_bid_outputs_match_golden(outputs, name):
     assert outputs[name] == (GOLDEN / name).read_bytes()
+
+
+@pytest.fixture(scope="module")
+def sim_outputs(tmp_path_factory):
+    return run_sims(tmp_path_factory.mktemp("golden_sim"))
+
+
+@pytest.mark.parametrize("name", SIM_OUTPUTS)
+def test_sim_outputs_match_golden(sim_outputs, name):
+    assert sim_outputs[name] == (GOLDEN_SIM / name).read_bytes()
 
 
 def test_golden_inputs_hold_ties_and_malformed_lines(outputs):
@@ -184,11 +243,12 @@ def test_golden_inputs_hold_ties_and_malformed_lines(outputs):
 
 
 def _regenerate() -> None:
-    GOLDEN.mkdir(parents=True, exist_ok=True)
-    with tempfile.TemporaryDirectory() as tmp:
-        for name, data in run_pipeline(Path(tmp)).items():
-            (GOLDEN / name).write_bytes(data)
-            print(f"wrote {GOLDEN / name} ({len(data)} bytes)")
+    for directory, run in ((GOLDEN, run_pipeline), (GOLDEN_SIM, run_sims)):
+        directory.mkdir(parents=True, exist_ok=True)
+        with tempfile.TemporaryDirectory() as tmp:
+            for name, data in run(Path(tmp)).items():
+                (directory / name).write_bytes(data)
+                print(f"wrote {directory / name} ({len(data)} bytes)")
 
 
 if __name__ == "__main__":

@@ -9,7 +9,6 @@ from hypothesis import strategies as st
 
 from timinggames.relaydata import (
     BidRecord,
-    DedupKey,
     IngestError,
     MAINNET_GENESIS_UNIX_MS,
     SLOT_MS,
@@ -20,7 +19,9 @@ from timinggames.relaydata import (
     normalize_arrival,
     parse_bid_line,
     read_bids_csv,
+    read_csv_rows,
     write_bids_csv,
+    write_csv,
 )
 
 
@@ -261,12 +262,12 @@ def test_bid_record_validation():
 
 def test_dedup_key_fields():
     key = make_bid().dedup_key
-    assert key == DedupKey(100, "b1", "h", 10**16)
+    assert key == (100, "b1", "h", 10**16)
 
 
 def test_dedup_key_hashes_like_dedup_key_tuple():
     bid = make_bid()
-    key = DedupKey(100, "b1", "h", 10**16)
+    key = (100, "b1", "h", 10**16)
     assert {bid.dedup_key: 1}[key] == 1
     assert bid.value_eth == pytest.approx(0.01)
 
@@ -375,6 +376,16 @@ def test_read_bids_csv_names_undecodable_line(tmp_path):
 
 
 CSV_HEADER_LINE = "slot,relay,builder,block_hash,value_wei,arrival_ms,num_tx\n"
+
+
+def test_write_csv_cells_read_back(tmp_path):
+    path = tmp_path / "out.csv"
+    write_csv(path, "a,b,c", [(None, True, 'x,"y"'), (0.1, float("nan"), 7), (False, "", -0.0)])
+    assert path.read_text() == 'a,b,c\n,true,"x,""y"""\n0.1,nan,7\nfalse,,-0.0\n'
+    assert list(read_csv_rows(path, ("c", "a"))) == [
+        (2, ('x,"y"', "")), (3, ("7", "0.1")), (4, ("-0.0", "false"))
+    ]
+    assert list(read_csv_rows(path, ("b",))) == [(2, ("true",)), (3, ("nan",)), (4, ("",))]
 
 
 def _naive_duplicate_stats(bids):

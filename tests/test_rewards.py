@@ -8,16 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from timinggames.rewards import (
-    BalanceState,
-    RewardError,
-    RewardParams,
-    attestation_reward,
-    base_reward,
-    compare_rewards,
-    flag_reward,
-    full_attestation_reward,
-)
+from timinggames.rewards import RewardError, base_reward, compare_rewards
 
 GWEI = 10**9
 
@@ -26,10 +17,6 @@ def oracle_base_reward(effective, active, factor=64):
     # Exact rational value rounded to the nearest gwei, half away from zero.
     exact = Fraction(effective * factor, math.isqrt(active))
     return (2 * exact.numerator + exact.denominator) // (2 * exact.denominator)
-
-
-def oracle_flag_reward(weight, denom, base, attestation, active):
-    return int(Fraction(weight * base * attestation, denom * active))  # floor
 
 
 def test_base_reward_headline_value():
@@ -68,80 +55,6 @@ def test_base_reward_decreasing_in_active_balance():
 def test_base_reward_monotone(effective, active, bump):
     assert base_reward(effective + bump, active) >= base_reward(effective, active)
     assert base_reward(effective, active + bump) <= base_reward(effective, active)
-
-
-def test_flag_reward_zero_attestation():
-    assert flag_reward(14, 64, 16191, 0, 10**15) == 0
-
-
-def test_flag_reward_identity_case():
-    active = 16 * 10**15
-    assert flag_reward(64, 64, 16191, active, active) == 16191
-
-
-def test_flag_reward_matches_oracle():
-    active = 10**15
-    attestation = active * 99 // 100
-    got = flag_reward(14, 64, 16191, attestation, active)
-    assert got == oracle_flag_reward(14, 64, 16191, attestation, active)
-
-
-def test_flag_reward_randomized_oracle():
-    rng = np.random.default_rng(7)
-    for _ in range(100):
-        weight = int(rng.integers(0, 65))
-        base = int(rng.integers(0, 10**6))
-        active = int(rng.integers(1, 10**16))
-        attestation = int(rng.integers(0, active + 1))
-        assert flag_reward(weight, 64, base, attestation, active) == oracle_flag_reward(
-            weight, 64, base, attestation, active
-        )
-
-
-@given(
-    weight=st.integers(0, 64),
-    base=st.integers(0, 10**7),
-    active=st.integers(1, 10**16),
-    data=st.data(),
-)
-@settings(max_examples=200, deadline=None)
-def test_flag_reward_bounded_by_base(weight, base, active, data):
-    attestation = data.draw(st.integers(0, active))
-    assert flag_reward(weight, 64, base, attestation, active) <= base
-
-
-def test_flag_reward_rejects_bad_denominator():
-    with pytest.raises(RewardError):
-        flag_reward(14, 0, 16191, 1, 1)
-
-
-def test_attestation_reward_sums():
-    assert attestation_reward([]) == 0
-    assert attestation_reward([3, 4, 5]) == 12
-
-
-def test_full_attestation_reward_matches_per_flag_oracle():
-    state = BalanceState(
-        effective_balance_gwei=32 * GWEI,
-        active_balance_gwei=16 * 10**15,
-        attestation_balance_gwei=15 * 10**15,
-    )
-    params = RewardParams()
-    base = base_reward(state.effective_balance_gwei, state.active_balance_gwei, params)
-    expected = sum(
-        oracle_flag_reward(
-            w, d, base, state.attestation_balance_gwei, state.active_balance_gwei
-        )
-        for _, w, d in params.flag_specs
-    )
-    assert full_attestation_reward(state, params) == expected
-
-
-def test_balance_state_validation():
-    with pytest.raises(RewardError):
-        BalanceState(10, 5, 1)
-    with pytest.raises(RewardError):
-        BalanceState(1, 5, 6)
 
 
 def test_compare_rewards_single_block():
