@@ -58,12 +58,14 @@ def _load_config(path, allowed) -> dict:
         return {}
     try:
         with open(path) as fh:
-            doc = yaml.safe_load(fh) or {}
+            doc = yaml.safe_load(fh)
     except OSError as exc:
         raise click.UsageError(f"cannot read config: {exc}")
     except (yaml.YAMLError, ValueError, RecursionError) as exc:
         # PyYAML raises ValueError for an integer past Python's digit limit.
         raise click.UsageError(f"invalid config document: {exc}")
+    if doc is None:  # an empty document
+        return {}
     if not isinstance(doc, dict):
         raise click.UsageError("config must be a key/value document")
     for key in doc:
@@ -421,15 +423,13 @@ def sim_sweep(config_path, seed, out, jobs, verbose):
     except ValueError as exc:
         raise click.UsageError(str(exc))
     result.to_csv(out)
+    _write_manifest(out, "sim sweep", config_path, base.seed, [out])
     if result.errors:
         for key, message in sorted(result.errors.items()):
             click.echo(f"cell {key} failed: {message}", err=True)
         raise DataError(f"{len(result.errors)} sweep cell(s) failed")
     if verbose:
-        click.echo(
-            f"{len(result.cells)} cells x {seeds} seeds written to {out}", err=True
-        )
-    _write_manifest(out, "sim sweep", config_path, base.seed, [out])
+        click.echo(f"{len(result.rows)} cells x {seeds} seeds written to {out}", err=True)
 
 
 def main(argv=None) -> int:

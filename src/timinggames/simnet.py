@@ -65,11 +65,6 @@ class Topology:
 
     n: int
     edges: frozenset
-    seed: int
-
-    @property
-    def mean_degree(self) -> float:
-        return 2.0 * len(self.edges) / self.n
 
     def directed_pairs(self) -> list:
         """All ordered adjacent pairs, sorted for determinism."""
@@ -175,7 +170,7 @@ def generate_er_graph(n: int, mean_degree: float, seed: int) -> Topology:
             continue
         edges = frozenset(zip(*sample))
         if _connected(n, edges):
-            return Topology(n=n, edges=edges, seed=seed)
+            return Topology(n=n, edges=edges)
     raise TopologyError(
         f"no connected graph in {_MAX_CONNECT_ATTEMPTS} attempts "
         f"(n={n}, mean_degree={mean_degree})"

@@ -15,6 +15,9 @@ slots that follow a delayer's slot (about ``x_d * |B|``), and delayer
 orphans ``Theta^d`` with the slot pairs proposed by two delayers in a row
 (about ``x_d**2 * |B|``); the risk per such exposure depends on ``t_d`` and
 the network, not on ``x_d``.
+
+A sweep turns each (x_d, t_d) cell's ``seeds`` runs straight into one row of
+its CSV (``SWEEP_CSV_HEADER``), keeping no table of runs in between.
 """
 
 from __future__ import annotations
@@ -24,6 +27,7 @@ import numbers
 import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, fields, replace
+from itertools import islice
 
 import numpy as np
 
@@ -307,61 +311,37 @@ def derive_cell_seed(master_seed: int, x_index: int, t_index: int, replicate: in
     return int(ss.generate_state(1, dtype=np.uint64)[0])
 
 
-@dataclass
-class CellStats:
-    mu: np.ndarray
-    theta: np.ndarray
-    theta_norm: np.ndarray  # nan where undefined
-    payoff_honest: np.ndarray
-    payoff_delayer: np.ndarray
+SWEEP_CSV_HEADER = (
+    "x_d,t_d,seed_count,mu_mean,mu_std,theta_mean,theta_std,"
+    "theta_norm_mean,payoff_honest_mean,payoff_delayer_mean"
+)
 
-    @property
-    def mu_mean(self):
-        return float(np.mean(self.mu))
 
-    @property
-    def mu_std(self):
-        return float(np.std(self.mu, ddof=1)) if len(self.mu) > 1 else 0.0
+def _sd(values) -> float:
+    return float(np.std(values, ddof=1)) if len(values) > 1 else 0.0
 
-    @property
-    def theta_mean(self):
-        return float(np.mean(self.theta))
 
-    @property
-    def theta_std(self):
-        return float(np.std(self.theta, ddof=1)) if len(self.theta) > 1 else 0.0
-
-    @property
-    def theta_norm_mean(self):
-        vals = self.theta_norm[~np.isnan(self.theta_norm)]
-        return float(np.mean(vals)) if len(vals) else float("nan")
+def _cell_row(x, t, runs) -> tuple:
+    """One sweep CSV row: the seed-averaged metrics of a cell's runs."""
+    mu = np.array([m.mu for m in runs], dtype=float)
+    theta = np.array([m.theta_d for m in runs], dtype=float)
+    norm = np.array([m.theta_d_normalized for m in runs], dtype=float)  # None -> nan
+    norm = norm[~np.isnan(norm)]
+    return (
+        x, t, len(runs), float(np.mean(mu)), _sd(mu), float(np.mean(theta)), _sd(theta),
+        float(np.mean(norm)) if len(norm) else float("nan"),
+        float(np.mean([m.payoff_honest_eth for m in runs])),
+        float(np.mean([m.payoff_delayer_eth for m in runs])),
+    )
 
 
 @dataclass
 class SweepResult:
-    x_values: list
-    t_values: list
-    seeds: int
-    cells: dict  # (x_index, t_index) -> CellStats
+    rows: list  # one SWEEP_CSV_HEADER row per cell that ran, in grid order
     errors: dict  # (x_index, t_index) -> str
 
     def to_csv(self, path) -> None:
-        rows = []
-        for ix, x in enumerate(self.x_values):
-            for it, t in enumerate(self.t_values):
-                cell = self.cells.get((ix, it))
-                if cell is not None:
-                    rows.append((
-                        x, t, self.seeds, cell.mu_mean, cell.mu_std, cell.theta_mean,
-                        cell.theta_std, cell.theta_norm_mean,
-                        float(np.mean(cell.payoff_honest)), float(np.mean(cell.payoff_delayer)),
-                    ))
-        write_csv(
-            path,
-            "x_d,t_d,seed_count,mu_mean,mu_std,theta_mean,theta_std,"
-            "theta_norm_mean,payoff_honest_mean,payoff_delayer_mean",
-            rows,
-        )
+        write_csv(path, SWEEP_CSV_HEADER, self.rows)
 
 
 def _run_for_sweep_safe(args):
@@ -382,14 +362,14 @@ def sweep(
     *,
     jobs: int = 1,
 ) -> SweepResult:
-    """Seed-averaged metrics over the (x_d, t_d) grid.
+    """Seed-averaged metrics over the (x_d, t_d) grid, one CSV row a cell.
 
     Replicate r of cell (ix, it) runs with a sub-seed derived from the base
     config's seed and the three indices, so results are reproducible and
     independent across cells.  A failing run fails its cell: the cell's
-    first error in task order goes to ``errors``, and other cells proceed.
-    Runs go to min(jobs, runs, CPU count) worker processes, or run here
-    when that is 1.
+    first error in task order goes to ``errors`` instead of a row, and
+    other cells proceed.  Runs go to min(jobs, runs, CPU count) worker
+    processes, or run here when that is 1.
     """
     if not x_values or not t_values:
         raise ValueError("grid must be non-empty")
@@ -397,48 +377,25 @@ def sweep(
         raise ValueError("seeds must be >= 1")
     if jobs < 1:
         raise ValueError("jobs must be >= 1")
-    master = base_config.seed
-    tasks = []
-    for ix, x in enumerate(x_values):
-        for it, t in enumerate(t_values):
-            for r in range(seeds):
-                tasks.append(((ix, it), (base_config, x, t, derive_cell_seed(master, ix, it, r))))
-
-    args = [task[1] for task in tasks]
-    workers = min(jobs, len(tasks), os.cpu_count() or 1)
+    cells = [(ix, x, it, t) for ix, x in enumerate(x_values) for it, t in enumerate(t_values)]
+    args = [
+        (base_config, x, t, derive_cell_seed(base_config.seed, ix, it, r))
+        for ix, x, it, t in cells
+        for r in range(seeds)
+    ]
+    workers = min(jobs, len(args), os.cpu_count() or 1)
     if workers > 1:
         with ProcessPoolExecutor(max_workers=workers) as pool:
             outcomes = list(pool.map(_run_for_sweep_safe, args))
     else:
         outcomes = map(_run_for_sweep_safe, args)
-    results: dict = {}
-    errors: dict = {}
-    for (key, _), (status, outcome) in zip(tasks, outcomes):
-        if status == "err":
-            errors.setdefault(key, outcome)
+    outcomes = iter(outcomes)
+    result = SweepResult(rows=[], errors={})
+    for ix, x, it, t in cells:
+        runs = list(islice(outcomes, seeds))  # this cell's replicates, in order
+        failures = [outcome for status, outcome in runs if status == "err"]
+        if failures:
+            result.errors[ix, it] = failures[0]
         else:
-            results.setdefault(key, []).append(outcome)
-
-    cells = {}
-    for key, metrics_list in results.items():
-        if key in errors:
-            continue
-        cells[key] = CellStats(
-            mu=np.array([m.mu for m in metrics_list], dtype=float),
-            theta=np.array([m.theta_d for m in metrics_list], dtype=float),
-            theta_norm=np.array(
-                [
-                    m.theta_d_normalized if m.theta_d_normalized is not None else np.nan
-                    for m in metrics_list
-                ]
-            ),
-            payoff_honest=np.array([m.payoff_honest_eth for m in metrics_list]),
-            payoff_delayer=np.array([m.payoff_delayer_eth for m in metrics_list]),
-        )
-    return SweepResult(
-        x_values=list(x_values),
-        t_values=list(t_values),
-        seeds=seeds,
-        cells=cells,
-        errors=errors,
-    )
+            result.rows.append(_cell_row(x, t, [outcome for _, outcome in runs]))
+    return result

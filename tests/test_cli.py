@@ -100,6 +100,11 @@ def test_sim_run_unknown_key(tmp_path):
         ("sweep", "seeds: 2.5"),
         ("sweep", "x_values: [.nan]"),
         ("sweep", "lambda_eth_per_ms: .inf"),
+        # A document that is not a mapping; only an empty one means {}.
+        ("run", "[]"),
+        ("run", "0"),
+        ("sweep", "false"),
+        ("sweep", '""'),
     ],
 )
 def test_sim_rejects_bad_config(tmp_path, capsys, command, line):
@@ -155,6 +160,7 @@ def test_sim_sweep_failing_cell_exits_2(tmp_path, capsys):
             "error: 1 sweep cell(s) failed",
         ]
         assert len(out.read_text().splitlines()) == 2  # header + the t_d = 0 cell
+        assert Path(str(out) + ".manifest.json").exists()
 
 
 def test_readme_config_defaults_match_schema():
@@ -249,6 +255,37 @@ def test_ingest_quotes_ids_for_the_analyses(tmp_path):
     assert run(["analyze", "winners", "--bids", out, "--delivered", tmp_path / "delivered.csv",
                 "--out", tmp_path / "w.csv"]) == EXIT_OK
     assert len((tmp_path / "w.csv").read_text().splitlines()) == 4
+
+
+@pytest.mark.parametrize("command", ["ingest", "sim run", "sim sweep"])
+def test_verbose_only_adds_a_stderr_line(tmp_path, monkeypatch, capsys, command):
+    dump = tmp_path / "dump.ndjson"
+    rec = {"slot": 1, "builder_pubkey": "b1", "block_hash": HASH_A, "value": "1000",
+           "timestamp_ms": 12500}
+    dump.write_text(json.dumps(rec) + "\n")
+    run_cfg, sweep_cfg = tmp_path / "run.yaml", tmp_path / "sweep.yaml"
+    run_cfg.write_text("n: 16\nmean_degree: 4.0\nduration: 48\nx_d: 0.5\nt_d: 6.0\n")
+    sweep_cfg.write_text(
+        "n: 16\nmean_degree: 4.0\nduration: 48\n"
+        "x_values: [0.0, 1.0]\nt_values: [6.0]\nseeds: 2\n"
+    )
+    args = {
+        "ingest": ["ingest", "--bids", f"A={dump}", "--genesis-ms", 0],
+        "sim run": ["sim", "run", "--config", run_cfg],
+        "sim sweep": ["sim", "sweep", "--config", sweep_cfg],
+    }[command] + ["--out", "out.csv"]
+    outputs = {}
+    for verbose in (False, True):
+        # Relative paths, so the manifests' output lists match too.
+        workdir = tmp_path / f"verbose{verbose}"
+        workdir.mkdir()
+        monkeypatch.chdir(workdir)
+        assert run(args + ["--verbose"] * verbose) == EXIT_OK
+        err = capsys.readouterr().err.strip().splitlines()
+        assert len(err) == verbose
+        outputs[verbose] = {p.name: p.read_bytes() for p in workdir.iterdir()}
+    assert len(outputs[False]) >= 2  # the CSV and its manifest
+    assert outputs[True] == outputs[False]
 
 
 def test_ingest_empty_input(tmp_path):

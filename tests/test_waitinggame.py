@@ -12,6 +12,7 @@ from timinggames.consensus import BlockTree
 from timinggames.simnet import ATTEST_DEADLINE_OFFSET, SLOT_SECONDS
 from timinggames.waitinggame import (
     DEFAULT_LAMBDA_ETH_PER_MS,
+    SWEEP_CSV_HEADER,
     PayoffModel,
     SimConfig,
     assign_strategies,
@@ -176,12 +177,12 @@ def test_derive_cell_seed_stable_and_distinct():
 
 def test_sweep_shapes_and_averaging():
     result = sweep([0.0, 1.0], [0.0], seeds=3, base_config=FAST)
-    assert set(result.cells) == {(0, 0), (1, 0)}
     assert not result.errors
-    cell = result.cells[(0, 0)]
-    assert len(cell.mu) == 3
-    assert 0.0 <= cell.mu_mean <= 1.0
-    assert cell.theta_mean == 0.0  # x_d = 0 cannot orphan delayer blocks
+    cells = [dict(zip(SWEEP_CSV_HEADER.split(","), row)) for row in result.rows]
+    assert [(c["x_d"], c["t_d"]) for c in cells] == [(0.0, 0.0), (1.0, 0.0)]
+    assert all(c["seed_count"] == 3 for c in cells)  # 3 runs per cell
+    assert all(0.0 <= c["mu_mean"] <= 1.0 for c in cells)
+    assert cells[0]["theta_mean"] == 0.0  # x_d = 0 cannot orphan delayer blocks
 
 
 def test_sweep_deterministic_csv(tmp_path):
@@ -207,7 +208,7 @@ def test_sweep_isolates_failing_cells():
     # t_d outside [0, 12] makes the cell's SimConfig fail, on both paths.
     for jobs in (1, 2):
         result = sweep([0.0], [0.0, 13.0], seeds=2, base_config=FAST, jobs=jobs)
-        assert set(result.cells) == {(0, 0)}
+        assert [row[:2] for row in result.rows] == [(0.0, 0.0)]
         assert result.errors == {(0, 1): "t_d must lie in [0, 12]"}
 
 
