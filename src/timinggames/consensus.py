@@ -1,13 +1,16 @@
 """Block tree and LMD-GHOST head selection over vote bitsets.
 
-Every validator carries one unit of weight.  Head selection descends from
-the root into the child whose subtree carries the most latest messages,
-breaking ties toward the smaller block id, and stops at a leaf.
+Every validator carries one unit of weight.  Head selection descends into
+the child whose subtree carries the most latest messages, breaking ties
+toward the smaller block id, and stops at a leaf.  It starts at the lowest
+common ancestor of the voted blocks, which a descent from genesis reaches.
 ``head_from_arrays`` is the one head rule: the simulator runs it for every
 proposer and attester view, and ``mainchain`` runs it once over all votes.
 """
 
 from __future__ import annotations
+
+import heapq
 
 GENESIS_ID = 0
 GENESIS_SLOT = -1
@@ -74,9 +77,17 @@ def head_from_arrays(
     latest vote predates the window.  A validator's latest message is its
     highest-slot vote; votes whose target the node has not received are
     skipped.
+
+    Weights roll up from the weighted targets, highest id first, until one
+    block holds all of it: their lowest common ancestor (LCA), or genesis
+    when no target carries weight.  The descent starts there: above the LCA
+    each child toward it carries all the weight and its siblings none, so a
+    descent from genesis would reach the LCA under any tie rule.  This needs
+    ``blocks`` closed under ancestry and parent ids below child ids, as
+    gossip and ``BlockTree.add`` guarantee.  A call costs the vote window,
+    the blocks from the targets up to their LCA, and the descent below it.
     """
-    n_blocks = len(parent)
-    w = [0] * n_blocks
+    w: dict = {}
     mask = (1 << width) - 1
     covered = 0
     for k in range(len(vote_slots) - 1, -1, -1):
@@ -84,21 +95,26 @@ def head_from_arrays(
         if fresh:
             covered |= fresh
             for target, bits in vote_slots[k].items():
-                if blocks >> target & 1:
-                    w[target] += (fresh & bits).bit_count()
+                if blocks >> target & 1 and fresh & bits:
+                    w[target] = w.get(target, 0) + (fresh & bits).bit_count()
     for (_, target), bits in vote_settled.items():
-        if blocks >> target & 1:
-            w[target] += (bits & ~covered).bit_count()
-    for b in range(n_blocks - 1, 0, -1):
-        if w[b]:
-            w[parent[b]] += w[b]
-    head = GENESIS_ID
+        if blocks >> target & 1 and bits & ~covered:
+            w[target] = w.get(target, 0) + (bits & ~covered).bit_count()
+    heap = [-b for b in w]
+    heapq.heapify(heap)
+    while len(heap) > 1:
+        b = -heapq.heappop(heap)
+        p = parent[b]
+        if p not in w:
+            heapq.heappush(heap, -p)
+        w[p] = w.get(p, 0) + w[b]
+    head = -heap[0] if heap else GENESIS_ID
     while True:
         best = -1
         bw = -1
         for c in children[head]:
-            if blocks >> c & 1 and w[c] > bw:
-                bw = w[c]
+            if blocks >> c & 1 and w.get(c, 0) > bw:
+                bw = w.get(c, 0)
                 best = c
         if best < 0:
             return head

@@ -297,6 +297,8 @@ class EventEngine:
     def publish_attestation(
         self, node: int, validator: int, slot: int, target: int, time: float
     ) -> None:
+        if not 0 <= validator < self.n_validators:
+            raise ValueError(f"validator {validator} not in [0, {self.n_validators})")
         k = slot - self.vote_base
         if k < 0:
             raise ValueError(f"vote of slot {slot} published after the slot settled")

@@ -1,9 +1,11 @@
-"""Fork choice against a naive ancestor-walk oracle.
+"""Fork choice against a naive ancestor-walk oracle and the full-walk kernel.
 
 ``head_from_arrays`` is the simulator's one head rule.  The tests feed it a
 latest-message table through ``kernel_head``, a thin adapter that holds the
 table as one window slot of votes, or through the vote tables of an
-``EventEngine``.
+``EventEngine``.  ``full_walk_head`` is the kernel as it was before it
+started at the weighted targets' lowest common ancestor: it rolls weights up
+over every block and descends from genesis.  The kernel must pick its head.
 """
 
 import numpy as np
@@ -21,6 +23,38 @@ from timinggames.consensus import (
 from timinggames.simnet import EventEngine, GossipConfig, Topology
 
 N_VALIDATORS = 64
+
+
+def full_walk_head(parent, children, blocks, votes, vote_slots, vote_settled, width):
+    """Oracle: the head rule over every block, descending from genesis."""
+    n_blocks = len(parent)
+    w = [0] * n_blocks
+    mask = (1 << width) - 1
+    covered = 0
+    for k in range(len(vote_slots) - 1, -1, -1):
+        fresh = (votes >> (k * width)) & mask & ~covered
+        if fresh:
+            covered |= fresh
+            for target, bits in vote_slots[k].items():
+                if blocks >> target & 1:
+                    w[target] += (fresh & bits).bit_count()
+    for (_, target), bits in vote_settled.items():
+        if blocks >> target & 1:
+            w[target] += (bits & ~covered).bit_count()
+    for b in range(n_blocks - 1, 0, -1):
+        if w[b]:
+            w[parent[b]] += w[b]
+    head = GENESIS_ID
+    while True:
+        best = -1
+        bw = -1
+        for c in children[head]:
+            if blocks >> c & 1 and w[c] > bw:
+                bw = w[c]
+                best = c
+        if best < 0:
+            return head
+        head = best
 
 
 def record_vote(table, validator, slot, target):
@@ -277,20 +311,22 @@ def test_head_from_arrays_matches_reference():
         assert got == oracle_head(tree, table)
 
 
+def closed_view(rng, tree, keep):
+    """A random view holding genesis, closed under ancestry as gossip keeps it."""
+    seen = rng.random(len(tree)) < keep
+    seen[GENESIS_ID] = True
+    for b in range(len(tree) - 1, 0, -1):
+        if seen[b]:
+            seen[tree.parent[b]] = True
+    return seen
+
+
 def test_head_from_arrays_respects_visibility():
     rng = np.random.default_rng(31)
     for _ in range(100):
         tree, table = random_tree_and_votes(rng)
         nb = len(tree)
-        seen = rng.random(nb) < 0.7
-        seen[GENESIS_ID] = True
-        # Close the view under ancestry, as gossip delivery guarantees.
-        for b in range(1, nb):
-            if seen[b]:
-                p = tree.parent[b]
-                while p is not None and not seen[p]:
-                    seen[p] = True
-                    p = tree.parent[p]
+        seen = closed_view(rng, tree, 0.7)
         votes, slots, settled = vote_bitsets(rng, table, nb)
         got = head_from_arrays(
             tree.parent, tree.children, bitset(seen), votes, slots, settled,
@@ -305,3 +341,117 @@ def test_head_oracle_property(seed):
     rng = np.random.default_rng(seed)
     tree, table = random_tree_and_votes(rng, max_blocks=20, max_votes=60)
     assert kernel_head(tree, table) == oracle_head(tree, table)
+
+
+# -- the descent from the weighted targets' lowest common ancestor -----------
+
+
+def grown_tree(rng, chain, tip, reach):
+    """``chain`` blocks in a line, then ``tip`` blocks, each built on one of
+    the ``reach`` newest blocks: a long chain with a bushy recent tip, or,
+    with no chain and a wide reach, a bushy tree."""
+    tree = BlockTree()
+    for i in range(chain + tip):
+        back = int(rng.integers(0, min(1 if i < chain else reach, len(tree))))
+        parent = len(tree) - 1 - back
+        slot = tree.slot[parent] + 1 + int(rng.integers(0, 3))
+        tree.add(slot=slot, proposer=0, parent=parent, release_time=float(slot * 12))
+    return tree
+
+
+VOTE_SHAPES = ("none", "unheld", "recent", "anywhere", "leaf", "siblings")
+
+
+def shaped_votes(rng, tree, seen, shape):
+    """A latest-message table of one of the shapes ``VOTE_SHAPES`` names."""
+    nb = len(tree)
+    held = np.flatnonzero(seen)
+    slots = rng.integers(0, 40, N_VALIDATORS)
+    if shape == "none":
+        return {}
+    if shape == "unheld":
+        # Every target is one the node has not received (when there is one).
+        pool = np.flatnonzero(~seen)
+        pool = pool if len(pool) else held
+    elif shape == "recent":
+        pool = np.arange(max(1, nb - 20), nb)
+    elif shape == "anywhere":
+        pool = np.arange(nb)
+    elif shape == "leaf":
+        # One held leaf takes every vote: the LCA is that target itself.
+        leaves = [b for b in held if not any(seen[c] for c in tree.children[b])]
+        pool = [max(leaves)]
+    else:  # "siblings": two held siblings with equal weight, below their parent
+        forks = [b for b in held if sum(seen[c] for c in tree.children[b]) > 1]
+        if not forks:
+            return {}
+        a, b = [c for c in tree.children[max(forks)] if seen[c]][-2:]
+        return {v: (int(slots[v]), (a, b)[v % 2]) for v in range(N_VALIDATORS)}
+    size = int(rng.integers(1, N_VALIDATORS + 1))
+    return {
+        int(v): (int(slots[v]), int(rng.choice(pool)))
+        for v in rng.choice(N_VALIDATORS, size, replace=False)
+    }
+
+
+@given(
+    chain=st.integers(0, 550),
+    tip=st.integers(1, 50),
+    reach=st.integers(1, 600),
+    keep=st.one_of(st.just(1.0), st.floats(0.3, 1.0)),
+    shape=st.sampled_from(VOTE_SHAPES),
+    seed=st.integers(0, 2**32),
+)
+@settings(max_examples=150, deadline=None)
+def test_lca_descent_matches_full_walk(chain, tip, reach, keep, shape, seed):
+    rng = np.random.default_rng(seed)
+    tree = grown_tree(rng, chain, tip, reach)
+    seen = closed_view(rng, tree, keep)
+    table = shaped_votes(rng, tree, seen, shape)
+    votes, slots, settled = vote_bitsets(rng, table, len(tree))
+    args = (tree.parent, tree.children, bitset(seen), votes, slots, settled, N_VALIDATORS)
+    assert head_from_arrays(*args) == full_walk_head(*args)
+
+
+class Guarded(list):
+    """A list whose entries at ``guarded`` indices must not be read."""
+
+    def __init__(self, items, guarded):
+        super().__init__(items)
+        self.guarded = guarded
+
+    def __getitem__(self, i):
+        if i in self.guarded:
+            raise AssertionError(f"read entry {i}, above the LCA")
+        return super().__getitem__(i)
+
+
+class Unwalkable:
+    def __iter__(self):
+        raise AssertionError("walked the children of a block above the LCA")
+
+
+@pytest.mark.parametrize("shape", ["siblings", "leaf"])
+def test_descent_never_walks_above_the_lca(shape):
+    # A 400-block chain, then two forks of two blocks each at its end.  The
+    # votes' LCA is the fork point or one leaf; no block above it is touched.
+    tree = grown_tree(np.random.default_rng(0), 400, 0, 1)
+    fork = len(tree) - 1
+    slot = tree.slot[fork] + 1
+    a = tree.add(slot=slot, proposer=0, parent=fork, release_time=0.0)
+    b = tree.add(slot=slot, proposer=1, parent=fork, release_time=0.0)
+    tree.add(slot=slot + 1, proposer=0, parent=b, release_time=0.0)
+    leaf = tree.add(slot=slot + 1, proposer=1, parent=a, release_time=0.0)
+    if shape == "siblings":
+        lca, table = fork, {0: (3, a), 1: (3, b)}
+    else:
+        lca, table = leaf, {0: (3, leaf), 1: (12, leaf)}
+    above = set(tree.path_to_root(lca)[:-1])
+    children = [Unwalkable() if x in above else c for x, c in enumerate(tree.children)]
+    votes, slots, settled = vote_bitsets(np.random.default_rng(1), table, len(tree),
+                                         unreceived=False)
+    blocks = (1 << len(tree)) - 1
+    head = head_from_arrays(Guarded(tree.parent, above), children, blocks, votes,
+                            slots, settled, N_VALIDATORS)
+    assert head == leaf == full_walk_head(tree.parent, tree.children, blocks, votes,
+                                          slots, settled, N_VALIDATORS)

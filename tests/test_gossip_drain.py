@@ -20,6 +20,7 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from timinggames import waitinggame
+from timinggames.consensus import GENESIS_ID
 from timinggames.simnet import (
     _DEADLINE,
     _KIND_NAMES,
@@ -324,3 +325,72 @@ def test_conflicting_vote_at_another_node_is_ignored():
     assert engine.votes == oracle.votes
     assert_counts(engine)
     assert engine._votes_undelivered == 2 + 3
+
+
+# -- the fork-choice kernel's precondition --------------------------------------
+
+
+def assert_views_closed(engine, tree):
+    """Every node holds genesis and the parent of each block it holds."""
+    for held in engine.blocks:
+        assert held & 1 << GENESIS_ID
+        rest = held
+        while rest:
+            low = rest & -rest
+            b = low.bit_length() - 1
+            assert b == GENESIS_ID or held >> tree.parent[b] & 1
+            rest ^= low
+
+
+class ClosureHandlers(waitinggame._ChainHandlers):
+    """Chain handlers that check every view before and after their events
+    and each release, where a block enters a view other than by gossip."""
+
+    def on_slot_start(self, engine, t, slot):
+        if slot == 0:
+            publish = engine.publish_block
+
+            def checked_publish(*args):
+                publish(*args)
+                assert_views_closed(engine, self.tree)
+
+            engine.publish_block = checked_publish
+        assert_views_closed(engine, self.tree)
+        super().on_slot_start(engine, t, slot)
+        assert_views_closed(engine, self.tree)
+
+    def on_attest_deadline(self, engine, t, slot):
+        assert_views_closed(engine, self.tree)
+        super().on_attest_deadline(engine, t, slot)
+        assert_views_closed(engine, self.tree)
+
+
+def forking_configs():
+    """Delayers releasing late enough that the next proposer may build
+    beside the delayed block: all of them, or half among honest proposers."""
+    return st.builds(
+        lambda n, density, tau, x_d, t_d, duration, seed: SimConfig(
+            n=n, mean_degree=density * (n - 1), tau_block=tau, tau_attestation=tau,
+            duration=duration, x_d=x_d, t_d=t_d, seed=seed,
+        ),
+        n=st.integers(2, 24),
+        density=st.floats(0.3, 0.95),
+        tau=st.floats(0.5, 6.0),
+        x_d=st.sampled_from([1.0, 0.5]),
+        t_d=st.sampled_from([10.0, 11.0, 11.5]),
+        duration=st.floats(12.0, 240.0),
+        seed=st.integers(0, 2**32),
+    )
+
+
+@given(st.one_of(configs(), forking_configs()))
+@settings(max_examples=40, deadline=None)
+def test_views_closed_under_ancestry(config):
+    run_with(EventEngine, dataclasses.replace(config, record_trace=False), ClosureHandlers)
+
+
+def test_views_closed_under_ancestry_where_forks_occur():
+    for t_d in (10.0, 11.0, 11.5):
+        config = SimConfig(n=24, mean_degree=6.0, duration=240.0, x_d=1.0, t_d=t_d, seed=5)
+        out, _, _ = run_with(EventEngine, config, ClosureHandlers)
+        assert any(len(c) > 1 for c in out.tree.children)

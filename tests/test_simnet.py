@@ -226,6 +226,23 @@ def test_stale_attestation_does_not_replace():
     assert engine.lm_target[0, 1] == 7
 
 
+@pytest.mark.parametrize("validator", [2, 3, -1])
+def test_attestation_rejects_validator_out_of_range(validator):
+    # With n = 2, the slot-1 bit of validator 2 is validator 0's of slot 2,
+    # that of validator 3 is validator 1's of slot 2, and that of validator
+    # -1 is validator 1's of slot 0: an unchecked index would cast or
+    # deliver those votes.
+    topo = two_node_topology()
+    engine = EventEngine(topo, GossipConfig(), NullHandlers(), end_time=1.0, seed=0)
+    engine.publish_attestation(1, validator=1, slot=0, target=4, time=0.0)
+    with pytest.raises(ValueError, match="validator"):
+        engine.publish_attestation(0, validator=validator, slot=1, target=5, time=0.0)
+    engine.publish_attestation(0, validator=0, slot=2, target=7, time=0.0)
+    assert engine.vote_slots == [{4: 0b10}, {}, {7: 0b01}]
+    assert engine.votes == [1 << 4, 1 << 1]
+    assert engine.lm_target[0, 0] == 7
+
+
 def test_slot_and_deadline_cadence():
     topo = two_node_topology()
 
