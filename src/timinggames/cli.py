@@ -12,6 +12,10 @@ Subcommands::
     sim sweep                 (x_d, t_d) grid -> seed-averaged CSV
 
 Exit codes: 0 success, 1 usage or configuration error, 2 data error.
+The ``sim`` commands' YAML keys are the fields of ``waitinggame``'s
+``SimConfig``, ``PayoffModel`` and ``SweepConfig``, which own every default
+and check; a ``--seed`` or ``--jobs`` flag overrides its key.
+
 Every output CSV gets a JSON manifest sidecar recording the command, the
 configuration digest, the master seed and the tool version, so any artifact
 can be regenerated exactly.
@@ -31,77 +35,55 @@ import yaml
 
 from . import __version__
 from . import analytics, relaydata, rewards, simnet
-from .waitinggame import PayoffModel, SimConfig, check_number, run_simulation, sweep
+from .waitinggame import SWEEP_CSV_HEADER, PayoffModel, SimConfig, SweepConfig, run_simulation, sweep
 
 EXIT_OK = 0
 EXIT_USAGE = 1
 EXIT_DATA = 2
-
-DEFAULT_X_GRID = (0.0, 0.25, 0.5, 0.75, 1.0)
-DEFAULT_T_GRID = tuple(float(t) for t in range(12))
-DEFAULT_SEEDS = 20
-
-# YAML keys of a simulation: the payoff fields are top-level keys, and
-# record_trace is not a config key.
-_CONFIG_KEYS = {f.name for f in fields(SimConfig)} - {"payoff", "record_trace"}
-_PAYOFF_KEYS = {f.name for f in fields(PayoffModel)}
-_SIM_KEYS = _CONFIG_KEYS | _PAYOFF_KEYS
-_SWEEP_ONLY_KEYS = {"x_values", "t_values", "seeds", "jobs"}
 
 
 class DataError(Exception):
     """Unreadable or schema-violating input data."""
 
 
-def _load_config(path, allowed) -> dict:
-    if path is None:
-        return {}
-    try:
-        with open(path) as fh:
-            doc = yaml.safe_load(fh)
-    except OSError as exc:
-        raise click.UsageError(f"cannot read config: {exc}")
-    except (yaml.YAMLError, ValueError, RecursionError) as exc:
-        # PyYAML raises ValueError for an integer past Python's digit limit.
-        raise click.UsageError(f"invalid config document: {exc}")
-    if doc is None:  # an empty document
-        return {}
-    if not isinstance(doc, dict):
-        raise click.UsageError("config must be a key/value document")
-    for key in doc:
-        if key not in allowed:
-            raise click.UsageError(f"unknown config key: {key!r}")
+def _load_config(path, schemas, **flags) -> dict:
+    """The YAML document at ``path``, with each flag that was given
+    overriding its key: flag > file > default.  Every key must name a field
+    of one of ``schemas``; ``payoff``'s own fields are top-level keys."""
+    allowed = {f.name for cls in schemas for f in fields(cls)} - {"payoff"}
+    doc = {}
+    if path is not None:
+        try:
+            with open(path) as fh:
+                doc = yaml.safe_load(fh)
+        except OSError as exc:
+            raise click.UsageError(f"cannot read config: {exc}")
+        except (yaml.YAMLError, ValueError, RecursionError) as exc:
+            # PyYAML raises ValueError for an integer past Python's digit limit.
+            raise click.UsageError(f"invalid config document: {exc}")
+        if doc is None:  # an empty document
+            doc = {}
+        if not isinstance(doc, dict):
+            raise click.UsageError("config must be a key/value document")
+        for key in doc:
+            if key not in allowed:
+                raise click.UsageError(f"unknown config key: {key!r}")
+    doc.update((key, value) for key, value in flags.items() if value is not None)
     return doc
 
 
-def _sim_config(doc: dict, seed_override) -> SimConfig:
-    """``SimConfig`` from the simulation keys of ``doc``; absent keys take
-    the dataclass defaults, and ``SimConfig`` checks every value."""
-    sim = {k: v for k, v in doc.items() if k in _CONFIG_KEYS}
-    if seed_override is not None:
-        sim["seed"] = seed_override
+def _schema(cls, doc: dict, **given):
+    """``cls`` from the keys of ``doc`` that name its fields, plus ``given``;
+    absent keys take the dataclass defaults, and ``cls`` checks every value."""
+    names = {f.name for f in fields(cls)}
     try:
-        payoff = PayoffModel(**{k: v for k, v in doc.items() if k in _PAYOFF_KEYS})
-        return SimConfig(**sim, payoff=payoff)
+        return cls(**{k: v for k, v in doc.items() if k in names}, **given)
     except (TypeError, ValueError) as exc:
         raise click.UsageError(f"invalid config value: {exc}")
 
 
-def _grid_values(doc: dict, key: str, default) -> list:
-    values = doc.get(key, default)
-    if not isinstance(values, (list, tuple)):
-        raise click.UsageError(f"{key} must be a list of numbers")
-    try:
-        return [check_number(f"{key} entry", v) for v in values]
-    except (TypeError, ValueError) as exc:
-        raise click.UsageError(f"invalid config value: {exc}")
-
-
-def _count(doc: dict, key: str, default) -> int:
-    try:
-        return check_number(key, doc.get(key, default), integral=True)
-    except (TypeError, ValueError) as exc:
-        raise click.UsageError(f"invalid config value: {exc}")
+def _sim_config(doc: dict) -> SimConfig:
+    return _schema(SimConfig, doc, payoff=_schema(PayoffModel, doc))
 
 
 def _digest(path) -> str | None:
@@ -148,7 +130,8 @@ def cli():
     show_default=True,
     help="Chain genesis in unix ms, or 'mainnet'.",
 )
-@click.option("--window", nargs=2, type=int, default=(-24000, 24000), show_default=True)
+@click.option("--window", nargs=2, type=int, show_default=True,
+              default=relaydata.DEFAULT_PLAUSIBILITY_WINDOW_MS)
 @click.option("--out", required=True, type=click.Path(), help="Dedup CSV path.")
 @click.option("--stats-out", type=click.Path(), help="Duplicate-stats CSV path.")
 @click.option("--verbose", is_flag=True)
@@ -391,8 +374,7 @@ def sim():
 @click.option("--verbose", is_flag=True)
 def sim_run(config_path, seed, out, verbose):
     """One simulation; writes a single-row metrics CSV."""
-    doc = _load_config(config_path, _SIM_KEYS)
-    config = _sim_config(doc, seed)
+    config = _sim_config(_load_config(config_path, (SimConfig, PayoffModel), seed=seed))
     metrics = run_simulation(config)
     relaydata.write_csv(
         out,
@@ -412,24 +394,18 @@ def sim_run(config_path, seed, out, verbose):
 @click.option("--verbose", is_flag=True)
 def sim_sweep(config_path, seed, out, jobs, verbose):
     """Seed-averaged (x_d, t_d) grid; writes one row per cell."""
-    doc = _load_config(config_path, _SIM_KEYS | _SWEEP_ONLY_KEYS)
-    x_values = _grid_values(doc, "x_values", DEFAULT_X_GRID)
-    t_values = _grid_values(doc, "t_values", DEFAULT_T_GRID)
-    seeds = _count(doc, "seeds", DEFAULT_SEEDS)
-    n_jobs = jobs if jobs is not None else _count(doc, "jobs", 1)
-    base = _sim_config(doc, seed)
-    try:
-        result = sweep(x_values, t_values, seeds, base, jobs=n_jobs)
-    except ValueError as exc:
-        raise click.UsageError(str(exc))
-    result.to_csv(out)
+    doc = _load_config(config_path, (SimConfig, PayoffModel, SweepConfig), seed=seed, jobs=jobs)
+    grid = _schema(SweepConfig, doc)
+    base = _sim_config(doc)
+    rows, errors = sweep(grid, base)
+    relaydata.write_csv(out, SWEEP_CSV_HEADER, rows)
     _write_manifest(out, "sim sweep", config_path, base.seed, [out])
-    if result.errors:
-        for key, message in sorted(result.errors.items()):
+    if errors:
+        for key, message in sorted(errors.items()):
             click.echo(f"cell {key} failed: {message}", err=True)
-        raise DataError(f"{len(result.errors)} sweep cell(s) failed")
+        raise DataError(f"{len(errors)} sweep cell(s) failed")
     if verbose:
-        click.echo(f"{len(result.rows)} cells x {seeds} seeds written to {out}", err=True)
+        click.echo(f"{len(rows)} cells x {grid.seeds} seeds written to {out}", err=True)
 
 
 def main(argv=None) -> int:
@@ -448,6 +424,9 @@ def main(argv=None) -> int:
     except OSError as exc:
         click.echo(f"error: {exc}", err=True)
         return EXIT_DATA
+    except MemoryError as exc:
+        click.echo(f"error: {str(exc) or 'out of memory'}", err=True)
+        return EXIT_USAGE
 
 
 if __name__ == "__main__":

@@ -283,6 +283,8 @@ class EventEngine:
         self._push(time, _RELEASE, (node, block_id))
 
     def publish_block(self, node: int, block_id: int, time: float) -> None:
+        if not 0 <= node < self.n_nodes:
+            raise ValueError(f"node {node} not in [0, {self.n_nodes})")
         bit = 1 << block_id
         if not self.blocks[node] & bit:
             self.block_arrival[node, block_id] = time
@@ -297,6 +299,8 @@ class EventEngine:
     def publish_attestation(
         self, node: int, validator: int, slot: int, target: int, time: float
     ) -> None:
+        if not 0 <= node < self.n_nodes:
+            raise ValueError(f"node {node} not in [0, {self.n_nodes})")
         if not 0 <= validator < self.n_validators:
             raise ValueError(f"validator {validator} not in [0, {self.n_validators})")
         k = slot - self.vote_base

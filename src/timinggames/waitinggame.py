@@ -16,8 +16,11 @@ orphans ``Theta^d`` with the slot pairs proposed by two delayers in a row
 (about ``x_d**2 * |B|``); the risk per such exposure depends on ``t_d`` and
 the network, not on ``x_d``.
 
-A sweep turns each (x_d, t_d) cell's ``seeds`` runs straight into one row of
-its CSV (``SWEEP_CSV_HEADER``), keeping no table of runs in between.
+``SimConfig`` (with ``PayoffModel``) and ``SweepConfig`` are the one schema
+of the simulator's config: their fields are the YAML keys, and they own
+every default, type check and range check.  A sweep turns each
+(x_d, t_d) cell's ``seeds`` runs straight into one row of its CSV
+(``SWEEP_CSV_HEADER``), keeping no table of runs in between.
 """
 
 from __future__ import annotations
@@ -32,10 +35,13 @@ from itertools import islice
 import numpy as np
 
 from .consensus import GENESIS_ID, BlockTree, head_from_arrays, mainchain
-from .relaydata import write_csv
-from .simnet import EventEngine, GossipConfig, Topology, generate_er_graph
+from .simnet import SLOT_SECONDS, EventEngine, GossipConfig, Topology, generate_er_graph
 
 DEFAULT_LAMBDA_ETH_PER_MS = 5.71e-6
+# A run's engine holds an (n, slots + 2) float64 table of block arrivals.
+# Configs past this many cells (2 GiB) are refused before anything is
+# allocated, so an absurd duration is a config error, not a crash.
+MAX_ARRIVAL_CELLS = 2**28
 
 
 @dataclass(frozen=True)
@@ -67,12 +73,20 @@ def check_number(name: str, value, integral: bool = False):
 
 
 def _check_types(config) -> None:
-    # Normalize a frozen config's ``int`` and ``float`` fields in place.  The
-    # field types are strings here (``from __future__ import annotations``).
+    # Normalize a frozen config's ``int`` and ``float`` fields, and its
+    # ``tuple`` fields (lists of floats), in place.  The field types are
+    # strings here (``from __future__ import annotations``).
     for f in fields(config):
+        value = getattr(config, f.name)
         if f.type in ("int", "float"):
-            value = check_number(f.name, getattr(config, f.name), f.type == "int")
-            object.__setattr__(config, f.name, value)
+            value = check_number(f.name, value, f.type == "int")
+        elif f.type == "tuple":
+            if not isinstance(value, (list, tuple)):
+                raise TypeError(f"{f.name} must be a list of numbers, not {value!r}")
+            value = tuple(check_number(f"{f.name} entry", v) for v in value)
+        else:
+            continue
+        object.__setattr__(config, f.name, value)
 
 
 @dataclass(frozen=True)
@@ -86,10 +100,10 @@ class PayoffModel:
 
 @dataclass(frozen=True)
 class SimConfig:
-    """One run's parameters; the one schema of the simulator's config.
+    """One run's parameters.
 
     The command line reads every field but ``payoff`` (whose own fields are
-    top-level keys) and ``record_trace`` from YAML, under the field's name.
+    top-level keys) from YAML, under the field's name.
     """
 
     n: int = 128
@@ -101,7 +115,6 @@ class SimConfig:
     t_d: float = 0.0
     seed: int = 0
     payoff: PayoffModel = field(default_factory=PayoffModel)
-    record_trace: bool = False
 
     def __post_init__(self):
         _check_types(self)
@@ -119,6 +132,28 @@ class SimConfig:
             raise ValueError("t_d must lie in [0, 12]")
         if not (self.tau_block > 0 and self.tau_attestation > 0):
             raise ValueError("tau_block and tau_attestation must be positive")
+        if self.n * (int(self.duration // SLOT_SECONDS) + 2) > MAX_ARRIVAL_CELLS:
+            raise ValueError(f"n x (duration // 12 + 2) must be at most {MAX_ARRIVAL_CELLS}")
+
+
+@dataclass(frozen=True)
+class SweepConfig:
+    """A sweep's (x_d, t_d) grid, runs per cell and worker processes: the
+    YAML keys that only ``sim sweep`` reads."""
+
+    x_values: tuple = (0.0, 0.25, 0.5, 0.75, 1.0)
+    t_values: tuple = tuple(float(t) for t in range(12))
+    seeds: int = 20
+    jobs: int = 1
+
+    def __post_init__(self):
+        _check_types(self)
+        if not (self.x_values and self.t_values):
+            raise ValueError("x_values and t_values must not be empty")
+        if self.seeds < 1:
+            raise ValueError("seeds must be >= 1")
+        if self.jobs < 1:
+            raise ValueError("jobs must be >= 1")
 
 
 @dataclass
@@ -192,11 +227,9 @@ class _ChainHandlers:
         self.t_d = t_d
         self.rng = proposer_rng
         self.tree = BlockTree()
-        self.proposer_of_slot: list = []
 
     def on_slot_start(self, engine: EventEngine, t: float, slot: int) -> None:
         proposer = int(self.rng.integers(self.n))
-        self.proposer_of_slot.append(proposer)
         head = head_from_arrays(
             self.tree.parent,
             self.tree.children,
@@ -211,7 +244,7 @@ class _ChainHandlers:
         engine.schedule_release(release_at, proposer, block_id)
 
     def on_attest_deadline(self, engine: EventEngine, t: float, slot: int) -> None:
-        proposer = self.proposer_of_slot[slot]
+        proposer = self.tree.proposer[slot + 1]  # each slot start adds one block
         parent = self.tree.parent
         children = self.tree.children
         blocks = engine.blocks
@@ -238,8 +271,11 @@ class _ChainHandlers:
             engine.publish_attestation(v, v, slot, target, t)
 
 
-def simulate(config: SimConfig) -> SimulationOutput:
-    """Full pipeline: topology, strategies, event engine, metrics."""
+def simulate(config: SimConfig, *, record_trace: bool = False) -> SimulationOutput:
+    """Full pipeline: topology, strategies, event engine, metrics.
+
+    ``record_trace`` keeps the engine's event trace in the output.
+    """
     ss = np.random.SeedSequence(config.seed)
     topo_ss, prop_ss, strat_ss, gossip_ss = ss.spawn(4)
     topology = generate_er_graph(
@@ -255,7 +291,7 @@ def simulate(config: SimConfig) -> SimulationOutput:
         handlers,
         config.duration,
         gossip_ss,
-        record_trace=config.record_trace,
+        record_trace=record_trace,
     )
     # Everyone starts from genesis.
     for v in range(config.n):
@@ -335,67 +371,47 @@ def _cell_row(x, t, runs) -> tuple:
     )
 
 
-@dataclass
-class SweepResult:
-    rows: list  # one SWEEP_CSV_HEADER row per cell that ran, in grid order
-    errors: dict  # (x_index, t_index) -> str
-
-    def to_csv(self, path) -> None:
-        write_csv(path, SWEEP_CSV_HEADER, self.rows)
-
-
 def _run_for_sweep_safe(args):
     # Runs in the worker, so a failing cell cannot kill the pool.
     base_config, x, t, seed = args
     try:
-        cfg = replace(base_config, x_d=x, t_d=t, seed=seed, record_trace=False)
+        cfg = replace(base_config, x_d=x, t_d=t, seed=seed)
         return ("ok", run_simulation(cfg))
     except Exception as exc:  # noqa: BLE001 - cell-level isolation
         return ("err", str(exc))
 
 
-def sweep(
-    x_values,
-    t_values,
-    seeds: int,
-    base_config: SimConfig,
-    *,
-    jobs: int = 1,
-) -> SweepResult:
-    """Seed-averaged metrics over the (x_d, t_d) grid, one CSV row a cell.
+def sweep(grid: SweepConfig, base_config: SimConfig) -> tuple[list, dict]:
+    """Seed-averaged metrics over the (x_d, t_d) grid: ``(rows, errors)``.
 
-    Replicate r of cell (ix, it) runs with a sub-seed derived from the base
-    config's seed and the three indices, so results are reproducible and
-    independent across cells.  A failing run fails its cell: the cell's
-    first error in task order goes to ``errors`` instead of a row, and
-    other cells proceed.  Runs go to min(jobs, runs, CPU count) worker
-    processes, or run here when that is 1.
+    ``rows`` holds one ``SWEEP_CSV_HEADER`` row per cell that ran, in grid
+    order.  Replicate r of cell (ix, it) runs with a sub-seed derived from
+    the base config's seed and the three indices, so results are
+    reproducible and independent across cells.  A failing run fails its
+    cell: the cell's first error in task order goes to ``errors`` under
+    ``(ix, it)`` instead of a row, and other cells proceed.  Runs go to
+    min(jobs, runs, CPU count) worker processes, or run here when that is 1.
     """
-    if not x_values or not t_values:
-        raise ValueError("grid must be non-empty")
-    if seeds < 1:
-        raise ValueError("seeds must be >= 1")
-    if jobs < 1:
-        raise ValueError("jobs must be >= 1")
-    cells = [(ix, x, it, t) for ix, x in enumerate(x_values) for it, t in enumerate(t_values)]
+    cells = [(ix, x, it, t) for ix, x in enumerate(grid.x_values)
+             for it, t in enumerate(grid.t_values)]
     args = [
         (base_config, x, t, derive_cell_seed(base_config.seed, ix, it, r))
         for ix, x, it, t in cells
-        for r in range(seeds)
+        for r in range(grid.seeds)
     ]
-    workers = min(jobs, len(args), os.cpu_count() or 1)
+    workers = min(grid.jobs, len(args), os.cpu_count() or 1)
     if workers > 1:
         with ProcessPoolExecutor(max_workers=workers) as pool:
             outcomes = list(pool.map(_run_for_sweep_safe, args))
     else:
         outcomes = map(_run_for_sweep_safe, args)
     outcomes = iter(outcomes)
-    result = SweepResult(rows=[], errors={})
+    rows, errors = [], {}
     for ix, x, it, t in cells:
-        runs = list(islice(outcomes, seeds))  # this cell's replicates, in order
+        runs = list(islice(outcomes, grid.seeds))  # this cell's replicates, in order
         failures = [outcome for status, outcome in runs if status == "err"]
         if failures:
-            result.errors[ix, it] = failures[0]
+            errors[ix, it] = failures[0]
         else:
-            result.rows.append(_cell_row(x, t, [outcome for _, outcome in runs]))
-    return result
+            rows.append(_cell_row(x, t, [outcome for _, outcome in runs]))
+    return rows, errors

@@ -425,8 +425,8 @@ def test_acceptance_8_degenerate_identity(tmp_path):
             break
     assert chosen is not None
 
-    honest = simulate(SimConfig(seed=chosen, record_trace=True))
-    degenerate = simulate(SimConfig(seed=chosen, x_d=1.0, t_d=0.0, record_trace=True))
+    honest = simulate(SimConfig(seed=chosen), record_trace=True)
+    degenerate = simulate(SimConfig(seed=chosen, x_d=1.0, t_d=0.0), record_trace=True)
 
     p1, p2 = tmp_path / "honest.csv", tmp_path / "degenerate.csv"
     write_trace_csv(honest.trace, p1)

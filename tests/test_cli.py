@@ -15,9 +15,9 @@ import yaml
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from timinggames import analytics, relaydata
+from timinggames import analytics, cli, relaydata
 from timinggames.cli import EXIT_DATA, EXIT_OK, EXIT_USAGE, main
-from timinggames.waitinggame import PayoffModel, SimConfig
+from timinggames.waitinggame import PayoffModel, SimConfig, SweepConfig
 
 HASH_A = "0x" + "aa" * 32
 HASH_B = "0x" + "bb" * 32
@@ -80,6 +80,9 @@ def test_sim_run_unknown_key(tmp_path):
         ("run", "x_d: 2"),
         ("run", "t_d: 13"),
         ("run", "tau_block: 0"),
+        # Past the engine's arrival-table cap: refused before allocating.
+        ("run", "duration: 1.0e+18"),
+        ("sweep", "n: 100000000\nmean_degree: 8\nduration: 100"),
         ("sweep", "x_values: 0.5"),
         ("sweep", "t_values: [a]"),
         ("sweep", "duration: -5"),
@@ -141,7 +144,8 @@ def test_sim_rejects_negative_seed_flag(tmp_path, capsys, command):
 def test_sim_sweep_rejects_jobs_flag_below_one(tmp_path, capsys, jobs):
     out = tmp_path / "out.csv"
     assert run(["sim", "sweep", "--jobs", jobs, "--out", out]) == EXIT_USAGE
-    assert capsys.readouterr().err.strip().splitlines() == ["error: jobs must be >= 1"]
+    err = capsys.readouterr().err.strip().splitlines()
+    assert err == ["error: invalid config value: jobs must be >= 1"]
     assert not out.exists()
 
 
@@ -164,22 +168,41 @@ def test_sim_sweep_failing_cell_exits_2(tmp_path, capsys):
 
 
 def test_readme_config_defaults_match_schema():
-    # The README's "Simulation config" list is a third copy of the defaults;
-    # hold it to the dataclasses that own them.
+    # The README's "Simulation config" lists are a second copy of the
+    # defaults; hold them to the dataclasses that own them.
     readme = (Path(__file__).parents[1] / "README.md").read_text()
     section = readme.split("### Simulation config (YAML)")[1]
-    listed = section.split("defaults in parentheses:")[1].split("Sweep-only keys")[0]
-    documented = {
-        key: yaml.safe_load(value)
-        for key, value in re.findall(r"`(\w+)`\s+\(([^)]*)\)", listed)
-    }
-    schema = {f.name: f.default for f in dataclasses.fields(PayoffModel)}
-    schema.update(
-        (f.name, f.default)
-        for f in dataclasses.fields(SimConfig)
-        if f.name not in ("payoff", "record_trace")
-    )
-    assert documented == schema
+    sim_keys, rest = section.split("defaults in parentheses:")[1].split("Sweep-only keys:")
+    sweep_keys = rest.split("Precedence:")[0]
+
+    def documented(listed):
+        return {
+            key: yaml.safe_load(value)
+            for key, value in re.findall(r"`(\w+)`\s+\(([^)]*)\)", listed)
+        }
+
+    def schema(*classes):
+        return {
+            f.name: list(f.default) if isinstance(f.default, tuple) else f.default
+            for cls in classes
+            for f in dataclasses.fields(cls)
+            if f.name != "payoff"
+        }
+
+    assert documented(sim_keys) == schema(SimConfig, PayoffModel)
+    assert documented(sweep_keys) == schema(SweepConfig)
+
+
+def test_sim_out_of_memory_is_one_error_line(tmp_path, monkeypatch, capsys):
+    def exhausted(config):
+        raise MemoryError("Unable to allocate 16.0 GiB")
+
+    monkeypatch.setattr(cli, "run_simulation", exhausted)
+    out = tmp_path / "out.csv"
+    assert run(["sim", "run", "--out", out]) == EXIT_USAGE
+    err = capsys.readouterr().err.strip().splitlines()
+    assert err == ["error: Unable to allocate 16.0 GiB"]
+    assert not out.exists()
 
 
 def test_sim_sweep_byte_identical(tmp_path):

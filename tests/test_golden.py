@@ -68,8 +68,7 @@ def run_configs() -> dict:
 def trace_configs() -> dict:
     return {
         f"trace/seed={seed}/x_d={x_d}/t_d={t_d}": SimConfig(
-            n=TRACE_N, duration=TRACE_DURATION, seed=seed, x_d=x_d, t_d=t_d,
-            record_trace=True,
+            n=TRACE_N, duration=TRACE_DURATION, seed=seed, x_d=x_d, t_d=t_d
         )
         for seed, x_d, t_d in _grid()
     }
@@ -87,7 +86,7 @@ def run_record(config: SimConfig) -> dict:
 def trace_rows(config: SimConfig) -> list:
     return [
         [repr(float(time)), kind, int(node), detail]
-        for time, kind, node, detail in simulate(config).trace
+        for time, kind, node, detail in simulate(config, record_trace=True).trace
     ]
 
 

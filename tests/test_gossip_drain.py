@@ -9,7 +9,6 @@ for bit: arrival times, bitsets, vote tables, heads, metrics and traces.
 
 from __future__ import annotations
 
-import dataclasses
 import heapq
 from functools import reduce
 from operator import or_
@@ -149,7 +148,7 @@ class RecordingHandlers(waitinggame._ChainHandlers):
         self.deadlines.append((t, view, heads))
 
 
-def run_with(engine_class, config, handlers_class=RecordingHandlers):
+def run_with(engine_class, config, handlers_class=RecordingHandlers, *, record_trace=False):
     """``simulate(config)`` on ``engine_class``: its output, engine and handlers."""
     made = []
 
@@ -164,18 +163,16 @@ def run_with(engine_class, config, handlers_class=RecordingHandlers):
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(waitinggame, "EventEngine", make)
         patch.setattr(waitinggame, "_ChainHandlers", handlers)
-        out = simulate(config)
+        out = simulate(config, record_trace=record_trace)
     handlers, engine = made
     return out, engine, handlers
 
 
 def assert_same_run(config):
     """The engine, traced and untraced, reproduces the oracle exactly."""
-    want, oracle, oracle_handlers = run_with(LoopEngine, config)
+    want, oracle, oracle_handlers = run_with(LoopEngine, config, record_trace=True)
     for record_trace in (True, False):
-        got, engine, handlers = run_with(
-            EventEngine, dataclasses.replace(config, record_trace=record_trace)
-        )
+        got, engine, handlers = run_with(EventEngine, config, record_trace=record_trace)
         assert engine.block_arrival.tobytes() == oracle.block_arrival.tobytes()
         assert engine.blocks == oracle.blocks
         assert engine.votes == oracle.votes
@@ -205,7 +202,6 @@ def configs():
             x_d=x_d,
             t_d=t_d,
             seed=seed,
-            record_trace=True,
         ),
         n=st.integers(2, 24),
         density=st.floats(0.3, 0.95),
@@ -220,9 +216,9 @@ def configs():
 
 @given(configs())
 @example(SimConfig(n=12, mean_degree=5.0, tau_block=1.0, tau_attestation=2.5,
-                   duration=60.0, x_d=1.0, t_d=4.0, seed=3, record_trace=True))
+                   duration=60.0, x_d=1.0, t_d=4.0, seed=3))
 @example(SimConfig(n=12, mean_degree=5.0, tau_block=2.5, tau_attestation=1.0,
-                   duration=60.0, x_d=0.5, t_d=12.0, seed=4, record_trace=True))
+                   duration=60.0, x_d=0.5, t_d=12.0, seed=4))
 @settings(max_examples=40, deadline=None)
 def test_drain_matches_per_interaction_loop(config):
     assume(config.tau_block != config.tau_attestation)
@@ -232,7 +228,7 @@ def test_drain_matches_per_interaction_loop(config):
 def test_drain_matches_loop_across_batches():
     # More draws than one batch holds: the stream crosses a batch boundary.
     config = SimConfig(n=16, mean_degree=4.0, tau_block=2.0, tau_attestation=3.5,
-                       duration=1000.0, x_d=0.5, t_d=11.0, seed=8, record_trace=True)
+                       duration=1000.0, x_d=0.5, t_d=11.0, seed=8)
     _, out = assert_same_run(config)
     gossip = sum(row[1] == "GOSSIP_INTERACTION" for row in out.trace)
     assert gossip > _RNG_BATCH
@@ -289,9 +285,7 @@ class CheckingHandlers(waitinggame._ChainHandlers):
 @given(configs())
 @settings(max_examples=30, deadline=None)
 def test_undelivered_counts_match_recount(config):
-    _, engine, _ = run_with(
-        EventEngine, dataclasses.replace(config, record_trace=False), CheckingHandlers
-    )
+    _, engine, _ = run_with(EventEngine, config, CheckingHandlers)
     assert_counts(engine)
 
 
@@ -386,7 +380,7 @@ def forking_configs():
 @given(st.one_of(configs(), forking_configs()))
 @settings(max_examples=40, deadline=None)
 def test_views_closed_under_ancestry(config):
-    run_with(EventEngine, dataclasses.replace(config, record_trace=False), ClosureHandlers)
+    run_with(EventEngine, config, ClosureHandlers)
 
 
 def test_views_closed_under_ancestry_where_forks_occur():

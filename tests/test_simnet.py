@@ -243,6 +243,20 @@ def test_attestation_rejects_validator_out_of_range(validator):
     assert engine.lm_target[0, 0] == 7
 
 
+@pytest.mark.parametrize("node", [-1, 2])
+def test_publish_rejects_node_out_of_range(node):
+    # With n = 2, node -1 would index node 1's state.
+    topo = two_node_topology()
+    engine = EventEngine(topo, GossipConfig(), NullHandlers(), end_time=12.0, seed=0)
+    with pytest.raises(ValueError, match="node"):
+        engine.publish_block(node, 1, time=0.0)
+    with pytest.raises(ValueError, match="node"):
+        engine.publish_attestation(node, validator=0, slot=0, target=1, time=0.0)
+    assert engine.blocks == [0, 0] and engine.votes == [0, 0]
+    assert engine.vote_slots == []
+    assert np.isnan(engine.block_arrival).all()
+
+
 def test_slot_and_deadline_cadence():
     topo = two_node_topology()
 

@@ -9,12 +9,14 @@ from hypothesis import strategies as st
 
 from timinggames import waitinggame
 from timinggames.consensus import BlockTree
+from timinggames.relaydata import write_csv
 from timinggames.simnet import ATTEST_DEADLINE_OFFSET, SLOT_SECONDS
 from timinggames.waitinggame import (
     DEFAULT_LAMBDA_ETH_PER_MS,
     SWEEP_CSV_HEADER,
     PayoffModel,
     SimConfig,
+    SweepConfig,
     assign_strategies,
     delayer_orphan_count,
     derive_cell_seed,
@@ -176,9 +178,9 @@ def test_derive_cell_seed_stable_and_distinct():
 
 
 def test_sweep_shapes_and_averaging():
-    result = sweep([0.0, 1.0], [0.0], seeds=3, base_config=FAST)
-    assert not result.errors
-    cells = [dict(zip(SWEEP_CSV_HEADER.split(","), row)) for row in result.rows]
+    rows, errors = sweep(SweepConfig([0.0, 1.0], [0.0], seeds=3), FAST)
+    assert not errors
+    cells = [dict(zip(SWEEP_CSV_HEADER.split(","), row)) for row in rows]
     assert [(c["x_d"], c["t_d"]) for c in cells] == [(0.0, 0.0), (1.0, 0.0)]
     assert all(c["seed_count"] == 3 for c in cells)  # 3 runs per cell
     assert all(0.0 <= c["mu_mean"] <= 1.0 for c in cells)
@@ -187,8 +189,9 @@ def test_sweep_shapes_and_averaging():
 
 def test_sweep_deterministic_csv(tmp_path):
     p1, p2 = tmp_path / "a.csv", tmp_path / "b.csv"
-    sweep([0.0, 0.5], [0.0, 4.0], seeds=2, base_config=FAST).to_csv(p1)
-    sweep([0.0, 0.5], [0.0, 4.0], seeds=2, base_config=FAST).to_csv(p2)
+    grid = SweepConfig([0.0, 0.5], [0.0, 4.0], seeds=2)
+    write_csv(p1, SWEEP_CSV_HEADER, sweep(grid, FAST)[0])
+    write_csv(p2, SWEEP_CSV_HEADER, sweep(grid, FAST)[0])
     assert p1.read_bytes() == p2.read_bytes()
     header = p1.read_text().splitlines()[0]
     assert header == (
@@ -198,18 +201,36 @@ def test_sweep_deterministic_csv(tmp_path):
 
 
 def test_sweep_validation():
+    # SweepConfig owns the grid's checks; sweep() trusts it.
     with pytest.raises(ValueError):
-        sweep([], [0.0], seeds=1, base_config=FAST)
+        SweepConfig(x_values=[])
     with pytest.raises(ValueError):
-        sweep([0.0], [0.0], seeds=0, base_config=FAST)
+        SweepConfig(t_values=())
+    with pytest.raises(ValueError):
+        SweepConfig(seeds=0)
+    with pytest.raises(ValueError):
+        SweepConfig(jobs=0)
+    with pytest.raises(ValueError):
+        SweepConfig(x_values=[0.0, float("nan")])
+    with pytest.raises(TypeError):
+        SweepConfig(x_values=0.5)
+    with pytest.raises(TypeError):
+        SweepConfig(t_values=["a"])
+    with pytest.raises(TypeError):
+        SweepConfig(seeds=True)
+    with pytest.raises(ValueError):
+        SweepConfig(jobs=1.5)
+    grid = SweepConfig(x_values=[0, 1], t_values=(2,), seeds=2.0)
+    assert (grid.x_values, grid.t_values, grid.seeds) == ((0.0, 1.0), (2.0,), 2)
+    assert type(grid.seeds) is int and all(type(x) is float for x in grid.x_values)
 
 
 def test_sweep_isolates_failing_cells():
     # t_d outside [0, 12] makes the cell's SimConfig fail, on both paths.
     for jobs in (1, 2):
-        result = sweep([0.0], [0.0, 13.0], seeds=2, base_config=FAST, jobs=jobs)
-        assert [row[:2] for row in result.rows] == [(0.0, 0.0)]
-        assert result.errors == {(0, 1): "t_d must lie in [0, 12]"}
+        rows, errors = sweep(SweepConfig([0.0], [0.0, 13.0], seeds=2, jobs=jobs), FAST)
+        assert [row[:2] for row in rows] == [(0.0, 0.0)]
+        assert errors == {(0, 1): "t_d must lie in [0, 12]"}
 
 
 def test_sweep_caps_worker_processes(monkeypatch):
@@ -233,20 +254,21 @@ def test_sweep_caps_worker_processes(monkeypatch):
     monkeypatch.setattr(waitinggame, "ProcessPoolExecutor", FakePool)
     monkeypatch.setattr(waitinggame.os, "cpu_count", lambda: 4)
     small = replace(FAST, duration=12.0)
-    sweep([0.0], [0.0, 1.0], seeds=1, base_config=small, jobs=64)  # 2 runs
-    sweep([0.0], [0.0, 1.0, 2.0], seeds=2, base_config=small, jobs=64)  # 4 CPUs
-    sweep([0.0], [0.0, 1.0, 2.0], seeds=2, base_config=small, jobs=3)
-    sweep([0.0], [0.0, 1.0], seeds=1, base_config=small, jobs=1)
+    sweep(SweepConfig([0.0], [0.0, 1.0], seeds=1, jobs=64), small)  # 2 runs
+    sweep(SweepConfig([0.0], [0.0, 1.0, 2.0], seeds=2, jobs=64), small)  # 4 CPUs
+    sweep(SweepConfig([0.0], [0.0, 1.0, 2.0], seeds=2, jobs=3), small)
+    sweep(SweepConfig([0.0], [0.0, 1.0], seeds=1, jobs=1), small)
     monkeypatch.setattr(waitinggame.os, "cpu_count", lambda: None)
-    sweep([0.0], [0.0, 1.0], seeds=1, base_config=small, jobs=8)
+    sweep(SweepConfig([0.0], [0.0, 1.0], seeds=1, jobs=8), small)
     assert made == [2, 4, 3]
 
 
 def test_sweep_parallel_matches_serial(tmp_path):
     serial, parallel = tmp_path / "serial.csv", tmp_path / "parallel.csv"
     small = replace(FAST, duration=120.0)
-    sweep([0.0, 1.0], [0.0, 10.0], seeds=2, base_config=small).to_csv(serial)
-    sweep([0.0, 1.0], [0.0, 10.0], seeds=2, base_config=small, jobs=2).to_csv(parallel)
+    grid = SweepConfig([0.0, 1.0], [0.0, 10.0], seeds=2)
+    write_csv(serial, SWEEP_CSV_HEADER, sweep(grid, small)[0])
+    write_csv(parallel, SWEEP_CSV_HEADER, sweep(replace(grid, jobs=2), small)[0])
     assert parallel.read_bytes() == serial.read_bytes()
 
 
@@ -277,7 +299,7 @@ def test_event_order_at_equal_times(t_d):
     ties = set()
     for seed in range(4):
         out = simulate(SimConfig(n=16, mean_degree=4.0, duration=duration, x_d=0.5,
-                                 t_d=t_d, seed=seed, record_trace=True))
+                                 t_d=t_d, seed=seed), record_trace=True)
         events = [(t, kind, detail) for t, kind, _, detail in out.trace
                   if kind != "GOSSIP_INTERACTION"]
         position = {(kind, detail): i for i, (_, kind, detail) in enumerate(events)}
@@ -340,3 +362,17 @@ def test_settled_votes_bound_the_vote_state(monkeypatch):
 def test_sim_config_rejects_out_of_range(field, value):
     with pytest.raises(ValueError):
         replace(SimConfig(), **{field: value})
+
+
+def test_sim_config_caps_the_arrival_table():
+    # The engine's (n, slots + 2) arrival table is capped in the config,
+    # so an oversized run is refused before anything is allocated.
+    n = 2**20
+    cells_per_node = waitinggame.MAX_ARRIVAL_CELLS // n
+    SimConfig(n=n, duration=SLOT_SECONDS * (cells_per_node - 2))  # exactly at the cap
+    with pytest.raises(ValueError, match="at most"):
+        SimConfig(n=n, duration=SLOT_SECONDS * (cells_per_node - 1))
+    with pytest.raises(ValueError, match="at most"):
+        SimConfig(duration=1.0e18)
+    with pytest.raises(ValueError, match="at most"):
+        SimConfig(n=2**100, mean_degree=8.0)
