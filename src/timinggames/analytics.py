@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import statistics
 from dataclasses import dataclass
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
@@ -46,8 +46,10 @@ class RegressionResult:
     r_squared: float
 
 
-@dataclass(frozen=True)
-class WinnerTiming:
+class WinnerTiming(NamedTuple):
+    """One delivered slot's winner against its highest bid; the fields are
+    the columns of ``analyze winners``, in order."""
+
     slot: int
     winner_arrival_ms: int
     highest_arrival_ms: int

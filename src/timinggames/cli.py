@@ -245,7 +245,7 @@ def winners(bids, delivered, out):
     relaydata.write_csv(
         out,
         "slot,winner_arrival_ms,highest_arrival_ms,delta_t_ms,delta_v_eth,class",
-        map(astuple, timings),
+        timings,
     )
     summary_path = str(out) + ".summary.csv"
     # The summary's columns are keys of unrealized_value's dict.

@@ -66,14 +66,14 @@ class Topology:
     n: int
     edges: frozenset
 
-    def directed_pairs(self) -> list:
-        """All ordered adjacent pairs, sorted for determinism."""
-        pairs = []
-        for u, v in self.edges:
-            pairs.append((u, v))
-            pairs.append((v, u))
-        pairs.sort()
-        return pairs
+    def directed_pairs(self) -> np.ndarray:
+        """All ordered adjacent pairs as a ``(2m, 2)`` int32 array, one pair
+        a row, sorted by source and then destination for determinism."""
+        n = self.n
+        flat = itertools.chain.from_iterable(self.edges)
+        u, v = np.fromiter(flat, dtype=np.int64, count=2 * len(self.edges)).reshape(-1, 2).T
+        keys = np.sort(np.concatenate((u * n + v, v * n + u)))
+        return np.stack((keys // n, keys % n), axis=1).astype(np.int32)
 
 
 @dataclass(frozen=True)
@@ -99,27 +99,33 @@ _KIND_NAMES = ("BLOCK_RELEASE", "SLOT_START", "ATTEST_DEADLINE", "SIM_END")
 _CLASS_NAMES = ("attestation", "block")  # indexed by the block-class flag
 
 
-def _connected(n: int, edges) -> bool:
-    adj = [[] for _ in range(n)]
-    for u, v in edges:
-        adj[u].append(v)
-        adj[v].append(u)
-    seen = bytearray(n)
-    seen[0] = 1
-    stack = [0]
-    count = 1
-    while stack:
-        u = stack.pop()
-        for v in adj[u]:
-            if not seen[v]:
-                seen[v] = 1
-                count += 1
-                stack.append(v)
-    return count == n
+def _connected(n: int, us: np.ndarray, vs: np.ndarray) -> bool:
+    """Whether the graph on nodes 0..n-1 with edges ``(us[i], vs[i])`` is
+    connected: a breadth-first search from node 0 over a CSR adjacency
+    table, expanding the whole frontier at each step."""
+    heads = np.concatenate((us, vs))
+    neighbours = np.concatenate((vs, us))[np.argsort(heads)]
+    offsets = np.zeros(n + 1, dtype=np.int64)
+    np.cumsum(np.bincount(heads, minlength=n), out=offsets[1:])
+    seen = np.zeros(n, dtype=bool)
+    seen[0] = True
+    frontier = np.zeros(1, dtype=np.int64)
+    while frontier.size:
+        starts = offsets[frontier]
+        counts = offsets[frontier + 1] - starts
+        # Flat indices of every frontier node's neighbours, run by run.
+        index = np.arange(counts.sum()) + np.repeat(starts - (np.cumsum(counts) - counts), counts)
+        fresh = np.zeros(n, dtype=bool)  # nodes first reached at this step
+        fresh[neighbours[index]] = True
+        fresh &= ~seen
+        seen |= fresh
+        frontier = np.flatnonzero(fresh)
+    return bool(seen.all())
 
 
 def _sample_er_pairs(n: int, p: float, rng: np.random.Generator):
-    """One G(n, p) sample as lists ``(us, vs)``, or None if a node is isolated.
+    """One G(n, p) sample as int arrays ``(us, vs)``, or None if a node is
+    isolated.
 
     Pair ``(i, j)``, ``i < j``, is an edge when the draw at its place in
     row-major upper-triangle order is below p, as ``rng.random(n * (n - 1)
@@ -134,7 +140,7 @@ def _sample_er_pairs(n: int, p: float, rng: np.random.Generator):
     rows = np.arange(n, dtype=np.int64)
     starts = rows * (2 * n - rows - 1) // 2  # flat index of (i, i + 1)
     degree = np.zeros(n, dtype=np.int64)
-    us, vs = [], []
+    us, vs = [], []  # one array per chunk
     lo = 0
     while lo < n - 1:
         hi = int(np.searchsorted(starts, starts[lo] + _PAIR_CHUNK, side="right")) - 1
@@ -147,17 +153,19 @@ def _sample_er_pairs(n: int, p: float, rng: np.random.Generator):
         # Nodes below hi have drawn every pair they belong to.
         if not degree[lo:hi].all():
             return None
-        us += u.tolist()
-        vs += v.tolist()
+        us.append(u)
+        vs.append(v)
         lo = hi
-    return (us, vs) if degree[n - 1] else None
+    return (np.concatenate(us), np.concatenate(vs)) if degree[n - 1] else None
 
 
 def generate_er_graph(n: int, mean_degree: float, seed: int) -> Topology:
     """G(n, p) with p = mean_degree / (n - 1), resampled until connected.
 
     The sub-seed is incremented per attempt so the result is deterministic
-    for a given (n, mean_degree, seed).
+    for a given (n, mean_degree, seed).  Each sample stays in int arrays
+    until it passes the connectivity check; only the accepted one becomes
+    the edge set, in the sampler's upper-triangle order.
     """
     if n < 2:
         raise ValueError("need at least 2 nodes")
@@ -168,9 +176,9 @@ def generate_er_graph(n: int, mean_degree: float, seed: int) -> Topology:
         sample = _sample_er_pairs(n, p, np.random.default_rng([seed, attempt]))
         if sample is None:
             continue
-        edges = frozenset(zip(*sample))
-        if _connected(n, edges):
-            return Topology(n=n, edges=edges)
+        us, vs = sample
+        if _connected(n, us, vs):
+            return Topology(n=n, edges=frozenset(zip(us.tolist(), vs.tolist())))
     raise TopologyError(
         f"no connected graph in {_MAX_CONNECT_ATTEMPTS} attempts "
         f"(n={n}, mean_degree={mean_degree})"
@@ -244,7 +252,7 @@ class EventEngine:
         self.n_nodes = self.n_validators = topology.n
         self.n_slots = int(self.end_time // SLOT_SECONDS)
 
-        self._src, self._dst = np.array(topology.directed_pairs(), dtype=np.int32).T.copy()
+        self._src, self._dst = topology.directed_pairs().T.copy()
         self._n_dir = len(self._src)
 
         # Knowledge state.

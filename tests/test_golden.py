@@ -96,7 +96,7 @@ def sampling_attempts(n: int, mean_degree: float, seed: int) -> int:
     iu, ju = np.triu_indices(n, k=1)
     for attempt in range(100):
         mask = np.random.default_rng([seed, attempt]).random(iu.shape[0]) < p
-        if simnet._connected(n, zip(iu[mask].tolist(), ju[mask].tolist())):
+        if simnet._connected(n, iu[mask], ju[mask]):
             return attempt + 1
     raise AssertionError("no connected sample")
 

@@ -81,9 +81,8 @@ def dense_er_edges(n, mean_degree, seed):
     iu, ju = np.triu_indices(n, k=1)
     for attempt in range(100):
         mask = np.random.default_rng([seed, attempt]).random(iu.shape[0]) < p
-        edges = frozenset(zip(iu[mask].tolist(), ju[mask].tolist()))
-        if _connected(n, edges):
-            return edges
+        if _connected(n, iu[mask], ju[mask]):
+            return frozenset(zip(iu[mask].tolist(), ju[mask].tolist()))
     raise AssertionError("no connected sample")
 
 
@@ -111,10 +110,79 @@ def test_er_graph_rejects_bad_params():
 
 def test_directed_pairs_sorted_and_complete():
     topo = generate_er_graph(16, 4.0, 3)
-    pairs = topo.directed_pairs()
+    pairs = [tuple(p) for p in topo.directed_pairs().tolist()]
     assert pairs == sorted(pairs)
     assert len(pairs) == 2 * len(topo.edges)
     assert all((v, u) in set(pairs) for u, v in pairs)
+
+
+def python_connected(n, edges):
+    """Reference for ``_connected``: a depth-first search over Python lists."""
+    adj = [[] for _ in range(n)]
+    for u, v in edges:
+        adj[u].append(v)
+        adj[v].append(u)
+    seen = bytearray(n)
+    seen[0] = 1
+    stack = [0]
+    count = 1
+    while stack:
+        u = stack.pop()
+        for v in adj[u]:
+            if not seen[v]:
+                seen[v] = 1
+                count += 1
+                stack.append(v)
+    return count == n
+
+
+def _check_connected(n, edges):
+    us = np.array([u for u, _ in edges], dtype=np.int64)
+    vs = np.array([v for _, v in edges], dtype=np.int64)
+    assert _connected(n, us, vs) == python_connected(n, edges)
+    return python_connected(n, edges)
+
+
+@given(st.integers(2, 60), st.floats(0.0, 0.2), st.booleans(), st.integers(0, 2**32 - 1))
+@settings(max_examples=300, deadline=None)
+def test_connected_matches_python_search(n, p, no_isolated, seed):
+    rng = np.random.default_rng(seed)
+    iu, ju = np.triu_indices(n, k=1)
+    mask = rng.random(iu.size) < p
+    edges = list(zip(iu[mask].tolist(), ju[mask].tolist()))
+    if no_isolated:
+        # Link every node to a random other one instead: no node is isolated,
+        # and most such graphs fall apart into several components.
+        edges = [(v, (v + int(rng.integers(1, n))) % n) for v in range(n)]
+    _check_connected(n, edges)
+
+
+def test_connected_special_shapes():
+    # A path from the far end, with edges listed in reverse, is connected;
+    # cutting any one edge disconnects it.
+    path = [(i + 1, i) for i in reversed(range(99))]
+    assert _check_connected(100, path)
+    for cut in (0, 50, 98):
+        assert not _check_connected(100, path[:cut] + path[cut + 1 :])
+    assert _check_connected(2, [(0, 1)])
+    assert not _check_connected(2, [])
+    # Two components and no isolated node: the sampler's early rejection
+    # never hands this shape to the search.
+    rings = [(i, (i + 1) % 10) for i in range(10)]
+    rings += [(u + 10, v + 10) for u, v in rings]
+    assert not _check_connected(20, rings)
+    assert _check_connected(20, rings + [(17, 3)])
+
+
+@pytest.mark.parametrize(
+    "n, mean_degree, seed", [(2, 1.5, 0), (16, 4.0, 3), (600, 6.0, 3), (2048, 8.0, 1)]
+)
+def test_directed_pairs_match_sorted_tuples(n, mean_degree, seed):
+    topo = generate_er_graph(n, mean_degree, seed)
+    pairs = topo.directed_pairs()
+    assert pairs.dtype == np.int32 and pairs.shape == (2 * len(topo.edges), 2)
+    expected = sorted([(u, v) for u, v in topo.edges] + [(v, u) for u, v in topo.edges])
+    assert [tuple(p) for p in pairs.tolist()] == expected
 
 
 # -- gap sampling -------------------------------------------------------------
