@@ -164,16 +164,12 @@ def ingest(bid_inputs, genesis_ms, window, out, stats_out, verbose):
     merged.sort(key=attrgetter("slot", "arrival_ms", "relay_id", "block_hash"))
     relaydata.write_bids_csv(merged, out)
 
-    stats = relaydata.duplicate_stats(all_raw)
+    per_relay = relaydata.duplicate_stats(all_raw)["per_relay"]
     stats_path = stats_out or (str(out) + ".dupstats.csv")
-    slots_per_relay: dict = {}
-    for (relay, _slot) in stats["per_relay_slot"]:
-        slots_per_relay[relay] = slots_per_relay.get(relay, 0) + 1
-    averages = sorted(stats["per_relay_avg"].items())
     relaydata.write_csv(
         stats_path,
         "relay,slots,avg_duplicates_per_slot",
-        [(relay, slots_per_relay[relay], avg) for relay, avg in averages],
+        [(relay, *per_relay[relay]) for relay in sorted(per_relay)],
     )
     _write_manifest(out, "ingest", None, None, [out, stats_path])
 
@@ -415,13 +411,10 @@ def main(argv=None) -> int:
         return EXIT_OK
     except click.exceptions.Exit as exc:
         return exc.exit_code
-    except (click.UsageError, yaml.YAMLError, simnet.TopologyError) as exc:
+    except (click.UsageError, simnet.TopologyError) as exc:
         click.echo(f"error: {exc.format_message() if hasattr(exc, 'format_message') else exc}", err=True)
         return EXIT_USAGE
-    except (DataError, relaydata.IngestError, analytics.AnalyticsError) as exc:
-        click.echo(f"error: {exc}", err=True)
-        return EXIT_DATA
-    except OSError as exc:
+    except (DataError, relaydata.IngestError, analytics.AnalyticsError, OSError) as exc:
         click.echo(f"error: {exc}", err=True)
         return EXIT_DATA
     except MemoryError as exc:

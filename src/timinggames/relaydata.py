@@ -149,7 +149,7 @@ def dedup_across_relays(bids: Sequence[BidRecord]) -> list:
 
 def duplicate_stats(bids: Sequence[BidRecord]) -> dict:
     """Duplicate counts (raw records minus unique keys) per (relay, slot),
-    plus the per-relay average over the slots that relay saw."""
+    plus, per relay, the number of slots it saw and its average over them."""
     raw = Counter(map(itemgetter(1, 0), bids))
     unique = Counter(map(itemgetter(0, 1), set(map(itemgetter(1, 0, 2, 3, 5), bids))))
     per_cell = {cell: count - unique[cell] for cell, count in raw.items()}
@@ -158,8 +158,8 @@ def duplicate_stats(bids: Sequence[BidRecord]) -> dict:
     for (relay, _), count in per_cell.items():
         relay_totals[relay] = relay_totals.get(relay, 0) + count
         relay_slots[relay] = relay_slots.get(relay, 0) + 1
-    per_relay_avg = {r: relay_totals[r] / relay_slots[r] for r in relay_totals}
-    return {"per_relay_slot": per_cell, "per_relay_avg": per_relay_avg}
+    per_relay = {r: (relay_slots[r], relay_totals[r] / relay_slots[r]) for r in relay_totals}
+    return {"per_relay_slot": per_cell, "per_relay": per_relay}
 
 
 def parse_bid_line(

@@ -25,7 +25,9 @@ the cost of a slot does not grow with the run's duration.
 Interaction times per ordered adjacent pair form a renewal process with
 exponential gaps of mean ``tau``.  Internally the engine draws the superposed
 Poisson stream (one global clock, then a uniformly chosen edge and message
-class), which is statistically identical and much cheaper to schedule.
+class), which is statistically identical and much cheaper to schedule.  The
+schedule does not depend on what any node holds, only on the seed, so
+``EventEngine.trace()`` replays it after a run to rebuild the event trace.
 
 Before each event the engine drains the stream's interactions up to it one
 message class at a time: all block interactions, then all vote
@@ -227,27 +229,24 @@ class EventEngine:
       vote before ``vote_base`` of each validator, which every node holds.
 
     ``block_seen``, ``lm_slot`` and ``lm_target`` build dense arrays from the
-    bitsets on each read, for inspection after a run.
+    bitsets on each read, for inspection after a run.  The gossip schedule
+    does not depend on content, so ``trace()`` replays it from ``seed`` (an
+    int or ``SeedSequence``) and merges it with the run's ``events`` log.
     """
 
-    def __init__(
-        self,
-        topology: Topology,
-        gossip: GossipConfig,
-        handlers,
-        end_time: float,
-        seed,
-        *,
-        record_trace: bool = False,
-    ):
+    def __init__(self, topology: Topology, gossip: GossipConfig, handlers,
+                 end_time: float, seed):
         if end_time <= 0:
             raise ValueError("end_time must be positive")
         self.topology = topology
         self.gossip = gossip
         self.handlers = handlers
         self.end_time = float(end_time)
-        self.record_trace = record_trace
-        self.trace: list | None = None  # set by run(): the trace covers the run
+        self._seed = seed
+        # The run's releases, slot starts, deadlines and end, as (time of the
+        # event being processed, trace row); run() restarts it.
+        self.events: list = []
+        self._now = 0.0
 
         self.n_nodes = self.n_validators = topology.n
         self.n_slots = int(self.end_time // SLOT_SECONDS)
@@ -268,14 +267,6 @@ class EventEngine:
         self._blocks_undelivered = 0
         self._vote_union = 0
         self._votes_undelivered = 0
-
-        self._rng = np.random.default_rng(seed)
-        rate_b = self._n_dir / gossip.tau_block
-        rate_a = self._n_dir / gossip.tau_attestation
-        self._total_rate = rate_b + rate_a
-        self._p_block = rate_b / self._total_rate
-        self._batch = None
-        self._draw_pos = _RNG_BATCH
 
         self._seq = itertools.count()
         self._queue = [(self.end_time, _END, next(self._seq), None)]
@@ -301,8 +292,7 @@ class EventEngine:
                 self._block_union |= bit
                 self._blocks_undelivered += self.n_nodes
             self._blocks_undelivered -= 1
-        if self.trace is not None:
-            self.trace.append((time, "BLOCK_RELEASE", node, f"block={block_id}"))
+        self.events.append((self._now, (time, "BLOCK_RELEASE", node, f"block={block_id}")))
 
     def publish_attestation(
         self, node: int, validator: int, slot: int, target: int, time: float
@@ -398,64 +388,73 @@ class EventEngine:
 
     # -- gossip stream ------------------------------------------------------
 
-    def _next_draws(self):
-        """The next slice of the gossip stream: gaps, edge indices and
-        block-class flags, one entry per interaction, as arrays (or lists)."""
-        if self._draw_pos == _RNG_BATCH:
-            rng = self._rng
-            self._batch = (
-                rng.exponential(1.0 / self._total_rate, _RNG_BATCH),
-                rng.integers(0, self._n_dir, _RNG_BATCH),
-                rng.random(_RNG_BATCH) < self._p_block,
-            )
-            self._draw_pos = 0
-        lo = self._draw_pos
-        self._draw_pos = lo + _DRAW_SLICE
-        return [a[lo : self._draw_pos] for a in self._batch]
+    def _stream(self):
+        """The gossip stream from a fresh generator, ``_DRAW_SLICE`` draws at a
+        time: times, edge indices and block-class flags.  A time is the
+        running sum of the gaps; ``cumsum`` adds left to right, as ``t +=
+        gap`` one draw at a time would, so they are the same floats."""
+        rng = np.random.default_rng(self._seed)
+        rate_b = self._n_dir / self.gossip.tau_block
+        total_rate = rate_b + self._n_dir / self.gossip.tau_attestation
+        carry = 0.0
+        while True:
+            times = rng.exponential(1.0 / total_rate, _RNG_BATCH)
+            edges = rng.integers(0, self._n_dir, _RNG_BATCH)
+            kinds = rng.random(_RNG_BATCH) < rate_b / total_rate
+            times[0] += carry
+            np.cumsum(times, out=times)
+            carry = times[-1]
+            for lo in range(0, _RNG_BATCH, _DRAW_SLICE):
+                hi = lo + _DRAW_SLICE
+                yield times[lo:hi], edges[lo:hi], kinds[lo:hi]
 
-    def _next_slice(self, carry: float):
-        """The next slice of the stream, timed on from ``carry``.
-
-        Times are the running sum of the gaps.  ``cumsum`` adds left to
-        right, as ``t += gap`` one draw at a time would, so they are the
-        same floats.  Returns the slice's times, edge indices and
-        block-class flags, then ``(times, edge indices)`` of the block
-        class and of the vote class.
-        """
-        gaps, edges, kinds = self._next_draws()
-        gaps = np.array(gaps, dtype=np.float64)
-        gaps[0] += carry
-        times = np.cumsum(gaps)
-        edges = np.asarray(edges)
-        kinds = np.asarray(kinds, dtype=bool)
-        block = np.flatnonzero(kinds)
-        vote = np.flatnonzero(~kinds)
-        return times, edges, kinds, (times[block], edges[block]), (times[vote], edges[vote])
+    def trace(self) -> list:
+        """The last run's event trace: the ``events`` log and, replayed, a
+        ``GOSSIP_INTERACTION`` row per draw, skipped or not.  A draw goes after
+        the events at or before its time, as the run drained it."""
+        slices = []
+        for part in self._stream():
+            slices.append(part)
+            if part[0][-1] >= self.events[-1][0]:
+                break
+        times, edges, kinds = map(np.concatenate, zip(*slices))
+        gossip = [
+            (t, "GOSSIP_INTERACTION", u, f"->{v}:{_CLASS_NAMES[k]}")
+            for t, u, v, k in zip(times.tolist(), self._src[edges].tolist(),
+                                  self._dst[edges].tolist(), kinds.tolist())
+        ]
+        cuts = np.maximum.accumulate(times.searchsorted([key for key, _ in self.events]))
+        rows, lo = [], 0
+        for hi, (_, row) in zip(cuts.tolist(), self.events):
+            rows += gossip[lo:hi]
+            rows.append(row)
+            lo = hi
+        return rows
 
     # -- main loop ----------------------------------------------------------
 
-    def run(self):
-        """Process events up to end_time; returns the trace (or None)."""
+    def run(self) -> None:
+        """Process events up to end_time."""
         src = self._src
         dst = self._dst
         blocks = self.blocks
         votes = self.votes
         arrive = self._arrive
         queue = self._queue
-        self.trace = trace = [] if self.record_trace else None
-        record = trace is not None
-
-        times, edges, kinds, (bt, be), (vt, ve) = self._next_slice(0.0)
-        bi = vi = ri = 0
+        self.events = events = []
+        stream = self._stream()
+        bt = be = vt = ve = np.empty(0)  # the slice's block and vote draws
+        bi = vi = 0
+        last = -math.inf  # time of the slice's last draw
 
         while True:
             t, kind, _, payload = heapq.heappop(queue)
+            self._now = t
 
             # Drain the gossip interactions strictly before the event (at a
             # tie the event runs first) one class at a time, and skip the
             # rest of a class once nothing of it is undelivered.  Only the
-            # spans that run become Python lists.  The trace gets a row per
-            # draw, skipped or not, in stream order.
+            # spans that run become Python lists.
             block_gap = self._blocks_undelivered
             vote_gap = self._votes_undelivered
             while True:
@@ -490,23 +489,13 @@ class EventEngine:
                                 break
                 vi = end
 
-                if record:
-                    end = int(times.searchsorted(t))
-                    span = edges[ri:end]
-                    trace += [
-                        (tt, "GOSSIP_INTERACTION", u, f"->{v}:{_CLASS_NAMES[k]}")
-                        for tt, u, v, k in zip(
-                            times[ri:end].tolist(),
-                            src[span].tolist(),
-                            dst[span].tolist(),
-                            kinds[ri:end].tolist(),
-                        )
-                    ]
-                    ri = end
-                if times[-1] >= t:
+                if last >= t:
                     break
-                times, edges, kinds, (bt, be), (vt, ve) = self._next_slice(times[-1])
-                bi = vi = ri = 0
+                times, edges, kinds = next(stream)
+                block, vote = np.flatnonzero(kinds), np.flatnonzero(~kinds)
+                bt, be, vt, ve = times[block], edges[block], times[vote], edges[vote]
+                bi = vi = 0
+                last = times[-1]
             self._blocks_undelivered = block_gap
             self._votes_undelivered = vote_gap
 
@@ -514,29 +503,20 @@ class EventEngine:
                 if kind == _RELEASE:
                     self.publish_block(*payload, t)
                 elif kind == _SLOT_START:
-                    if record:
-                        trace.append((t, "SLOT_START", -1, f"slot={payload}"))
+                    events.append((t, (t, "SLOT_START", -1, f"slot={payload}")))
                     self.handlers.on_slot_start(self, t, payload)
                     self._push(t + ATTEST_DEADLINE_OFFSET, _DEADLINE, payload)
                     if payload + 1 < self.n_slots:
                         self._push((payload + 1) * SLOT_SECONDS, _SLOT_START, payload + 1)
                 elif kind == _DEADLINE:
-                    if record:
-                        trace.append((t, "ATTEST_DEADLINE", -1, f"slot={payload}"))
+                    events.append((t, (t, "ATTEST_DEADLINE", -1, f"slot={payload}")))
                     self.handlers.on_attest_deadline(self, t, payload)
                     self._compact(payload)
                 else:
-                    if record:
-                        trace.append((t, "SIM_END", -1, ""))
-                    return trace
+                    events.append((t, (t, "SIM_END", -1, "")))
+                    return
             except EngineError:
                 raise
             except Exception as exc:
                 raise EngineError((t, _KIND_NAMES[kind]), exc) from exc
 
-
-def write_trace_csv(trace, path) -> None:
-    with open(path, "w", newline="") as fh:
-        fh.write("time,kind,node,detail\n")
-        for time, kind, node, detail in trace:
-            fh.write(f"{time!r},{kind},{node},{detail}\n")

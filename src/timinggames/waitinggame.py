@@ -177,7 +177,6 @@ class SimulationOutput:
     tree: BlockTree
     mainchain_ids: list
     assignment: StrategyAssignment
-    trace: list | None
 
 
 def assign_strategies(n: int, x_d: float, seed) -> StrategyAssignment:
@@ -271,11 +270,8 @@ class _ChainHandlers:
             engine.publish_attestation(v, v, slot, target, t)
 
 
-def simulate(config: SimConfig, *, record_trace: bool = False) -> SimulationOutput:
-    """Full pipeline: topology, strategies, event engine, metrics.
-
-    ``record_trace`` keeps the engine's event trace in the output.
-    """
+def simulate(config: SimConfig) -> SimulationOutput:
+    """Full pipeline: topology, strategies, event engine, metrics."""
     ss = np.random.SeedSequence(config.seed)
     topo_ss, prop_ss, strat_ss, gossip_ss = ss.spawn(4)
     topology = generate_er_graph(
@@ -291,12 +287,11 @@ def simulate(config: SimConfig, *, record_trace: bool = False) -> SimulationOutp
         handlers,
         config.duration,
         gossip_ss,
-        record_trace=record_trace,
     )
     # Everyone starts from genesis.
     for v in range(config.n):
         engine.publish_block(v, GENESIS_ID, 0.0)
-    trace = engine.run()
+    engine.run()
 
     tree = handlers.tree
     chain = mainchain(tree, engine.vote_slots, engine.vote_settled, engine.n_validators)
@@ -333,7 +328,6 @@ def simulate(config: SimConfig, *, record_trace: bool = False) -> SimulationOutp
         tree=tree,
         mainchain_ids=chain,
         assignment=assignment,
-        trace=trace,
     )
 
 

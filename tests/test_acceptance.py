@@ -13,6 +13,7 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from conftest import run_with
 
 from timinggames import analytics, relaydata
 from timinggames.analytics import (
@@ -27,7 +28,6 @@ from timinggames.cli import EXIT_OK, main
 from timinggames.consensus import GENESIS_ID, BlockTree, head_from_arrays
 from timinggames.relaydata import BidRecord, dedup_across_relays, dedup_within_relay
 from timinggames.rewards import base_reward
-from timinggames.simnet import write_trace_csv
 from timinggames.waitinggame import (
     SimConfig,
     derive_cell_seed,
@@ -425,12 +425,12 @@ def test_acceptance_8_degenerate_identity(tmp_path):
             break
     assert chosen is not None
 
-    honest = simulate(SimConfig(seed=chosen), record_trace=True)
-    degenerate = simulate(SimConfig(seed=chosen, x_d=1.0, t_d=0.0), record_trace=True)
+    honest, honest_engine, _ = run_with(SimConfig(seed=chosen))
+    degenerate, degenerate_engine, _ = run_with(SimConfig(seed=chosen, x_d=1.0, t_d=0.0))
 
     p1, p2 = tmp_path / "honest.csv", tmp_path / "degenerate.csv"
-    write_trace_csv(honest.trace, p1)
-    write_trace_csv(degenerate.trace, p2)
+    relaydata.write_csv(p1, "time,kind,node,detail", honest_engine.trace())
+    relaydata.write_csv(p2, "time,kind,node,detail", degenerate_engine.trace())
     trace_ok = p1.read_bytes() == p2.read_bytes()
 
     hm, dm = honest.metrics, degenerate.metrics

@@ -242,7 +242,8 @@ def test_validator_view_attest_uses_strictly_earlier_arrivals():
             engine.publish_block(node, GENESIS_ID, 0.0)
             engine.publish_block(node, a, 0.0)
         # One block-class interaction on the edge 0 -> 1, then none.
-        engine._next_draws = lambda: ([arrival, 1e9], [0, 0], [True, True])
+        draws = (np.array([arrival, arrival + 1e9]), np.array([0, 0]), np.array([True, True]))
+        engine._stream = lambda: iter([draws])
         engine.run()
         assert engine.block_arrival[1, b] == arrival
         assert handlers.head == expected

@@ -23,6 +23,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from conftest import run_with
 
 from timinggames import simnet
 from timinggames.waitinggame import SimConfig, simulate
@@ -86,7 +87,7 @@ def run_record(config: SimConfig) -> dict:
 def trace_rows(config: SimConfig) -> list:
     return [
         [repr(float(time)), kind, int(node), detail]
-        for time, kind, node, detail in simulate(config, record_trace=True).trace
+        for time, kind, node, detail in run_with(config)[1].trace()
     ]
 
 

@@ -3,8 +3,10 @@
 ``LoopEngine`` is the engine as it was before the drain: one Python loop
 iteration per interaction in stream order, the time kept as a running
 ``t += gap``, and the non-equivocation rule as a scan over the slot's
-targets.  It lives here as the oracle.  The engine must reproduce it bit
-for bit: arrival times, bitsets, vote tables, heads, metrics and traces.
+targets.  It lives here as the oracle, with its own copy of the batch
+draws, and records its trace inline as it runs.  The engine must reproduce
+it bit for bit: arrival times, bitsets, vote tables, heads and metrics, and
+``engine.trace()``, replayed after the run, must equal the oracle's trace.
 """
 
 from __future__ import annotations
@@ -14,7 +16,7 @@ from functools import reduce
 from operator import or_
 
 import numpy as np
-import pytest
+from conftest import run_with
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
@@ -33,19 +35,22 @@ from timinggames.simnet import (
     GossipConfig,
     generate_er_graph,
 )
-from timinggames.waitinggame import SimConfig, simulate
+from timinggames.waitinggame import SimConfig
 
 
 class LoopEngine(EventEngine):
-    """Oracle: the engine with its per-interaction gossip loop."""
+    """Oracle: the engine with its per-interaction gossip loop.  ``rows`` is
+    the trace of its last run, recorded inline."""
+
+    rows = None
 
     def publish_block(self, node, block_id, time):
         bit = 1 << block_id
         if not self.blocks[node] & bit:
             self.block_arrival[node, block_id] = time
             self.blocks[node] |= bit
-        if self.trace is not None:
-            self.trace.append((time, "BLOCK_RELEASE", node, f"block={block_id}"))
+        if self.rows is not None:
+            self.rows.append((time, "BLOCK_RELEASE", node, f"block={block_id}"))
 
     def publish_attestation(self, node, validator, slot, target, time):
         k = slot - self.vote_base
@@ -59,8 +64,19 @@ class LoopEngine(EventEngine):
             group[target] = group.get(target, 0) | bit
         self.votes[node] |= bit << (k * self.n_validators)
 
-    def _next_draws(self):
-        return [a.tolist() for a in super()._next_draws()]
+    def _draws(self):
+        """The stream's (gap, edge index, block-class flag) draws, one at a
+        time, from batches of ``_RNG_BATCH`` gaps, then edges, then flags."""
+        rng = np.random.default_rng(self._seed)
+        rate_b = self._n_dir / self.gossip.tau_block
+        rate_a = self._n_dir / self.gossip.tau_attestation
+        total_rate = rate_b + rate_a
+        while True:
+            yield from zip(
+                rng.exponential(1.0 / total_rate, _RNG_BATCH).tolist(),
+                rng.integers(0, self._n_dir, _RNG_BATCH).tolist(),
+                (rng.random(_RNG_BATCH) < rate_b / total_rate).tolist(),
+            )
 
     def run(self):
         src = self._src.tolist()
@@ -69,21 +85,18 @@ class LoopEngine(EventEngine):
         votes = self.votes
         arrive = self._arrive
         queue = self._queue
-        self.trace = trace = [] if self.record_trace else None
-        record = trace is not None
+        self.rows = rows = []
 
-        gaps, edges, kinds = self._next_draws()
-        slice_len = len(gaps)
-        j = 0
-        gossip_t = gaps[0]
+        draws = self._draws()
+        gap, e, is_block = next(draws)
+        gossip_t = gap
 
         while True:
             t, kind, _, payload = heapq.heappop(queue)
             while gossip_t < t:
-                e = edges[j]
                 u = src[e]
                 v = dst[e]
-                if kinds[j]:
+                if is_block:
                     a = blocks[u]
                     b = blocks[v]
                     if a != b:
@@ -92,42 +105,32 @@ class LoopEngine(EventEngine):
                             arrive(u, b & ~a, gossip_t)
                         if a & ~b:
                             arrive(v, a & ~b, gossip_t)
-                    if record:
-                        trace.append((gossip_t, "GOSSIP_INTERACTION", u, f"->{v}:block"))
+                    rows.append((gossip_t, "GOSSIP_INTERACTION", u, f"->{v}:block"))
                 else:
                     a = votes[u]
                     b = votes[v]
                     if a != b:
                         votes[u] = votes[v] = a | b
-                    if record:
-                        trace.append(
-                            (gossip_t, "GOSSIP_INTERACTION", u, f"->{v}:attestation")
-                        )
-                j += 1
-                if j == slice_len:
-                    gaps, edges, kinds = self._next_draws()
-                    j = 0
-                gossip_t += gaps[j]
+                    rows.append((gossip_t, "GOSSIP_INTERACTION", u, f"->{v}:attestation"))
+                gap, e, is_block = next(draws)
+                gossip_t += gap
 
             try:
                 if kind == _RELEASE:
                     self.publish_block(*payload, t)
                 elif kind == _SLOT_START:
-                    if record:
-                        trace.append((t, "SLOT_START", -1, f"slot={payload}"))
+                    rows.append((t, "SLOT_START", -1, f"slot={payload}"))
                     self.handlers.on_slot_start(self, t, payload)
                     self._push(t + ATTEST_DEADLINE_OFFSET, _DEADLINE, payload)
                     if payload + 1 < self.n_slots:
                         self._push((payload + 1) * SLOT_SECONDS, _SLOT_START, payload + 1)
                 elif kind == _DEADLINE:
-                    if record:
-                        trace.append((t, "ATTEST_DEADLINE", -1, f"slot={payload}"))
+                    rows.append((t, "ATTEST_DEADLINE", -1, f"slot={payload}"))
                     self.handlers.on_attest_deadline(self, t, payload)
                     self._compact(payload)
                 else:
-                    if record:
-                        trace.append((t, "SIM_END", -1, ""))
-                    return trace
+                    rows.append((t, "SIM_END", -1, ""))
+                    return
             except EngineError:
                 raise
             except Exception as exc:
@@ -148,47 +151,23 @@ class RecordingHandlers(waitinggame._ChainHandlers):
         self.deadlines.append((t, view, heads))
 
 
-def run_with(engine_class, config, handlers_class=RecordingHandlers, *, record_trace=False):
-    """``simulate(config)`` on ``engine_class``: its output, engine and handlers."""
-    made = []
-
-    def make(*args, **kwargs):
-        made.append(engine_class(*args, **kwargs))
-        return made[-1]
-
-    def handlers(*args):
-        made.append(handlers_class(*args))
-        return made[-1]
-
-    with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(waitinggame, "EventEngine", make)
-        patch.setattr(waitinggame, "_ChainHandlers", handlers)
-        out = simulate(config, record_trace=record_trace)
-    handlers, engine = made
-    return out, engine, handlers
-
-
 def assert_same_run(config):
-    """The engine, traced and untraced, reproduces the oracle exactly."""
-    want, oracle, oracle_handlers = run_with(LoopEngine, config, record_trace=True)
-    for record_trace in (True, False):
-        got, engine, handlers = run_with(EventEngine, config, record_trace=record_trace)
-        assert engine.block_arrival.tobytes() == oracle.block_arrival.tobytes()
-        assert engine.blocks == oracle.blocks
-        assert engine.votes == oracle.votes
-        assert engine.vote_base == oracle.vote_base
-        assert engine.vote_slots == oracle.vote_slots
-        assert engine.vote_settled == oracle.vote_settled
-        assert handlers.deadlines == oracle_handlers.deadlines
-        assert got.metrics == want.metrics
-        assert got.mainchain_ids == want.mainchain_ids
-        assert got.tree.parent == want.tree.parent
-        assert got.tree.release_time == want.tree.release_time
-        if record_trace:
-            assert got.trace == want.trace
-        else:
-            assert got.trace is None
-    return oracle, want
+    """The engine reproduces the oracle exactly, its replayed trace included."""
+    want, oracle, oracle_handlers = run_with(config, LoopEngine, RecordingHandlers)
+    got, engine, handlers = run_with(config, EventEngine, RecordingHandlers)
+    assert engine.block_arrival.tobytes() == oracle.block_arrival.tobytes()
+    assert engine.blocks == oracle.blocks
+    assert engine.votes == oracle.votes
+    assert engine.vote_base == oracle.vote_base
+    assert engine.vote_slots == oracle.vote_slots
+    assert engine.vote_settled == oracle.vote_settled
+    assert handlers.deadlines == oracle_handlers.deadlines
+    assert got.metrics == want.metrics
+    assert got.mainchain_ids == want.mainchain_ids
+    assert got.tree.parent == want.tree.parent
+    assert got.tree.release_time == want.tree.release_time
+    assert engine.trace() == oracle.rows
+    return oracle
 
 
 def configs():
@@ -229,8 +208,8 @@ def test_drain_matches_loop_across_batches():
     # More draws than one batch holds: the stream crosses a batch boundary.
     config = SimConfig(n=16, mean_degree=4.0, tau_block=2.0, tau_attestation=3.5,
                        duration=1000.0, x_d=0.5, t_d=11.0, seed=8)
-    _, out = assert_same_run(config)
-    gossip = sum(row[1] == "GOSSIP_INTERACTION" for row in out.trace)
+    oracle = assert_same_run(config)
+    gossip = sum(row[1] == "GOSSIP_INTERACTION" for row in oracle.rows)
     assert gossip > _RNG_BATCH
 
 
@@ -285,7 +264,7 @@ class CheckingHandlers(waitinggame._ChainHandlers):
 @given(configs())
 @settings(max_examples=30, deadline=None)
 def test_undelivered_counts_match_recount(config):
-    _, engine, _ = run_with(EventEngine, config, CheckingHandlers)
+    _, engine, _ = run_with(config, handlers_class=CheckingHandlers)
     assert_counts(engine)
 
 
@@ -295,7 +274,7 @@ def test_undelivered_counts_while_slots_settle():
     for seed in range(3):
         config = SimConfig(n=20, mean_degree=6.0, tau_block=1.0, tau_attestation=0.5,
                            duration=120.0, x_d=0.5, t_d=10.0, seed=seed)
-        _, engine, handlers = run_with(EventEngine, config, CheckingHandlers)
+        _, engine, handlers = run_with(config, handlers_class=CheckingHandlers)
         assert_counts(engine)
         # Slots settled while the run went on, not only at its end.
         assert len(set(handlers.bases)) > 2
@@ -380,11 +359,11 @@ def forking_configs():
 @given(st.one_of(configs(), forking_configs()))
 @settings(max_examples=40, deadline=None)
 def test_views_closed_under_ancestry(config):
-    run_with(EventEngine, config, ClosureHandlers)
+    run_with(config, handlers_class=ClosureHandlers)
 
 
 def test_views_closed_under_ancestry_where_forks_occur():
     for t_d in (10.0, 11.0, 11.5):
         config = SimConfig(n=24, mean_degree=6.0, duration=240.0, x_d=1.0, t_d=t_d, seed=5)
-        out, _, _ = run_with(EventEngine, config, ClosureHandlers)
+        out, _, _ = run_with(config, handlers_class=ClosureHandlers)
         assert any(len(c) > 1 for c in out.tree.children)

@@ -150,8 +150,10 @@ def test_duplicate_stats_hand_example():
     stats = duplicate_stats(bids)
     assert stats["per_relay_slot"][("A", 1)] == 1
     assert stats["per_relay_slot"][("A", 2)] == 0
-    assert stats["per_relay_avg"]["A"] == pytest.approx(0.5)
-    assert stats["per_relay_avg"]["B"] == pytest.approx(0.0)
+    slots, average = stats["per_relay"]["A"]
+    assert slots == 2 and average == pytest.approx(0.5)
+    slots, average = stats["per_relay"]["B"]
+    assert slots == 1 and average == pytest.approx(0.0)
 
 
 HASH = "0x" + "ab" * 32
@@ -389,7 +391,8 @@ def test_write_csv_cells_read_back(tmp_path):
 
 
 def _naive_duplicate_stats(bids):
-    """Raw records minus distinct keys per (relay, slot), by brute force."""
+    """Raw records minus distinct keys per (relay, slot), and each relay's
+    (slots, average), by brute force."""
     cells = {}
     for b in bids:
         cells.setdefault((b.relay_id, b.slot), []).append(b.dedup_key)
@@ -397,7 +400,7 @@ def _naive_duplicate_stats(bids):
     per_relay = {}
     for (relay, _), count in per_cell.items():
         per_relay.setdefault(relay, []).append(count)
-    return per_cell, {r: sum(c) / len(c) for r, c in per_relay.items()}
+    return per_cell, {r: (len(c), sum(c) / len(c)) for r, c in per_relay.items()}
 
 
 def test_duplicate_stats_matches_naive_randomized():
@@ -407,4 +410,4 @@ def test_duplicate_stats_matches_naive_randomized():
     per_cell, per_relay = _naive_duplicate_stats(bids)
     assert stats["per_relay_slot"] == per_cell
     assert list(stats["per_relay_slot"]) == list(per_cell)  # first-seen order
-    assert stats["per_relay_avg"] == per_relay
+    assert stats["per_relay"] == per_relay

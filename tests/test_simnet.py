@@ -1,5 +1,6 @@
 """Topology sampling and the gossip event engine."""
 
+import itertools
 import math
 
 import numpy as np
@@ -7,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from timinggames.relaydata import write_csv
 from timinggames.simnet import (
     ATTEST_DEADLINE_OFFSET,
     EngineError,
@@ -17,7 +19,6 @@ from timinggames.simnet import (
     TopologyError,
     _connected,
     generate_er_graph,
-    write_trace_csv,
 )
 
 
@@ -189,15 +190,16 @@ def test_directed_pairs_match_sorted_tuples(n, mean_degree, seed):
 
 
 def _engine_gaps(tau, seed, slices):
-    """Gaps of the engine's superposed interaction stream, and its total rate."""
+    """Gaps between the interaction times of the engine's superposed stream,
+    and its total rate."""
     topo = generate_er_graph(8, 3.0, 0)
     engine = EventEngine(
         topo, GossipConfig(tau_block=tau, tau_attestation=2 * tau), NullHandlers(),
         end_time=12.0, seed=seed,
     )
-    gaps = [g for _ in range(slices) for g in engine._next_draws()[0]]
+    times = np.concatenate([t for t, _, _ in itertools.islice(engine._stream(), slices)])
     rate = len(topo.directed_pairs()) * (1 / tau + 1 / (2 * tau))
-    return np.array(gaps), rate
+    return np.diff(times, prepend=0.0), rate
 
 
 @given(st.floats(0.1, 50.0), st.integers(0, 2**32))
@@ -246,12 +248,9 @@ def test_engine_determinism():
     topo = generate_er_graph(16, 4.0, 3)
 
     def run_once():
-        engine = EventEngine(
-            topo, GossipConfig(), ReleaseOnce(), end_time=48.0, seed=99,
-            record_trace=True,
-        )
-        trace = engine.run()
-        return trace, engine.block_seen.copy(), engine.block_arrival.copy()
+        engine = EventEngine(topo, GossipConfig(), ReleaseOnce(), end_time=48.0, seed=99)
+        engine.run()
+        return engine.trace(), engine.block_seen.copy(), engine.block_arrival.copy()
 
     t1, s1, a1 = run_once()
     t2, s2, a2 = run_once()
@@ -381,13 +380,16 @@ def test_gossip_config_validation():
                     end_time=0.0, seed=0)
 
 
+def run_trace(topo, end_time, seed):
+    engine = EventEngine(topo, GossipConfig(), ReleaseOnce(), end_time=end_time, seed=seed)
+    engine.run()
+    return engine.trace()
+
+
 def test_trace_csv(tmp_path):
-    topo = two_node_topology()
-    trace = EventEngine(
-        topo, GossipConfig(), ReleaseOnce(), end_time=13.0, seed=0, record_trace=True
-    ).run()
+    trace = run_trace(two_node_topology(), 13.0, 0)
     path = tmp_path / "trace.csv"
-    write_trace_csv(trace, path)
+    write_csv(path, "time,kind,node,detail", trace)
     lines = path.read_text().splitlines()
     assert lines[0] == "time,kind,node,detail"
     assert any("SLOT_START" in line for line in lines)
@@ -395,12 +397,9 @@ def test_trace_csv(tmp_path):
 
 
 def test_trace_csv_times_parse_as_floats(tmp_path):
-    topo = generate_er_graph(16, 8.0, 5)
-    trace = EventEngine(
-        topo, GossipConfig(), ReleaseOnce(), end_time=36.0, seed=3, record_trace=True
-    ).run()
+    trace = run_trace(generate_er_graph(16, 8.0, 5), 36.0, 3)
     path = tmp_path / "trace.csv"
-    write_trace_csv(trace, path)
+    write_csv(path, "time,kind,node,detail", trace)
     rows = [line.split(",") for line in path.read_text().splitlines()[1:]]
     assert sum(row[1] == "GOSSIP_INTERACTION" for row in rows) > 1000
     times = [float(row[0]) for row in rows]
@@ -410,15 +409,36 @@ def test_trace_csv_times_parse_as_floats(tmp_path):
 def test_trace_starts_with_the_run():
     # Blocks published before run() seed the state without trace rows.
     engine = EventEngine(
-        two_node_topology(), GossipConfig(), NullHandlers(), end_time=12.0, seed=0,
-        record_trace=True,
+        two_node_topology(), GossipConfig(), NullHandlers(), end_time=12.0, seed=0
     )
     engine.publish_block(0, 0, 0.0)
     engine.publish_block(1, 0, 0.0)
-    trace = engine.run()
+    engine.run()
+    trace = engine.trace()
     assert trace[0] == (0.0, "SLOT_START", -1, "slot=0")
     assert all(row[1] != "BLOCK_RELEASE" for row in trace)
     assert engine.block_seen[:, 0].all()
+
+
+def test_trace_puts_a_draw_after_the_events_at_its_time():
+    # The run drains draws strictly before an event, so a draw at exactly a
+    # slot start or a deadline runs after it, and the trace lists it there.
+    # The draw at the end time never runs and is not listed.
+    engine = EventEngine(
+        two_node_topology(), GossipConfig(), ReleaseOnce(), end_time=13.0, seed=0
+    )
+    draws = (np.array([0.0, 4.0, 13.0]), np.array([0, 1, 0]), np.array([True, False, True]))
+    engine._stream = lambda: iter([draws])
+    engine.run()
+    assert engine.trace() == [
+        (0.0, "SLOT_START", -1, "slot=0"),
+        (0.0, "BLOCK_RELEASE", 0, "block=1"),
+        (0.0, "GOSSIP_INTERACTION", 0, "->1:block"),
+        (4.0, "ATTEST_DEADLINE", -1, "slot=0"),
+        (4.0, "GOSSIP_INTERACTION", 1, "->0:attestation"),
+        (13.0, "SIM_END", -1, ""),
+    ]
+    assert engine.block_arrival[1, 1] == 0.0
 
 
 def test_settling_votes_keeps_latest_messages(monkeypatch):

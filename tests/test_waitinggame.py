@@ -4,6 +4,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from conftest import run_with
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -298,9 +299,9 @@ def test_event_order_at_equal_times(t_d):
     duration = 4 * SLOT_SECONDS
     ties = set()
     for seed in range(4):
-        out = simulate(SimConfig(n=16, mean_degree=4.0, duration=duration, x_d=0.5,
-                                 t_d=t_d, seed=seed), record_trace=True)
-        events = [(t, kind, detail) for t, kind, _, detail in out.trace
+        out, engine, _ = run_with(SimConfig(n=16, mean_degree=4.0, duration=duration,
+                                            x_d=0.5, t_d=t_d, seed=seed))
+        events = [(t, kind, detail) for t, kind, _, detail in engine.trace()
                   if kind != "GOSSIP_INTERACTION"]
         position = {(kind, detail): i for i, (_, kind, detail) in enumerate(events)}
         for i, (t, kind, detail) in enumerate(events):
