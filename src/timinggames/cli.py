@@ -27,7 +27,6 @@ import hashlib
 import json
 import sys
 from dataclasses import astuple, fields
-from operator import attrgetter
 
 import click
 import numpy as np
@@ -54,7 +53,7 @@ def _load_config(path, schemas, **flags) -> dict:
     doc = {}
     if path is not None:
         try:
-            with open(path) as fh:
+            with open(path, encoding="utf-8") as fh:
                 doc = yaml.safe_load(fh)
         except OSError as exc:
             raise click.UsageError(f"cannot read config: {exc}")
@@ -101,7 +100,7 @@ def _write_manifest(out_path, command: str, config_path, seed, outputs) -> None:
         "version": __version__,
         "outputs": sorted(str(p) for p in outputs),
     }
-    with open(str(out_path) + ".manifest.json", "w") as fh:
+    with open(str(out_path) + ".manifest.json", "w", encoding="utf-8") as fh:
         json.dump(manifest, fh, indent=2, sort_keys=True)
         fh.write("\n")
 
@@ -144,27 +143,21 @@ def ingest(bid_inputs, genesis_ms, window, out, stats_out, verbose):
             genesis = int(genesis_ms)
         except ValueError:
             raise click.UsageError(f"invalid --genesis-ms: {genesis_ms!r}")
-    all_raw = []
-    per_relay_clean = []
+    fold = relaydata.BidFold()
     for item in bid_inputs:
         if "=" not in item:
             raise click.UsageError(f"--bids must be RELAY=PATH, got {item!r}")
         relay, path = item.split("=", 1)
+        dump = relaydata.BidDump(path, relay, genesis, tuple(window))
         try:
-            bids, skipped = relaydata.load_bids(
-                path, relay, genesis, window_ms=tuple(window)
-            )
+            records = fold.add(dump, relay)
         except OSError as exc:
             raise DataError(f"cannot read {path}: {exc}")
         if verbose:
-            click.echo(f"{relay}: {len(bids)} records, {skipped} skipped", err=True)
-        all_raw.extend(bids)
-        per_relay_clean.extend(relaydata.dedup_within_relay(bids, relay))
-    merged = relaydata.dedup_across_relays(per_relay_clean)
-    merged.sort(key=attrgetter("slot", "arrival_ms", "relay_id", "block_hash"))
-    relaydata.write_bids_csv(merged, out)
+            click.echo(f"{relay}: {records} records, {dump.skipped} skipped", err=True)
+    relaydata.write_bids_csv(fold.merged(), out)
 
-    per_relay = relaydata.duplicate_stats(all_raw)["per_relay"]
+    per_relay = fold.stats()["per_relay"]
     stats_path = stats_out or (str(out) + ".dupstats.csv")
     relaydata.write_csv(
         stats_path,

@@ -3,8 +3,9 @@
 Builders resubmit identical bids (same block hash and value) throughout an
 auction and mirror them to several relays, so the raw streams carry heavy
 duplication.  A bid's identity is the (slot, builder, block hash, value)
-tuple; within a relay the first appearance wins, across relays the globally
-earliest one does.
+tuple; of its records the earliest arrival wins, then the earlier dump, then
+the line read first.  ``BidFold`` folds each dump's records into that as they
+are read, so ingest holds unique bids, never the raw records.
 
 Values stay as exact wei integers everywhere in this module; conversion to
 ETH happens only at analysis boundaries.
@@ -19,6 +20,7 @@ import csv
 import json
 import re
 from collections import Counter
+from itertools import groupby, islice, repeat
 from operator import itemgetter
 from typing import NamedTuple, Sequence
 
@@ -51,6 +53,7 @@ class IngestError(Exception):
 # arrival 7.
 _dedup_key = itemgetter(0, 2, 3, 5)
 _arrival = itemgetter(7)
+_merged_order = itemgetter(0, 7, 1, 3)  # slot, arrival, relay, block hash
 
 
 class _BidFields(NamedTuple):
@@ -116,22 +119,83 @@ def normalize_arrival(
     return arrival
 
 
-def _earliest_per_key(bids: Sequence[BidRecord]) -> list:
-    """One record per key, keeping the earliest arrival (ties: first read).
-
-    Output sorted by ascending arrival_ms, stable on ties.
-    """
-    best: dict = {}
+def _keep_earliest(bids, best: dict) -> dict:
+    """Fold ``bids`` into ``best``, one record per key: the earliest arrival,
+    and of equal arrivals the one folded first."""
     get = best.get
     for bid in bids:
         key = _dedup_key(bid)
         held = get(key)
-        # Replacing a value keeps the key's place: survivors stay in first-read order.
+        # Replacing a value keeps the key's place: keys stay in first-folded order.
         if held is None or bid[7] < held[7]:
             best[key] = bid
-    survivors = list(best.values())
-    survivors.sort(key=_arrival)
-    return survivors
+    return best
+
+
+def _tallied(bids, slots: dict, keys: set):
+    """``bids`` passed through, each counted under its slot in ``slots`` and
+    its key added to ``keys``."""
+    count = slots.get
+    add = keys.add
+    for bid in bids:
+        slots[bid[0]] = count(bid[0], 0) + 1
+        add(_dedup_key(bid))
+        yield bid
+
+
+class BidFold:
+    """Relay dumps folded in one pass, one record at a time.
+
+    ``best`` holds the earliest record per key across the dumps added;
+    ``raw`` counts the records per (relay, slot) in first-seen order, and
+    ``keys`` holds each relay's keys, for the duplicate stats.  A record that
+    is not the earliest of its key so far is dropped as soon as it is read,
+    so memory grows with unique keys per relay, not with raw records.
+    """
+
+    def __init__(self):
+        self.best: dict = {}
+        self.raw: dict = {}
+        self.keys: dict = {}
+
+    def add(self, bids, relay_id: str) -> int:
+        """Fold one dump of ``relay_id``'s records, iterated once; returns
+        how many there were."""
+        best = self.best
+        old = len(best)
+        slots: dict = {}
+        _keep_earliest(_tallied(bids, slots, self.keys.setdefault(relay_id, set())), best)
+        # Keys first seen in this dump go behind the older ones in order of
+        # arrival, where merging the dump's own dedup, sorted by arrival,
+        # puts them; that order breaks ties of ``merged``'s sort key.
+        new = sorted(islice(best.items(), old, None), key=lambda item: item[1][7])
+        for key, _ in new:
+            del best[key]
+        best.update(new)
+        raw = self.raw
+        for slot, count in slots.items():
+            raw[relay_id, slot] = raw.get((relay_id, slot), 0) + count
+        return sum(slots.values())
+
+    def merged(self) -> list:
+        """The earliest record per key, sorted by slot, arrival, relay and
+        block hash."""
+        return sorted(self.best.values(), key=_merged_order)
+
+    def stats(self) -> dict:
+        """Duplicate counts (raw records minus unique keys) per (relay, slot),
+        plus, per relay, the number of slots it saw and its average over them."""
+        unique = Counter()
+        for relay, keys in self.keys.items():
+            unique.update(zip(repeat(relay), map(itemgetter(0), keys)))
+        per_cell = {cell: count - unique[cell] for cell, count in self.raw.items()}
+        relay_totals: dict = {}
+        relay_slots: dict = {}
+        for (relay, _), count in per_cell.items():
+            relay_totals[relay] = relay_totals.get(relay, 0) + count
+            relay_slots[relay] = relay_slots.get(relay, 0) + 1
+        per_relay = {r: (relay_slots[r], relay_totals[r] / relay_slots[r]) for r in relay_totals}
+        return {"per_relay_slot": per_cell, "per_relay": per_relay}
 
 
 def dedup_within_relay(bids: Sequence[BidRecord], relay_id: str) -> list:
@@ -139,27 +203,21 @@ def dedup_within_relay(bids: Sequence[BidRecord], relay_id: str) -> list:
     for bid in bids:
         if bid[1] != relay_id:
             raise ValueError(f"bid from relay {bid.relay_id!r}, expected {relay_id!r}")
-    return _earliest_per_key(bids)
+    return sorted(_keep_earliest(bids, {}).values(), key=_arrival)
 
 
 def dedup_across_relays(bids: Sequence[BidRecord]) -> list:
-    """Globally earliest record per key; survivors keep their relay_id."""
-    return _earliest_per_key(bids)
+    """Globally earliest record per key, sorted by arrival (stable on ties);
+    survivors keep their relay_id."""
+    return sorted(_keep_earliest(bids, {}).values(), key=_arrival)
 
 
 def duplicate_stats(bids: Sequence[BidRecord]) -> dict:
-    """Duplicate counts (raw records minus unique keys) per (relay, slot),
-    plus, per relay, the number of slots it saw and its average over them."""
-    raw = Counter(map(itemgetter(1, 0), bids))
-    unique = Counter(map(itemgetter(0, 1), set(map(itemgetter(1, 0, 2, 3, 5), bids))))
-    per_cell = {cell: count - unique[cell] for cell, count in raw.items()}
-    relay_totals: dict = {}
-    relay_slots: dict = {}
-    for (relay, _), count in per_cell.items():
-        relay_totals[relay] = relay_totals.get(relay, 0) + count
-        relay_slots[relay] = relay_slots.get(relay, 0) + 1
-    per_relay = {r: (relay_slots[r], relay_totals[r] / relay_slots[r]) for r in relay_totals}
-    return {"per_relay_slot": per_cell, "per_relay": per_relay}
+    """``BidFold.stats`` of ``bids``, any relays in any order."""
+    fold = BidFold()
+    for relay, run in groupby(bids, itemgetter(1)):
+        fold.add(run, relay)
+    return fold.stats()
 
 
 def parse_bid_line(
@@ -222,30 +280,50 @@ def undecodable_line(path) -> int:
     return number
 
 
+class BidDump:
+    """The records of an NDJSON bid dump, read from the file on each
+    iteration.  Malformed or out-of-window records are skipped and counted
+    in ``skipped``, not fatal; a file that is not UTF-8 raises
+    ``IngestError``."""
+
+    def __init__(self, path, relay_id: str, genesis_unix_ms: int,
+                 window_ms=DEFAULT_PLAUSIBILITY_WINDOW_MS):
+        self.path = path
+        self.relay_id = relay_id
+        self.genesis_unix_ms = genesis_unix_ms
+        self.window_ms = window_ms
+        self.skipped = 0
+
+    def __iter__(self):
+        path, relay_id = self.path, self.relay_id
+        genesis, window = self.genesis_unix_ms, self.window_ms
+        self.skipped = 0
+        try:
+            with open(path, encoding="utf-8") as fh:
+                for line in fh:
+                    line = line.strip()
+                    if not line:
+                        continue
+                    try:
+                        bid = parse_bid_line(line, relay_id, genesis, window)
+                    except IngestError:
+                        self.skipped += 1
+                        continue
+                    yield bid
+        except UnicodeDecodeError:
+            raise IngestError(f"{path}, line {undecodable_line(path)}: not valid UTF-8") from None
+
+
 def load_bids(
     path,
     relay_id: str,
     genesis_unix_ms: int,
     window_ms=DEFAULT_PLAUSIBILITY_WINDOW_MS,
 ):
-    """Read an NDJSON bid dump.  Malformed or out-of-window records are
-    skipped and counted, not fatal; a file that is not UTF-8 raises
-    ``IngestError``.  Returns (bids, skipped_count)."""
-    bids = []
-    skipped = 0
-    try:
-        with open(path, encoding="utf-8") as fh:
-            for line in fh:
-                line = line.strip()
-                if not line:
-                    continue
-                try:
-                    bids.append(parse_bid_line(line, relay_id, genesis_unix_ms, window_ms))
-                except IngestError:
-                    skipped += 1
-    except UnicodeDecodeError:
-        raise IngestError(f"{path}, line {undecodable_line(path)}: not valid UTF-8") from None
-    return bids, skipped
+    """A ``BidDump`` read into a list: returns (bids, skipped_count)."""
+    dump = BidDump(path, relay_id, genesis_unix_ms, window_ms)
+    bids = list(dump)
+    return bids, dump.skipped
 
 
 _csv_special = re.compile(r'[,"\r\n]').search
@@ -264,7 +342,7 @@ def write_bids_csv(bids: Sequence[BidRecord], path) -> None:
     every other field is an integer or a validated hex hash."""
     # Each distinct id is checked once: bids repeat few relays and builders.
     field = {s: csv_field(s) for s in {b[1] for b in bids} | {b[2] for b in bids}}
-    with open(path, "w", newline="") as fh:
+    with open(path, "w", newline="", encoding="utf-8") as fh:
         fh.write(CSV_HEADER + "\n")
         fh.writelines(
             f"{b[0]},{field[b[1]]},{field[b[2]]},{b[3]},{b[5]},{b[7]},{b[6]}\n" for b in bids
@@ -333,6 +411,6 @@ def write_csv(path, header: str, rows) -> None:
     """A CSV of the comma-separated ``header`` and one line per row.  A cell
     is empty for None, ``true``/``false`` for a bool, ``csv_field`` of a
     string and the ``repr`` of anything else."""
-    with open(path, "w", newline="") as fh:
+    with open(path, "w", newline="", encoding="utf-8") as fh:
         fh.write(header + "\n")
         fh.writelines(",".join(map(_cell, row)) + "\n" for row in rows)

@@ -244,9 +244,11 @@ class EventEngine:
         self.end_time = float(end_time)
         self._seed = seed
         # The run's releases, slot starts, deadlines and end, as (time of the
-        # event being processed, trace row); run() restarts it.
+        # event being processed, trace row); run() restarts it, and only
+        # releases published while it runs are logged.
         self.events: list = []
         self._now = 0.0
+        self._running = False
 
         self.n_nodes = self.n_validators = topology.n
         self.n_slots = int(self.end_time // SLOT_SECONDS)
@@ -292,7 +294,8 @@ class EventEngine:
                 self._block_union |= bit
                 self._blocks_undelivered += self.n_nodes
             self._blocks_undelivered -= 1
-        self.events.append((self._now, (time, "BLOCK_RELEASE", node, f"block={block_id}")))
+        if self._running:
+            self.events.append((self._now, (time, "BLOCK_RELEASE", node, f"block={block_id}")))
 
     def publish_attestation(
         self, node: int, validator: int, slot: int, target: int, time: float
@@ -408,28 +411,33 @@ class EventEngine:
                 hi = lo + _DRAW_SLICE
                 yield times[lo:hi], edges[lo:hi], kinds[lo:hi]
 
-    def trace(self) -> list:
-        """The last run's event trace: the ``events`` log and, replayed, a
-        ``GOSSIP_INTERACTION`` row per draw, skipped or not.  A draw goes after
-        the events at or before its time, as the run drained it."""
-        slices = []
-        for part in self._stream():
-            slices.append(part)
-            if part[0][-1] >= self.events[-1][0]:
-                break
-        times, edges, kinds = map(np.concatenate, zip(*slices))
-        gossip = [
-            (t, "GOSSIP_INTERACTION", u, f"->{v}:{_CLASS_NAMES[k]}")
-            for t, u, v, k in zip(times.tolist(), self._src[edges].tolist(),
-                                  self._dst[edges].tolist(), kinds.tolist())
-        ]
-        cuts = np.maximum.accumulate(times.searchsorted([key for key, _ in self.events]))
-        rows, lo = [], 0
-        for hi, (_, row) in zip(cuts.tolist(), self.events):
-            rows += gossip[lo:hi]
-            rows.append(row)
-            lo = hi
-        return rows
+    def trace(self):
+        """The last run's event trace, row by row: the ``events`` log and,
+        replayed, a ``GOSSIP_INTERACTION`` row per draw, skipped or not.  A
+        draw goes after the events at or before its time, as the run drained
+        it.  One slice of draws is held at a time."""
+        rows = [row for _, row in self.events]
+        # An event goes before the first draw at or after its time, and after
+        # every event before it.
+        keys = np.maximum.accumulate([key for key, _ in self.events])
+        src, dst = self._src, self._dst
+        i = 0
+        for times, edges, kinds in self._stream():
+            stop = int(keys.searchsorted(times[-1], "right"))
+            gossip = [
+                (t, "GOSSIP_INTERACTION", u, f"->{v}:{_CLASS_NAMES[k]}")
+                for t, u, v, k in zip(times.tolist(), src[edges].tolist(),
+                                      dst[edges].tolist(), kinds.tolist())
+            ]
+            lo = 0
+            for hi, row in zip(times.searchsorted(keys[i:stop]).tolist(), rows[i:stop]):
+                yield from gossip[lo:hi]
+                yield row
+                lo = hi
+            if stop == len(rows):
+                return
+            yield from gossip[lo:]
+            i = stop
 
     # -- main loop ----------------------------------------------------------
 
@@ -442,6 +450,7 @@ class EventEngine:
         arrive = self._arrive
         queue = self._queue
         self.events = events = []
+        self._running = True
         stream = self._stream()
         bt = be = vt = ve = np.empty(0)  # the slice's block and vote draws
         bi = vi = 0
@@ -514,6 +523,7 @@ class EventEngine:
                     self._compact(payload)
                 else:
                     events.append((t, (t, "SIM_END", -1, "")))
+                    self._running = False
                     return
             except EngineError:
                 raise

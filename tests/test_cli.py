@@ -5,7 +5,10 @@ import dataclasses
 import io
 import json
 import math
+import os
 import re
+import subprocess
+import sys
 import tempfile
 from pathlib import Path
 
@@ -326,6 +329,54 @@ def test_ingest_missing_file(tmp_path):
         run(["ingest", "--bids", "A=/nonexistent.ndjson", "--out", tmp_path / "o.csv"])
         == EXIT_DATA
     )
+
+
+ASCII_LOCALE = {"LC_ALL": "C", "PYTHONCOERCECLOCALE": "0", "PYTHONUTF8": "0"}
+UTF8_LOCALE = {"LC_ALL": "C.UTF-8", "PYTHONUTF8": "1"}
+
+
+def _cli_process(args, cwd, env):
+    """``timinggames`` in a new interpreter with ``env`` over this one's.
+    Encoding warnings stay off, so that stderr holds only the program's own
+    lines."""
+    src = Path(__file__).resolve().parents[1] / "src"
+    return subprocess.run(
+        [sys.executable, "-m", "timinggames.cli", *args], cwd=cwd, capture_output=True,
+        env={**os.environ, "PYTHONPATH": str(src), "PYTHONWARNDEFAULTENCODING": "", **env},
+    )
+
+
+def test_written_files_are_utf8_under_an_ascii_locale(tmp_path):
+    probe = subprocess.run(
+        [sys.executable, "-c", "import locale; print(locale.getpreferredencoding(False))"],
+        capture_output=True, text=True, env={**os.environ, **ASCII_LOCALE},
+    )
+    assert probe.stdout.strip().lower() not in ("utf-8", "utf8")  # the locale is not UTF-8
+    builder = "0xbuild\u00e9r"
+    rec = {"slot": 1, "builder_pubkey": builder, "block_hash": HASH_A, "value": "1000",
+           "timestamp_ms": 12500}
+    (tmp_path / "dump.ndjson").write_text(json.dumps(rec, ensure_ascii=False) + "\n",
+                                          encoding="utf-8")
+    (tmp_path / "delivered.csv").write_text(
+        f"slot,relay,builder,block_hash,value_wei,proposer\n1,A,{builder},{HASH_A},1000,p\n",
+        encoding="utf-8",
+    )
+    outputs = {}
+    for name, env in (("ascii", ASCII_LOCALE), ("utf8", UTF8_LOCALE)):
+        # Relative paths, so the manifests' output lists match too.
+        workdir = tmp_path / name
+        workdir.mkdir()
+        for args in (
+            ["ingest", "--bids", "A=../dump.ndjson", "--genesis-ms", "0", "--out", "bids.csv"],
+            ["analyze", "winners", "--bids", "bids.csv", "--delivered", "../delivered.csv",
+             "--out", "winners.csv"],
+        ):
+            done = _cli_process(args, workdir, env)
+            assert (done.returncode, done.stderr) == (EXIT_OK, b"")
+        outputs[name] = {p.name: p.read_bytes() for p in workdir.iterdir()}
+    assert builder.encode() in outputs["ascii"]["bids.csv"]
+    assert len(outputs["ascii"]) == 6
+    assert outputs["ascii"] == outputs["utf8"]
 
 
 def test_analyze_regress_noiseless(tmp_path):

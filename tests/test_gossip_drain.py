@@ -166,7 +166,7 @@ def assert_same_run(config):
     assert got.mainchain_ids == want.mainchain_ids
     assert got.tree.parent == want.tree.parent
     assert got.tree.release_time == want.tree.release_time
-    assert engine.trace() == oracle.rows
+    assert list(engine.trace()) == oracle.rows
     return oracle
 
 

@@ -1,0 +1,215 @@
+"""``timinggames ingest``'s one pass against the list pipeline it replaced.
+
+``list_pipeline`` is ingest as it was before ``relaydata.BidFold``: every
+dump read into a list, deduplicated within its relay, all survivors
+deduplicated across relays and sorted, and the duplicate stats taken over
+every raw record at once.  It lives here as the oracle, on its own copy of
+the earliest-per-key rule; only ``parse_bid_line`` and the CSV writers are
+shared.  The command must write the same bytes and the same ``--verbose``
+lines.
+
+The memory test pins what the one pass is for: ingest's peak allocation
+does not grow with duplicated records.
+"""
+
+from __future__ import annotations
+
+import contextlib
+import io
+import json
+import tempfile
+import tracemalloc
+from collections import Counter
+from operator import attrgetter
+from pathlib import Path
+
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+
+from timinggames import relaydata
+from timinggames.cli import EXIT_OK, main
+from timinggames.relaydata import IngestError, parse_bid_line
+
+GENESIS_MS = 1_000_000
+SLOT_MS = 12_000
+WINDOW = (-2_000, 2_000)
+
+
+def _earliest_per_key(bids):
+    best = {}
+    for bid in bids:
+        held = best.get(bid.dedup_key)
+        if held is None or bid.arrival_ms < held.arrival_ms:
+            best[bid.dedup_key] = bid
+    return sorted(best.values(), key=attrgetter("arrival_ms"))
+
+
+def _duplicate_stats(bids):
+    raw = Counter((b.relay_id, b.slot) for b in bids)
+    unique = Counter((relay, slot) for relay, slot, *_ in
+                     {(b.relay_id, *b.dedup_key) for b in bids})
+    per_cell = {cell: count - unique[cell] for cell, count in raw.items()}
+    per_relay = {}
+    for (relay, _), count in per_cell.items():
+        per_relay.setdefault(relay, []).append(count)
+    return {r: (len(c), sum(c) / len(c)) for r, c in per_relay.items()}
+
+
+def list_pipeline(dumps, out: Path):
+    """The oracle: writes ``out`` and its dupstats CSV, returns the verbose lines."""
+    all_raw, clean, verbose = [], [], []
+    for relay, path in dumps:
+        bids, skipped = [], 0
+        for line in path.read_text(encoding="utf-8").splitlines():
+            line = line.strip()
+            if not line:
+                continue
+            try:
+                bids.append(parse_bid_line(line, relay, GENESIS_MS, WINDOW))
+            except IngestError:
+                skipped += 1
+        verbose.append(f"{relay}: {len(bids)} records, {skipped} skipped")
+        all_raw += bids
+        clean += _earliest_per_key(bids)
+    merged = _earliest_per_key(clean)
+    merged.sort(key=attrgetter("slot", "arrival_ms", "relay_id", "block_hash"))
+    relaydata.write_bids_csv(merged, out)
+    per_relay = _duplicate_stats(all_raw)
+    relaydata.write_csv(
+        str(out) + ".dupstats.csv",
+        "relay,slots,avg_duplicates_per_slot",
+        [(relay, *per_relay[relay]) for relay in sorted(per_relay)],
+    )
+    return verbose
+
+
+def run_ingest(dumps, out: Path):
+    """``timinggames ingest --verbose``: (exit code, its stderr lines)."""
+    argv = ["ingest", "--genesis-ms", str(GENESIS_MS), "--window", *map(str, WINDOW),
+            "--out", str(out), "--verbose"]
+    for relay, path in dumps:
+        argv += ["--bids", f"{relay}={path}"]
+    err = io.StringIO()
+    with contextlib.redirect_stderr(err):
+        code = main(argv)
+    return code, err.getvalue().splitlines()
+
+
+def bid_line(slot, builder, block_hash, value, arrival_ms, num_tx):
+    return json.dumps({
+        "slot": slot, "builder_pubkey": builder, "block_hash": block_hash,
+        "value": str(value), "num_tx": num_tx,
+        "timestamp_ms": GENESIS_MS + slot * SLOT_MS + arrival_ms,
+    })
+
+
+HASHES = ("0x" + "aa" * 32, "0x" + "bb" * 32)
+# A small universe, so that keys repeat and arrivals tie inside and across
+# relays; num_tx tells tied records apart in the CSV.
+good_lines = st.builds(
+    bid_line,
+    slot=st.sampled_from((7, 8)),
+    builder=st.sampled_from(("b1", "b,2")),
+    block_hash=st.sampled_from(HASHES),
+    value=st.sampled_from((1, 2)),
+    arrival_ms=st.sampled_from((-10, 0, 10)),
+    num_tx=st.integers(0, 3),
+)
+bad_lines = st.sampled_from((
+    "",
+    "not json",
+    '{"slot": 7, "builder_pubkey": "b1"',
+    bid_line(7, "b1", "0x1234", 1, 0, 0),  # short hash
+    bid_line(7, "b1", HASHES[0], 1, 5_000, 0),  # outside the window
+    json.dumps({"slot": 7, "builder_pubkey": "b1", "block_hash": HASHES[0], "value": "1"}),
+))
+dump_lines = st.lists(st.one_of(good_lines, good_lines, good_lines, bad_lines), max_size=12)
+# Relay names repeat, so one relay can be named twice in --bids.
+relay_dumps = st.lists(
+    st.tuples(st.sampled_from(("A", "B", "C")), dump_lines), min_size=1, max_size=4
+)
+
+TIED_INSIDE = [bid_line(7, "b1", HASHES[0], 1, 0, 1), bid_line(7, "b1", HASHES[0], 1, 0, 2)]
+
+
+@settings(max_examples=150, deadline=None)
+@given(relay_dumps)
+@example([("A", TIED_INSIDE), ("B", TIED_INSIDE[::-1]), ("A", TIED_INSIDE[::-1])])
+@example([  # keys tied on the CSV's sort key, first seen in another dump
+    ("B", [bid_line(7, "b1", HASHES[0], 1, 10, 0), bid_line(7, "b1", HASHES[0], 2, 0, 0)]),
+    ("A", [bid_line(7, "b1", HASHES[0], 2, -10, 0), bid_line(7, "b1", HASHES[0], 1, -10, 0)]),
+])
+def test_ingest_matches_list_pipeline(dumps):
+    with tempfile.TemporaryDirectory() as tmp:
+        tmp = Path(tmp)
+        paths = []
+        for i, (relay, lines) in enumerate(dumps):
+            path = tmp / f"dump{i}.ndjson"
+            path.write_text("".join(line + "\n" for line in lines), encoding="utf-8")
+            paths.append((relay, path))
+        want_verbose = list_pipeline(paths, tmp / "want.csv")
+        code, verbose = run_ingest(paths, tmp / "got.csv")
+        assert code == EXIT_OK
+        assert verbose == want_verbose
+        for suffix in ("", ".dupstats.csv"):
+            got = (tmp / f"got.csv{suffix}").read_bytes()
+            assert got == (tmp / f"want.csv{suffix}").read_bytes()
+
+
+def test_duplicate_stats_keeps_first_seen_cells_across_relay_runs():
+    records = [parse_bid_line(bid_line(slot, "b1", HASHES[0], 1, 0, 0), relay, GENESIS_MS)
+               for relay, slot in (("A", 7), ("B", 8), ("A", 8), ("A", 7), ("B", 8))]
+    stats = relaydata.duplicate_stats(records)
+    assert list(stats["per_relay_slot"].items()) == [(("A", 7), 1), (("B", 8), 1), (("A", 8), 0)]
+    assert stats["per_relay"] == {"A": (2, 0.5), "B": (1, 1.0)}
+
+
+def test_bid_fold_takes_one_pass_iterators():
+    def once(relay, lines):
+        return (parse_bid_line(line, relay, GENESIS_MS) for line in lines)
+
+    fold = relaydata.BidFold()
+    tied = [bid_line(7, "b1", HASHES[0], 1, 0, n) for n in (1, 2)]
+    assert fold.add(once("A", tied), "A") == 2
+    assert fold.add(once("B", tied[::-1]), "B") == 2
+    # Equal arrivals: the first dump's first line.
+    (survivor,) = fold.merged()
+    assert (survivor.relay_id, survivor.num_transactions) == ("A", 1)
+    assert fold.stats()["per_relay"] == {"A": (1, 1.0), "B": (1, 1.0)}
+
+
+UNIQUE_PER_DUMP = 20_000
+REPEATS = 10
+
+
+def _ingest_peak(workdir: Path, repeat: int) -> tuple:
+    """Peak traced allocation of ``ingest`` over three relays' dumps of the
+    same ``UNIQUE_PER_DUMP`` bids, each line written ``repeat`` times in a
+    row; and the dedup CSV's bytes."""
+    argv = ["ingest", "--genesis-ms", str(GENESIS_MS)]
+    for r, relay in enumerate(("A", "B", "C")):
+        path = workdir / f"{relay}x{repeat}.ndjson"
+        with open(path, "w", encoding="utf-8") as fh:
+            for i in range(UNIQUE_PER_DUMP):
+                slot = 100 + i // 50
+                line = bid_line(slot, f"0xb{i % 40:02d}", f"0x{i:064x}", 10**16 + i,
+                                (i * 37 + r) % 1500, i % 300)
+                fh.write((line + "\n") * repeat)
+        argv += ["--bids", f"{relay}={path}"]
+    out = workdir / f"x{repeat}.csv"
+    argv += ["--out", str(out)]
+    tracemalloc.start()
+    try:
+        assert main(argv) == EXIT_OK
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    return peak, out.read_bytes()
+
+
+def test_ingest_memory_does_not_grow_with_duplicates(tmp_path):
+    once, csv_once = _ingest_peak(tmp_path, 1)
+    repeated, csv_repeated = _ingest_peak(tmp_path, REPEATS)
+    assert csv_repeated == csv_once
+    assert csv_once.count(b"\n") == UNIQUE_PER_DUMP + 1
+    assert repeated <= 1.2 * once, (once / 2**20, repeated / 2**20)

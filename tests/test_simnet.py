@@ -2,9 +2,11 @@
 
 import itertools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
+from conftest import run_with
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -20,6 +22,7 @@ from timinggames.simnet import (
     _connected,
     generate_er_graph,
 )
+from timinggames.waitinggame import SimConfig
 
 
 def two_node_topology():
@@ -250,7 +253,7 @@ def test_engine_determinism():
     def run_once():
         engine = EventEngine(topo, GossipConfig(), ReleaseOnce(), end_time=48.0, seed=99)
         engine.run()
-        return engine.trace(), engine.block_seen.copy(), engine.block_arrival.copy()
+        return list(engine.trace()), engine.block_seen.copy(), engine.block_arrival.copy()
 
     t1, s1, a1 = run_once()
     t2, s2, a2 = run_once()
@@ -383,7 +386,7 @@ def test_gossip_config_validation():
 def run_trace(topo, end_time, seed):
     engine = EventEngine(topo, GossipConfig(), ReleaseOnce(), end_time=end_time, seed=seed)
     engine.run()
-    return engine.trace()
+    return list(engine.trace())
 
 
 def test_trace_csv(tmp_path):
@@ -413,8 +416,9 @@ def test_trace_starts_with_the_run():
     )
     engine.publish_block(0, 0, 0.0)
     engine.publish_block(1, 0, 0.0)
+    assert engine.events == []
     engine.run()
-    trace = engine.trace()
+    trace = list(engine.trace())
     assert trace[0] == (0.0, "SLOT_START", -1, "slot=0")
     assert all(row[1] != "BLOCK_RELEASE" for row in trace)
     assert engine.block_seen[:, 0].all()
@@ -430,7 +434,7 @@ def test_trace_puts_a_draw_after_the_events_at_its_time():
     draws = (np.array([0.0, 4.0, 13.0]), np.array([0, 1, 0]), np.array([True, False, True]))
     engine._stream = lambda: iter([draws])
     engine.run()
-    assert engine.trace() == [
+    assert list(engine.trace()) == [
         (0.0, "SLOT_START", -1, "slot=0"),
         (0.0, "BLOCK_RELEASE", 0, "block=1"),
         (0.0, "GOSSIP_INTERACTION", 0, "->1:block"),
@@ -477,3 +481,16 @@ def test_settling_votes_keeps_latest_messages(monkeypatch):
         assert np.array_equal(target_a, target_b)
     with pytest.raises(ValueError):
         settled.publish_attestation(0, 0, settled.vote_base - 1, target=0, time=240.0)
+
+
+def test_trace_of_a_default_run_streams():
+    # 710,732 rows; as one list they took 177 MB.
+    engine = run_with(SimConfig())[1]
+    tracemalloc.start()
+    try:
+        rows = sum(1 for _ in engine.trace())
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert rows == 710_732
+    assert peak < 8 * 2**20, peak / 2**20
