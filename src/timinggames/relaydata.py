@@ -20,7 +20,7 @@ import csv
 import json
 import re
 from collections import Counter
-from itertools import groupby, islice, repeat
+from itertools import groupby, islice
 from operator import itemgetter
 from typing import NamedTuple, Sequence
 
@@ -132,14 +132,15 @@ def _keep_earliest(bids, best: dict) -> dict:
     return best
 
 
-def _tallied(bids, slots: dict, keys: set):
+def _tallied(bids, slots: dict, holders: dict, bit: int):
     """``bids`` passed through, each counted under its slot in ``slots`` and
-    its key added to ``keys``."""
+    ``bit`` set in its key's entry of ``holders``."""
     count = slots.get
-    add = keys.add
+    held = holders.get
     for bid in bids:
         slots[bid[0]] = count(bid[0], 0) + 1
-        add(_dedup_key(bid))
+        key = _dedup_key(bid)
+        holders[key] = held(key, 0) | bit
         yield bid
 
 
@@ -148,15 +149,18 @@ class BidFold:
 
     ``best`` holds the earliest record per key across the dumps added;
     ``raw`` counts the records per (relay, slot) in first-seen order, and
-    ``keys`` holds each relay's keys, for the duplicate stats.  A record that
-    is not the earliest of its key so far is dropped as soon as it is read,
-    so memory grows with unique keys per relay, not with raw records.
+    ``holders`` maps each key to a bitmask of the relays that sent it
+    (``relays`` gives each relay its bit), for the duplicate stats.  A
+    record that is not the earliest of its key so far is dropped as soon as
+    it is read, so memory grows with unique keys, not with raw records, and
+    a key mirrored to several relays is held once.
     """
 
     def __init__(self):
         self.best: dict = {}
         self.raw: dict = {}
-        self.keys: dict = {}
+        self.holders: dict = {}
+        self.relays: dict = {}
 
     def add(self, bids, relay_id: str) -> int:
         """Fold one dump of ``relay_id``'s records, iterated once; returns
@@ -164,7 +168,8 @@ class BidFold:
         best = self.best
         old = len(best)
         slots: dict = {}
-        _keep_earliest(_tallied(bids, slots, self.keys.setdefault(relay_id, set())), best)
+        bit = self.relays.setdefault(relay_id, 1 << len(self.relays))
+        _keep_earliest(_tallied(bids, slots, self.holders, bit), best)
         # Keys first seen in this dump go behind the older ones in order of
         # arrival, where merging the dump's own dedup, sorted by arrival,
         # puts them; that order breaks ties of ``merged``'s sort key.
@@ -185,9 +190,13 @@ class BidFold:
     def stats(self) -> dict:
         """Duplicate counts (raw records minus unique keys) per (relay, slot),
         plus, per relay, the number of slots it saw and its average over them."""
+        # Keys per (relay bitmask, slot), then per (relay, slot).
+        shared = Counter((bits, key[0]) for key, bits in self.holders.items())
         unique = Counter()
-        for relay, keys in self.keys.items():
-            unique.update(zip(repeat(relay), map(itemgetter(0), keys)))
+        for (bits, slot), count in shared.items():
+            for relay, bit in self.relays.items():
+                if bits & bit:
+                    unique[relay, slot] += count
         per_cell = {cell: count - unique[cell] for cell, count in self.raw.items()}
         relay_totals: dict = {}
         relay_slots: dict = {}

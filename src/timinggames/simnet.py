@@ -37,6 +37,14 @@ node's set and the number of (node, item) pairs of it not yet delivered.
 Gossip never changes a union, and a count of 0 means every node holds the
 same set, where an interaction is a no-op: the class's remaining draws up
 to the event are then skipped without a look.
+
+The drain stops at the run's last event.  Past it no handler reads node
+state, and ``simulate`` reads only the global vote tables, so the stretch up
+to ``end_time`` is left pending and drained when ``blocks``, ``votes`` or
+``block_arrival`` is first read.  The pending stream cursor is held by the
+engine and holds nothing of the engine in turn (the stream is a module-level
+generator), so an engine is still freed by reference counting and not left
+to the cyclic collector, which would raise a wide run's peak memory.
 """
 
 from __future__ import annotations
@@ -194,6 +202,30 @@ class EngineError(Exception):
         super().__init__(f"handler failed on {event}: {cause}")
 
 
+def _gossip_stream(seed, n_dir: int, gossip: GossipConfig):
+    """The gossip stream from a fresh generator, ``_DRAW_SLICE`` draws at a
+    time: times, edge indices and block-class flags.  A time is the running
+    sum of the gaps; ``cumsum`` adds left to right, as ``t += gap`` one draw
+    at a time would, so they are the same floats.
+
+    A module-level generator, so that an engine can keep it between drains
+    without its frame holding the engine."""
+    rng = np.random.default_rng(seed)
+    rate_b = n_dir / gossip.tau_block
+    total_rate = rate_b + n_dir / gossip.tau_attestation
+    carry = 0.0
+    while True:
+        times = rng.exponential(1.0 / total_rate, _RNG_BATCH)
+        edges = rng.integers(0, n_dir, _RNG_BATCH)
+        kinds = rng.random(_RNG_BATCH) < rate_b / total_rate
+        times[0] += carry
+        np.cumsum(times, out=times)
+        carry = times[-1]
+        for lo in range(0, _RNG_BATCH, _DRAW_SLICE):
+            hi = lo + _DRAW_SLICE
+            yield times[lo:hi], edges[lo:hi], kinds[lo:hi]
+
+
 def _bitset_rows(ints, nbits: int) -> np.ndarray:
     """Boolean ``(len(ints), nbits)`` array: row i holds the low bits of ints[i]."""
     nbytes = (nbits + 7) // 8
@@ -218,11 +250,15 @@ class EventEngine:
     share one heap of ``(time, kind, seq, payload)``.  At equal times a
     release runs first, then a slot start, then a deadline, then the end;
     releases at one time run in the order they were scheduled.  Gossip
-    interactions run strictly before the next of these events.
+    interactions run strictly before the next of these events.  ``run()``
+    drains them up to its last event before the end; the rest, up to
+    ``end_time``, is drained when ``blocks``, ``votes`` or ``block_arrival``
+    is first read, or before a later publish.
 
     Knowledge state, as fork choice reads it:
 
     * ``blocks[v]``: node v's block bitset;
+    * ``block_arrival[v, b]``: when node v got block b (NaN if it has not);
     * ``votes[v]``: node v's vote bitset over the slots from ``vote_base``;
     * ``vote_slots[k]``: ``{target: validator bitset}`` of slot ``vote_base + k``;
     * ``vote_settled``: ``{(slot, target): validator bitset}``, the latest
@@ -257,9 +293,9 @@ class EventEngine:
         self._n_dir = len(self._src)
 
         # Knowledge state.
-        self.blocks = [0] * self.n_nodes
-        self.block_arrival = np.full((self.n_nodes, self.n_slots + 2), np.nan)
-        self.votes = [0] * self.n_nodes
+        self._blocks = [0] * self.n_nodes
+        self._block_arrival = np.full((self.n_nodes, self.n_slots + 2), np.nan)
+        self._votes = [0] * self.n_nodes
         self.vote_base = 0
         self.vote_slots: list = []
         self.vote_settled: dict = {}
@@ -269,6 +305,12 @@ class EventEngine:
         self._blocks_undelivered = 0
         self._vote_union = 0
         self._votes_undelivered = 0
+        # The gossip stream's cursor between drains: the stream, the current
+        # slice's block and vote draws (times and edges), the position in
+        # each, and the time of the slice's last draw.  It must hold nothing
+        # that holds the engine.
+        self._cursor = None
+        self._tail = False  # whether draws before end_time are left to drain
 
         self._seq = itertools.count()
         self._queue = [(self.end_time, _END, next(self._seq), None)]
@@ -286,10 +328,12 @@ class EventEngine:
     def publish_block(self, node: int, block_id: int, time: float) -> None:
         if not 0 <= node < self.n_nodes:
             raise ValueError(f"node {node} not in [0, {self.n_nodes})")
+        if self._tail:
+            self._settle()
         bit = 1 << block_id
-        if not self.blocks[node] & bit:
-            self.block_arrival[node, block_id] = time
-            self.blocks[node] |= bit
+        if not self._blocks[node] & bit:
+            self._block_arrival[node, block_id] = time
+            self._blocks[node] |= bit
             if not self._block_union & bit:
                 self._block_union |= bit
                 self._blocks_undelivered += self.n_nodes
@@ -307,6 +351,8 @@ class EventEngine:
         k = slot - self.vote_base
         if k < 0:
             raise ValueError(f"vote of slot {slot} published after the slot settled")
+        if self._tail:
+            self._settle()
         while len(self.vote_slots) <= k:
             self.vote_slots.append({})
         bit = 1 << (k * self.n_validators + validator)
@@ -316,14 +362,38 @@ class EventEngine:
             group[target] = group.get(target, 0) | 1 << validator
             self._vote_union |= bit
             self._votes_undelivered += self.n_nodes
-        if not self.votes[node] & bit:
+        if not self._votes[node] & bit:
             self._votes_undelivered -= 1
-            self.votes[node] |= bit
+            self._votes[node] |= bit
 
     # -- knowledge state ----------------------------------------------------
 
+    @property
+    def blocks(self) -> list:
+        if self._tail:
+            self._settle()
+        return self._blocks
+
+    @property
+    def votes(self) -> list:
+        if self._tail:
+            self._settle()
+        return self._votes
+
+    @property
+    def block_arrival(self) -> np.ndarray:
+        if self._tail:
+            self._settle()
+        return self._block_arrival
+
+    def _settle(self) -> None:
+        """Drain the draws that ``run()`` left pending, up to ``end_time``."""
+        self._tail = False
+        self._drain(self.end_time)
+        self._cursor = None
+
     def _arrive(self, node: int, new: int, t: float) -> None:
-        arrival = self.block_arrival
+        arrival = self._block_arrival
         while new:
             low = new & -new
             arrival[node, low.bit_length() - 1] = t
@@ -333,7 +403,7 @@ class EventEngine:
         """Settle the oldest vote slots, up to ``slot``, that all nodes hold alike."""
         width = self.n_validators
         mask = (1 << width) - 1
-        votes = self.votes
+        votes = self._votes
         settled = self.vote_settled
         k = 0
         while k < len(self.vote_slots) and self.vote_base + k <= slot:
@@ -392,24 +462,8 @@ class EventEngine:
     # -- gossip stream ------------------------------------------------------
 
     def _stream(self):
-        """The gossip stream from a fresh generator, ``_DRAW_SLICE`` draws at a
-        time: times, edge indices and block-class flags.  A time is the
-        running sum of the gaps; ``cumsum`` adds left to right, as ``t +=
-        gap`` one draw at a time would, so they are the same floats."""
-        rng = np.random.default_rng(self._seed)
-        rate_b = self._n_dir / self.gossip.tau_block
-        total_rate = rate_b + self._n_dir / self.gossip.tau_attestation
-        carry = 0.0
-        while True:
-            times = rng.exponential(1.0 / total_rate, _RNG_BATCH)
-            edges = rng.integers(0, self._n_dir, _RNG_BATCH)
-            kinds = rng.random(_RNG_BATCH) < rate_b / total_rate
-            times[0] += carry
-            np.cumsum(times, out=times)
-            carry = times[-1]
-            for lo in range(0, _RNG_BATCH, _DRAW_SLICE):
-                hi = lo + _DRAW_SLICE
-                yield times[lo:hi], edges[lo:hi], kinds[lo:hi]
+        """The run's gossip stream, ``_DRAW_SLICE`` draws at a time."""
+        return _gossip_stream(self._seed, self._n_dir, self.gossip)
 
     def trace(self):
         """The last run's event trace, row by row: the ``events`` log and,
@@ -441,72 +495,80 @@ class EventEngine:
 
     # -- main loop ----------------------------------------------------------
 
-    def run(self) -> None:
-        """Process events up to end_time."""
+    def _drain(self, t: float) -> None:
+        """Run the gossip interactions strictly before ``t`` (at a tie the
+        event runs first), one class at a time, and skip the rest of a class
+        once nothing of it is undelivered.  Only the spans that run become
+        Python lists."""
         src = self._src
         dst = self._dst
-        blocks = self.blocks
-        votes = self.votes
+        blocks = self._blocks
+        votes = self._votes
         arrive = self._arrive
+        stream, bt, be, vt, ve, bi, vi, last = self._cursor
+        block_gap = self._blocks_undelivered
+        vote_gap = self._votes_undelivered
+        while True:
+            end = int(bt.searchsorted(t))
+            if block_gap and end > bi:
+                span = be[bi:end]
+                pairs = zip(src[span].tolist(), dst[span].tolist())
+                for i, (u, v) in enumerate(pairs, bi):
+                    a = blocks[u]
+                    b = blocks[v]
+                    if a != b:
+                        blocks[u] = blocks[v] = a | b
+                        if b & ~a:
+                            arrive(u, b & ~a, bt[i])
+                        if a & ~b:
+                            arrive(v, a & ~b, bt[i])
+                        block_gap -= (a ^ b).bit_count()
+                        if not block_gap:
+                            break
+            bi = end
+
+            end = int(vt.searchsorted(t))
+            if vote_gap and end > vi:
+                span = ve[vi:end]
+                for u, v in zip(src[span].tolist(), dst[span].tolist()):
+                    a = votes[u]
+                    b = votes[v]
+                    if a != b:
+                        votes[u] = votes[v] = a | b
+                        vote_gap -= (a ^ b).bit_count()
+                        if not vote_gap:
+                            break
+            vi = end
+
+            if last >= t:
+                break
+            times, edges, kinds = next(stream)
+            block, vote = np.flatnonzero(kinds), np.flatnonzero(~kinds)
+            bt, be, vt, ve = times[block], edges[block], times[vote], edges[vote]
+            bi = vi = 0
+            last = times[-1]
+        self._cursor = stream, bt, be, vt, ve, bi, vi, last
+        self._blocks_undelivered = block_gap
+        self._votes_undelivered = vote_gap
+
+    def run(self) -> None:
+        """Process events up to end_time.  Gossip is drained up to the last
+        event before the end; the rest is left pending (see ``_settle``)."""
         queue = self._queue
         self.events = events = []
         self._running = True
-        stream = self._stream()
-        bt = be = vt = ve = np.empty(0)  # the slice's block and vote draws
-        bi = vi = 0
-        last = -math.inf  # time of the slice's last draw
+        empty = np.empty(0)
+        self._cursor = self._stream(), empty, empty, empty, empty, 0, 0, -math.inf
 
         while True:
             t, kind, _, payload = heapq.heappop(queue)
             self._now = t
-
-            # Drain the gossip interactions strictly before the event (at a
-            # tie the event runs first) one class at a time, and skip the
-            # rest of a class once nothing of it is undelivered.  Only the
-            # spans that run become Python lists.
-            block_gap = self._blocks_undelivered
-            vote_gap = self._votes_undelivered
-            while True:
-                end = int(bt.searchsorted(t))
-                if block_gap and end > bi:
-                    span = be[bi:end]
-                    pairs = zip(src[span].tolist(), dst[span].tolist())
-                    for i, (u, v) in enumerate(pairs, bi):
-                        a = blocks[u]
-                        b = blocks[v]
-                        if a != b:
-                            blocks[u] = blocks[v] = a | b
-                            if b & ~a:
-                                arrive(u, b & ~a, bt[i])
-                            if a & ~b:
-                                arrive(v, a & ~b, bt[i])
-                            block_gap -= (a ^ b).bit_count()
-                            if not block_gap:
-                                break
-                bi = end
-
-                end = int(vt.searchsorted(t))
-                if vote_gap and end > vi:
-                    span = ve[vi:end]
-                    for u, v in zip(src[span].tolist(), dst[span].tolist()):
-                        a = votes[u]
-                        b = votes[v]
-                        if a != b:
-                            votes[u] = votes[v] = a | b
-                            vote_gap -= (a ^ b).bit_count()
-                            if not vote_gap:
-                                break
-                vi = end
-
-                if last >= t:
-                    break
-                times, edges, kinds = next(stream)
-                block, vote = np.flatnonzero(kinds), np.flatnonzero(~kinds)
-                bt, be, vt, ve = times[block], edges[block], times[vote], edges[vote]
-                bi = vi = 0
-                last = times[-1]
-            self._blocks_undelivered = block_gap
-            self._votes_undelivered = vote_gap
+            if kind == _END:
+                events.append((t, (t, "SIM_END", -1, "")))
+                self._running = False
+                self._tail = True
+                return
+            self._drain(t)
 
             try:
                 if kind == _RELEASE:
@@ -517,16 +579,11 @@ class EventEngine:
                     self._push(t + ATTEST_DEADLINE_OFFSET, _DEADLINE, payload)
                     if payload + 1 < self.n_slots:
                         self._push((payload + 1) * SLOT_SECONDS, _SLOT_START, payload + 1)
-                elif kind == _DEADLINE:
+                else:
                     events.append((t, (t, "ATTEST_DEADLINE", -1, f"slot={payload}")))
                     self.handlers.on_attest_deadline(self, t, payload)
                     self._compact(payload)
-                else:
-                    events.append((t, (t, "SIM_END", -1, "")))
-                    self._running = False
-                    return
             except EngineError:
                 raise
             except Exception as exc:
                 raise EngineError((t, _KIND_NAMES[kind]), exc) from exc
-

@@ -42,6 +42,11 @@ DEFAULT_LAMBDA_ETH_PER_MS = 5.71e-6
 # Configs past this many cells (2 GiB) are refused before anything is
 # allocated, so an absurd duration is a config error, not a crash.
 MAX_ARRIVAL_CELLS = 2**28
+# A run draws about n * mean_degree * duration * (1/tau_block +
+# 1/tau_attestation) gossip interactions.  Configs past this many (a tiny
+# tau, say) are refused too, so they fail at once instead of running for
+# hours.  An N = 8192, 1000 s run at the default taus draws about 4.4e7.
+MAX_GOSSIP_DRAWS = 2**35
 
 
 @dataclass(frozen=True)
@@ -134,6 +139,12 @@ class SimConfig:
             raise ValueError("tau_block and tau_attestation must be positive")
         if self.n * (int(self.duration // SLOT_SECONDS) + 2) > MAX_ARRIVAL_CELLS:
             raise ValueError(f"n x (duration // 12 + 2) must be at most {MAX_ARRIVAL_CELLS}")
+        rate = 1.0 / self.tau_block + 1.0 / self.tau_attestation
+        if self.n * self.mean_degree * self.duration * rate > MAX_GOSSIP_DRAWS:
+            raise ValueError(
+                "n x mean_degree x duration x (1/tau_block + 1/tau_attestation) "
+                f"must be at most {MAX_GOSSIP_DRAWS}"
+            )
 
 
 @dataclass(frozen=True)

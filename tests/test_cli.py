@@ -335,7 +335,7 @@ ASCII_LOCALE = {"LC_ALL": "C", "PYTHONCOERCECLOCALE": "0", "PYTHONUTF8": "0"}
 UTF8_LOCALE = {"LC_ALL": "C.UTF-8", "PYTHONUTF8": "1"}
 
 
-def _cli_process(args, cwd, env):
+def _cli_process(args, cwd, env, timeout=None):
     """``timinggames`` in a new interpreter with ``env`` over this one's.
     Encoding warnings stay off, so that stderr holds only the program's own
     lines."""
@@ -343,7 +343,23 @@ def _cli_process(args, cwd, env):
     return subprocess.run(
         [sys.executable, "-m", "timinggames.cli", *args], cwd=cwd, capture_output=True,
         env={**os.environ, "PYTHONPATH": str(src), "PYTHONWARNDEFAULTENCODING": "", **env},
+        timeout=timeout,
     )
+
+
+@pytest.mark.parametrize("command", ["run", "sweep"])
+def test_sim_refuses_a_tiny_tau_at_once(tmp_path, command):
+    # tau_block = 1e-9 asks for about 7.7e12 gossip draws in 120 s at N = 16:
+    # the config is refused before anything is built, instead of running
+    # for hours.
+    (tmp_path / "cfg.yaml").write_text("n: 16\nduration: 120\ntau_block: 1.0e-9\n")
+    done = _cli_process(["sim", command, "--config", "cfg.yaml", "--out", "out.csv"],
+                        tmp_path, {}, timeout=60)
+    assert done.returncode == EXIT_USAGE
+    err = done.stderr.decode().splitlines()
+    assert len(err) == 1 and err[0].startswith("error: invalid config value: "), err
+    assert "at most" in err[0]
+    assert not (tmp_path / "out.csv").exists()
 
 
 def test_written_files_are_utf8_under_an_ascii_locale(tmp_path):

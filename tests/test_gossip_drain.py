@@ -11,16 +11,19 @@ it bit for bit: arrival times, bitsets, vote tables, heads and metrics, and
 
 from __future__ import annotations
 
+import gc
 import heapq
+import weakref
 from functools import reduce
 from operator import or_
 
 import numpy as np
+import pytest
 from conftest import run_with
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from timinggames import waitinggame
+from timinggames import simnet, waitinggame
 from timinggames.consensus import GENESIS_ID
 from timinggames.simnet import (
     _DEADLINE,
@@ -211,6 +214,96 @@ def test_drain_matches_loop_across_batches():
     oracle = assert_same_run(config)
     gossip = sum(row[1] == "GOSSIP_INTERACTION" for row in oracle.rows)
     assert gossip > _RNG_BATCH
+
+
+# -- the tail after the last event ----------------------------------------------
+
+
+@pytest.mark.parametrize("config", [
+    # Durations that are not a multiple of 12 s: the last deadline comes
+    # 16 and 19.9 s before the end.
+    SimConfig(n=16, mean_degree=5.0, tau_block=2.0, tau_attestation=3.5,
+              duration=20.0, x_d=0.5, t_d=2.0, seed=11),
+    SimConfig(n=16, mean_degree=5.0, tau_block=2.0, tau_attestation=3.5,
+              duration=23.9, x_d=0.5, t_d=6.0, seed=12),
+    # t_d = 11: the last release comes after the last deadline.
+    SimConfig(n=16, mean_degree=5.0, tau_block=3.5, tau_attestation=2.0,
+              duration=36.0, x_d=1.0, t_d=11.0, seed=13),
+    SimConfig(n=20, mean_degree=4.0, tau_block=3.0, tau_attestation=3.0,
+              duration=23.9, x_d=1.0, t_d=11.0, seed=14),
+], ids=["20s", "23.9s", "36s-t_d=11", "23.9s-t_d=11"])
+def test_drain_matches_loop_with_a_long_tail(config):
+    assert_same_run(config)
+
+
+TAIL_CONFIG = SimConfig(n=24, mean_degree=4.0, tau_block=3.5, tau_attestation=2.0,
+                        duration=23.9, x_d=1.0, t_d=11.0, seed=7)
+
+
+@pytest.mark.parametrize("first", ["blocks", "votes", "block_arrival", "publish"])
+def test_tail_settles_on_first_read(first):
+    # Whichever of the state's readers comes first, or a publish after the
+    # run, it sees the state at end_time.
+    _, oracle, _ = run_with(TAIL_CONFIG, LoopEngine)
+    _, engine, _ = run_with(TAIL_CONFIG)
+    assert engine._tail
+    if first == "publish":
+        for e in (engine, oracle):
+            e.publish_block(0, 2, TAIL_CONFIG.duration)
+            e.publish_attestation(1, 1, e.vote_base + 1, 3, TAIL_CONFIG.duration)
+    else:
+        value, want = getattr(engine, first), getattr(oracle, first)
+        assert not engine._tail
+        if first == "block_arrival":
+            value, want = value.tobytes(), want.tobytes()
+        assert value == want
+    assert engine.block_arrival.tobytes() == oracle.block_arrival.tobytes()
+    assert engine.blocks == oracle.blocks
+    assert engine.votes == oracle.votes
+    assert engine.vote_slots == oracle.vote_slots
+
+
+def test_simulate_leaves_the_tail_undrained(monkeypatch):
+    # A 12 s run at N = 256 draws a slice of 2,048 interactions about every
+    # 1.5 s.  simulate stops at the slice that reaches the deadline at 4 s,
+    # and reading the state draws the slices up to the end.
+    ends = []  # time of each drawn slice's last draw
+    stream = simnet._gossip_stream
+
+    def counted(*args):
+        for draws in stream(*args):
+            ends.append(draws[0][-1])
+            yield draws
+
+    monkeypatch.setattr(simnet, "_gossip_stream", counted)
+    config = SimConfig(n=256, mean_degree=8.0, duration=SLOT_SECONDS, seed=1)
+    _, engine, _ = run_with(config)
+    assert ends[-2] < ATTEST_DEADLINE_OFFSET <= ends[-1] < config.duration
+    drawn = len(ends)
+    engine.votes
+    assert ends[-2] < config.duration <= ends[-1]
+    assert len(ends) > drawn + 2
+
+
+def test_engine_is_freed_by_reference_counting(monkeypatch):
+    # A pending tail keeps the gossip stream on the engine.  Were the stream
+    # to hold the engine, the engine would wait for the cyclic collector,
+    # and a wide run's peak memory would grow with the engines left over.
+    refs = []
+
+    def make(*args):
+        engine = EventEngine(*args)
+        refs.append(weakref.ref(engine))
+        return engine
+
+    monkeypatch.setattr(waitinggame, "EventEngine", make)
+    gc.collect()
+    gc.disable()
+    try:
+        waitinggame.simulate(TAIL_CONFIG)
+        assert refs[0]() is None
+    finally:
+        gc.enable()
 
 
 # -- undelivered counts -------------------------------------------------------

@@ -377,3 +377,25 @@ def test_sim_config_caps_the_arrival_table():
         SimConfig(duration=1.0e18)
     with pytest.raises(ValueError, match="at most"):
         SimConfig(n=2**100, mean_degree=8.0)
+
+
+def test_sim_config_caps_the_gossip_draws():
+    # Expected draws: n x mean_degree x duration x (1/tau_block + 1/tau_attestation).
+    def draws(config):
+        return (config.n * config.mean_degree * config.duration
+                * (1 / config.tau_block + 1 / config.tau_attestation))
+
+    # A mainnet-scale run (N = 8192, 1000 s) is far inside the cap.
+    assert draws(SimConfig(n=8192, duration=1000.0)) < waitinggame.MAX_GOSSIP_DRAWS / 100
+    # At N = 16, mean degree 4 and one 12 s slot, the cap falls at tau = 1536 / cap.
+    tau = 16 * 4.0 * 12.0 * 2 / waitinggame.MAX_GOSSIP_DRAWS
+    SimConfig(n=16, mean_degree=4.0, duration=12.0, tau_block=tau * 1.000001,
+              tau_attestation=tau * 1.000001)
+    with pytest.raises(ValueError, match="at most"):
+        SimConfig(n=16, mean_degree=4.0, duration=12.0, tau_block=tau * 0.999999,
+                  tau_attestation=tau * 0.999999)
+    for tau in (1e-9, 1e-320):  # 1 / 1e-320 overflows to inf
+        with pytest.raises(ValueError, match="at most"):
+            SimConfig(n=16, duration=120.0, tau_block=tau)
+    with pytest.raises(ValueError, match="at most"):
+        SimConfig(n=16, duration=120.0, tau_attestation=1e-9)
