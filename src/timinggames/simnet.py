@@ -38,13 +38,15 @@ Gossip never changes a union, and a count of 0 means every node holds the
 same set, where an interaction is a no-op: the class's remaining draws up
 to the event are then skipped without a look.
 
-The drain stops at the run's last event.  Past it no handler reads node
-state, and ``simulate`` reads only the global vote tables, so the stretch up
-to ``end_time`` is left pending and drained when ``blocks``, ``votes`` or
-``block_arrival`` is first read.  The pending stream cursor is held by the
-engine and holds nothing of the engine in turn (the stream is a module-level
-generator), so an engine is still freed by reference counting and not left
-to the cyclic collector, which would raise a wide run's peak memory.
+The drain stops at the run's last attestation deadline.  Past it no
+handler reads node state, and ``simulate`` reads only the global vote
+tables, so later releases are logged and kept pending, and they and the
+gossip up to ``end_time`` run when ``blocks``, ``votes`` or
+``block_arrival`` is first read.  The pending releases are plain numbers,
+and the stream cursor holds nothing of the engine (the stream is a
+module-level generator), so an engine is still freed by reference counting
+and not left to the cyclic collector, which would raise a wide run's peak
+memory.
 """
 
 from __future__ import annotations
@@ -55,6 +57,8 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+
+from .consensus import GENESIS_ID
 
 SLOT_SECONDS = 12.0
 ATTEST_DEADLINE_OFFSET = 4.0
@@ -69,19 +73,20 @@ class TopologyError(Exception):
     """Raised when no connected graph can be sampled for the parameters."""
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Topology:
-    """Simple undirected connected graph over nodes 0..n-1."""
+    """Simple undirected connected graph over nodes 0..n-1: edge i joins
+    nodes ``u[i]`` and ``v[i]`` (int64 arrays).  ``generate_er_graph``
+    lists each edge once, ``u < v``, in upper-triangle order."""
 
     n: int
-    edges: frozenset
+    u: np.ndarray
+    v: np.ndarray
 
     def directed_pairs(self) -> np.ndarray:
         """All ordered adjacent pairs as a ``(2m, 2)`` int32 array, one pair
         a row, sorted by source and then destination for determinism."""
-        n = self.n
-        flat = itertools.chain.from_iterable(self.edges)
-        u, v = np.fromiter(flat, dtype=np.int64, count=2 * len(self.edges)).reshape(-1, 2).T
+        n, u, v = self.n, self.u, self.v
         keys = np.sort(np.concatenate((u * n + v, v * n + u)))
         return np.stack((keys // n, keys % n), axis=1).astype(np.int32)
 
@@ -173,9 +178,9 @@ def generate_er_graph(n: int, mean_degree: float, seed: int) -> Topology:
     """G(n, p) with p = mean_degree / (n - 1), resampled until connected.
 
     The sub-seed is incremented per attempt so the result is deterministic
-    for a given (n, mean_degree, seed).  Each sample stays in int arrays
-    until it passes the connectivity check; only the accepted one becomes
-    the edge set, in the sampler's upper-triangle order.
+    for a given (n, mean_degree, seed).  Each sample stays in int arrays,
+    and the accepted one is the topology's, in the sampler's upper-triangle
+    order.
     """
     if n < 2:
         raise ValueError("need at least 2 nodes")
@@ -188,7 +193,7 @@ def generate_er_graph(n: int, mean_degree: float, seed: int) -> Topology:
             continue
         us, vs = sample
         if _connected(n, us, vs):
-            return Topology(n=n, edges=frozenset(zip(us.tolist(), vs.tolist())))
+            return Topology(n, us, vs)
     raise TopologyError(
         f"no connected graph in {_MAX_CONNECT_ATTEMPTS} attempts "
         f"(n={n}, mean_degree={mean_degree})"
@@ -242,7 +247,8 @@ class EventEngine:
         on_slot_start(engine, t, slot)      # select proposer, create block
         on_attest_deadline(engine, t, slot) # attestors vote
 
-    Blocks enter circulation via ``publish_block`` (usually from a scheduled
+    Every node starts with genesis, block ``GENESIS_ID``, at time 0.  Other
+    blocks enter circulation via ``publish_block`` (usually from a scheduled
     release), votes via ``publish_attestation``.  A vote must be published
     by its slot's attestation deadline: later, its slot may be settled.
 
@@ -251,9 +257,10 @@ class EventEngine:
     release runs first, then a slot start, then a deadline, then the end;
     releases at one time run in the order they were scheduled.  Gossip
     interactions run strictly before the next of these events.  ``run()``
-    drains them up to its last event before the end; the rest, up to
-    ``end_time``, is drained when ``blocks``, ``votes`` or ``block_arrival``
-    is first read, or before a later publish.
+    drains them up to the last attestation deadline and logs, but does not
+    yet publish, the releases after it.  Those releases and the gossip up
+    to ``end_time`` run when ``blocks``, ``votes`` or ``block_arrival`` is
+    first read, or before a later publish.
 
     Knowledge state, as fork choice reads it:
 
@@ -292,16 +299,17 @@ class EventEngine:
         self._src, self._dst = topology.directed_pairs().T.copy()
         self._n_dir = len(self._src)
 
-        # Knowledge state.
-        self._blocks = [0] * self.n_nodes
+        # Knowledge state: every node holds genesis from time 0.
+        self._blocks = [1 << GENESIS_ID] * self.n_nodes
         self._block_arrival = np.full((self.n_nodes, self.n_slots + 2), np.nan)
+        self._block_arrival[:, GENESIS_ID] = 0.0
         self._votes = [0] * self.n_nodes
         self.vote_base = 0
         self.vote_slots: list = []
         self.vote_settled: dict = {}
         # Per class: the union of all nodes' sets, and the number of
         # (node, item) pairs of it not yet delivered.
-        self._block_union = 0
+        self._block_union = 1 << GENESIS_ID
         self._blocks_undelivered = 0
         self._vote_union = 0
         self._votes_undelivered = 0
@@ -310,7 +318,11 @@ class EventEngine:
         # each, and the time of the slice's last draw.  It must hold nothing
         # that holds the engine.
         self._cursor = None
-        self._tail = False  # whether draws before end_time are left to drain
+        # The releases run() logged after the last deadline, as (time, node,
+        # block id), and whether they and the draws before end_time are
+        # left to run.
+        self._pending: list = []
+        self._tail = False
 
         self._seq = itertools.count()
         self._queue = [(self.end_time, _END, next(self._seq), None)]
@@ -322,12 +334,20 @@ class EventEngine:
     def _push(self, time: float, kind: int, payload) -> None:
         heapq.heappush(self._queue, (time, kind, next(self._seq), payload))
 
+    def _check_block(self, node: int, block_id: int) -> None:
+        if not 0 <= node < self.n_nodes:
+            raise ValueError(f"node {node} not in [0, {self.n_nodes})")
+        if not 0 <= block_id < self._block_arrival.shape[1]:
+            raise ValueError(f"block {block_id} not in [0, {self._block_arrival.shape[1]})")
+
     def schedule_release(self, time: float, node: int, block_id: int) -> None:
+        # Checked here, since a release after the last deadline is published
+        # only when the state is first read.
+        self._check_block(node, block_id)
         self._push(time, _RELEASE, (node, block_id))
 
     def publish_block(self, node: int, block_id: int, time: float) -> None:
-        if not 0 <= node < self.n_nodes:
-            raise ValueError(f"node {node} not in [0, {self.n_nodes})")
+        self._check_block(node, block_id)
         if self._tail:
             self._settle()
         bit = 1 << block_id
@@ -387,8 +407,14 @@ class EventEngine:
         return self._block_arrival
 
     def _settle(self) -> None:
-        """Drain the draws that ``run()`` left pending, up to ``end_time``."""
+        """Run what ``run()`` left pending: each release after the last
+        deadline, once the draws before it have run, then the draws up to
+        ``end_time``."""
         self._tail = False
+        for time, node, block_id in self._pending:
+            self._drain(time)
+            self.publish_block(node, block_id, time)
+        self._pending = []
         self._drain(self.end_time)
         self._cursor = None
 
@@ -553,12 +579,17 @@ class EventEngine:
 
     def run(self) -> None:
         """Process events up to end_time.  Gossip is drained up to the last
-        event before the end; the rest is left pending (see ``_settle``)."""
+        attestation deadline; the releases after it are logged and, with the
+        gossip up to the end, left pending (see ``_settle``)."""
         queue = self._queue
         self.events = events = []
         self._running = True
         empty = np.empty(0)
         self._cursor = self._stream(), empty, empty, empty, empty, 0, 0, -math.inf
+        self._pending = pending = []
+        # Only handlers read node state, and after the last deadline only
+        # releases and the end are left in the queue.
+        deferring = not self.n_slots
 
         while True:
             t, kind, _, payload = heapq.heappop(queue)
@@ -568,6 +599,11 @@ class EventEngine:
                 self._running = False
                 self._tail = True
                 return
+            if deferring:
+                node, block_id = payload
+                pending.append((t, node, block_id))
+                events.append((t, (t, "BLOCK_RELEASE", node, f"block={block_id}")))
+                continue
             self._drain(t)
 
             try:
@@ -583,6 +619,7 @@ class EventEngine:
                     events.append((t, (t, "ATTEST_DEADLINE", -1, f"slot={payload}")))
                     self.handlers.on_attest_deadline(self, t, payload)
                     self._compact(payload)
+                    deferring = payload == self.n_slots - 1
             except EngineError:
                 raise
             except Exception as exc:

@@ -34,8 +34,8 @@ from itertools import islice
 
 import numpy as np
 
-from .consensus import GENESIS_ID, BlockTree, head_from_arrays, mainchain
-from .simnet import SLOT_SECONDS, EventEngine, GossipConfig, Topology, generate_er_graph
+from .consensus import BlockTree, head_from_arrays, mainchain
+from .simnet import SLOT_SECONDS, EventEngine, GossipConfig, generate_er_graph
 
 DEFAULT_LAMBDA_ETH_PER_MS = 5.71e-6
 # A run's engine holds an (n, slots + 2) float64 table of block arrivals.
@@ -231,15 +231,15 @@ def delayer_orphan_count(tree: BlockTree, mainchain_set, delayers):
 class _ChainHandlers:
     """Consensus-side event handlers driving one simulation run."""
 
-    def __init__(self, n, delayers, t_d, proposer_rng):
+    def __init__(self, n, delayers, t_d, proposers):
         self.n = n
         self.delayers = delayers
         self.t_d = t_d
-        self.rng = proposer_rng
+        self.proposers = proposers  # one node per slot
         self.tree = BlockTree()
 
     def on_slot_start(self, engine: EventEngine, t: float, slot: int) -> None:
-        proposer = int(self.rng.integers(self.n))
+        proposer = self.proposers[slot]
         head = head_from_arrays(
             self.tree.parent,
             self.tree.children,
@@ -289,9 +289,11 @@ def simulate(config: SimConfig) -> SimulationOutput:
         config.n, config.mean_degree, seed=int(topo_ss.generate_state(1)[0])
     )
     assignment = assign_strategies(config.n, config.x_d, strat_ss)
-    handlers = _ChainHandlers(
-        config.n, assignment.delayers, config.t_d, np.random.default_rng(prop_ss)
-    )
+    # Every slot's proposer at once: the same nodes as one integers(n) call
+    # per slot start.
+    n_slots = int(config.duration // SLOT_SECONDS)
+    proposers = np.random.default_rng(prop_ss).integers(config.n, size=n_slots).tolist()
+    handlers = _ChainHandlers(config.n, assignment.delayers, config.t_d, proposers)
     engine = EventEngine(
         topology,
         GossipConfig(config.tau_block, config.tau_attestation),
@@ -299,9 +301,6 @@ def simulate(config: SimConfig) -> SimulationOutput:
         config.duration,
         gossip_ss,
     )
-    # Everyone starts from genesis.
-    for v in range(config.n):
-        engine.publish_block(v, GENESIS_ID, 0.0)
     engine.run()
 
     tree = handlers.tree

@@ -133,7 +133,7 @@ def test_tree_validation():
 
 
 def two_node_engine(handlers=None, end_time=24.0):
-    topology = Topology(n=2, edges=frozenset({(0, 1)}))
+    topology = Topology(n=2, u=np.array([0]), v=np.array([1]))
     return EventEngine(topology, GossipConfig(), handlers, end_time, seed=0)
 
 

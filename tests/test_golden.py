@@ -114,8 +114,8 @@ def graph_record(seed: int) -> dict:
         "mean_degree": GRAPH_DEGREE,
         "seed": seed,
         "attempts": sampling_attempts(GRAPH_N, GRAPH_DEGREE, seed),
-        "edge_count": len(topology.edges),
-        "edge_sha256": edge_digest(topology.edges),
+        "edge_count": len(topology.u),
+        "edge_sha256": edge_digest(zip(topology.u.tolist(), topology.v.tolist())),
     }
 
 

@@ -201,6 +201,12 @@ def configs():
                    duration=60.0, x_d=1.0, t_d=4.0, seed=3))
 @example(SimConfig(n=12, mean_degree=5.0, tau_block=2.5, tau_attestation=1.0,
                    duration=60.0, x_d=0.5, t_d=12.0, seed=4))
+# Releases after the last deadline, left pending by run(): one slot, and
+# five slots whose last release comes at 57 s.
+@example(SimConfig(n=12, mean_degree=5.0, tau_block=2.5, tau_attestation=1.0,
+                   duration=12.0, x_d=1.0, t_d=11.0, seed=6))
+@example(SimConfig(n=12, mean_degree=5.0, tau_block=1.0, tau_attestation=2.5,
+                   duration=60.0, x_d=1.0, t_d=9.0, seed=5))
 @settings(max_examples=40, deadline=None)
 def test_drain_matches_per_interaction_loop(config):
     assume(config.tau_block != config.tau_attestation)
@@ -216,7 +222,7 @@ def test_drain_matches_loop_across_batches():
     assert gossip > _RNG_BATCH
 
 
-# -- the tail after the last event ----------------------------------------------
+# -- the tail after the last deadline -------------------------------------------
 
 
 @pytest.mark.parametrize("config", [
@@ -236,31 +242,40 @@ def test_drain_matches_loop_with_a_long_tail(config):
     assert_same_run(config)
 
 
+# The one slot's delayed release at 11 s comes after its deadline at 4 s.
 TAIL_CONFIG = SimConfig(n=24, mean_degree=4.0, tau_block=3.5, tau_attestation=2.0,
                         duration=23.9, x_d=1.0, t_d=11.0, seed=7)
+# Five slots; the last one's release at 58 s comes after its deadline at 52 s.
+LAST_SLOT_CONFIG = SimConfig(n=24, mean_degree=4.0, tau_block=2.0, tau_attestation=3.0,
+                             duration=65.0, x_d=1.0, t_d=10.0, seed=9)
 
 
 @pytest.mark.parametrize("first", ["blocks", "votes", "block_arrival", "publish"])
 def test_tail_settles_on_first_read(first):
     # Whichever of the state's readers comes first, or a publish after the
-    # run, it sees the state at end_time.
-    _, oracle, _ = run_with(TAIL_CONFIG, LoopEngine)
-    _, engine, _ = run_with(TAIL_CONFIG)
-    assert engine._tail
-    if first == "publish":
-        for e in (engine, oracle):
-            e.publish_block(0, 2, TAIL_CONFIG.duration)
-            e.publish_attestation(1, 1, e.vote_base + 1, 3, TAIL_CONFIG.duration)
-    else:
-        value, want = getattr(engine, first), getattr(oracle, first)
-        assert not engine._tail
-        if first == "block_arrival":
-            value, want = value.tobytes(), want.tobytes()
-        assert value == want
-    assert engine.block_arrival.tobytes() == oracle.block_arrival.tobytes()
-    assert engine.blocks == oracle.blocks
-    assert engine.votes == oracle.votes
-    assert engine.vote_slots == oracle.vote_slots
+    # run, it sees the state at end_time, the pending release included.
+    for config in (TAIL_CONFIG, LAST_SLOT_CONFIG):
+        _, oracle, _ = run_with(config, LoopEngine)
+        out, engine, _ = run_with(config)
+        assert engine._tail
+        (release, node, block), = engine._pending
+        assert node == out.tree.proposer[block]
+        if first == "publish":
+            for e in (engine, oracle):
+                e.publish_block(0, 2, config.duration)
+                e.publish_attestation(1, 1, e.vote_base + 1, 3, config.duration)
+        else:
+            value, want = getattr(engine, first), getattr(oracle, first)
+            assert not engine._tail
+            if first == "block_arrival":
+                value, want = value.tobytes(), want.tobytes()
+            assert value == want
+        assert not engine._pending
+        assert engine.block_arrival[node, block] == release
+        assert engine.block_arrival.tobytes() == oracle.block_arrival.tobytes()
+        assert engine.blocks == oracle.blocks
+        assert engine.votes == oracle.votes
+        assert engine.vote_slots == oracle.vote_slots
 
 
 def test_simulate_leaves_the_tail_undrained(monkeypatch):
@@ -285,14 +300,43 @@ def test_simulate_leaves_the_tail_undrained(monkeypatch):
     assert len(ends) > drawn + 2
 
 
+def test_simulate_drains_no_further_than_the_last_deadline(monkeypatch):
+    # After the last deadline no handler reads node state: a later release
+    # is logged, not published, and no gossip runs up to it.
+    times = []
+    drain = EventEngine._drain
+
+    def recorded(self, t):
+        times.append(t)
+        drain(self, t)
+
+    monkeypatch.setattr(EventEngine, "_drain", recorded)
+    for config in (TAIL_CONFIG, LAST_SLOT_CONFIG):
+        times.clear()
+        _, engine, _ = run_with(config)
+        last_deadline = (engine.n_slots - 1) * SLOT_SECONDS + ATTEST_DEADLINE_OFFSET
+        assert max(times) == times[-1] == last_deadline
+        (release, node, block), = engine._pending
+        assert release > last_deadline
+        assert (release, (release, "BLOCK_RELEASE", node, f"block={block}")) in engine.events
+        assert np.isnan(engine._block_arrival[:, block]).all()
+
+
 def test_engine_is_freed_by_reference_counting(monkeypatch):
-    # A pending tail keeps the gossip stream on the engine.  Were the stream
-    # to hold the engine, the engine would wait for the cyclic collector,
-    # and a wide run's peak memory would grow with the engines left over.
+    # A pending tail keeps the gossip stream and the releases after the last
+    # deadline on the engine.  Were either to hold the engine, the engine
+    # would wait for the cyclic collector, and a wide run's peak memory
+    # would grow with the engines left over.
     refs = []
+    pending = []
+
+    class Watched(EventEngine):
+        def run(self):
+            super().run()
+            pending.append(list(self._pending))
 
     def make(*args):
-        engine = EventEngine(*args)
+        engine = Watched(*args)
         refs.append(weakref.ref(engine))
         return engine
 
@@ -300,8 +344,10 @@ def test_engine_is_freed_by_reference_counting(monkeypatch):
     gc.collect()
     gc.disable()
     try:
-        waitinggame.simulate(TAIL_CONFIG)
-        assert refs[0]() is None
+        for config in (TAIL_CONFIG, LAST_SLOT_CONFIG):
+            waitinggame.simulate(config)
+            assert len(pending[-1]) == 1
+            assert refs[-1]() is None
     finally:
         gc.enable()
 

@@ -26,7 +26,7 @@ from timinggames.waitinggame import SimConfig
 
 
 def two_node_topology():
-    return Topology(n=2, edges=frozenset({(0, 1)}))
+    return Topology(n=2, u=np.array([0]), v=np.array([1]))
 
 
 class NullHandlers:
@@ -51,10 +51,10 @@ class ReleaseOnce(NullHandlers):
 def test_er_graph_deterministic_and_connected():
     g1 = generate_er_graph(64, 8.0, seed=5)
     g2 = generate_er_graph(64, 8.0, seed=5)
-    assert g1.edges == g2.edges
+    assert np.array_equal(g1.u, g2.u) and np.array_equal(g1.v, g2.v)
     assert g1.n == 64
     adj = [[] for _ in range(g1.n)]
-    for u, v in g1.edges:
+    for u, v in zip(g1.u.tolist(), g1.v.tolist()):
         adj[u].append(v)
         adj[v].append(u)
     seen = {0}
@@ -70,12 +70,13 @@ def test_er_graph_deterministic_and_connected():
 
 def test_er_graph_mean_degree_close():
     graphs = [generate_er_graph(128, 8.0, seed=s) for s in range(10)]
-    degrees = [2 * len(g.edges) / g.n for g in graphs]
+    degrees = [2 * len(g.u) / g.n for g in graphs]
     assert abs(np.mean(degrees) - 8.0) < 1.0
 
 
 def test_er_graph_seed_changes_graph():
-    assert generate_er_graph(64, 8.0, 1).edges != generate_er_graph(64, 8.0, 2).edges
+    a, b = generate_er_graph(64, 8.0, 1), generate_er_graph(64, 8.0, 2)
+    assert not (np.array_equal(a.u, b.u) and np.array_equal(a.v, b.v))
 
 
 def dense_er_edges(n, mean_degree, seed):
@@ -86,7 +87,7 @@ def dense_er_edges(n, mean_degree, seed):
     for attempt in range(100):
         mask = np.random.default_rng([seed, attempt]).random(iu.shape[0]) < p
         if _connected(n, iu[mask], ju[mask]):
-            return frozenset(zip(iu[mask].tolist(), ju[mask].tolist()))
+            return iu[mask], ju[mask]
     raise AssertionError("no connected sample")
 
 
@@ -97,9 +98,11 @@ def dense_er_edges(n, mean_degree, seed):
     [(2, 1.5, 0), (64, 31.5, 5), (64, 3.0, 2), (600, 6.0, 3), (600, 6.0, 4), (600, 6.0, 7)],
 )
 def test_er_graph_matches_dense_sampling(n, mean_degree, seed):
-    edges = generate_er_graph(n, mean_degree, seed).edges
-    # Equal sets built in the same order iterate alike.
-    assert list(edges) == list(dense_er_edges(n, mean_degree, seed))
+    topo = generate_er_graph(n, mean_degree, seed)
+    u, v = dense_er_edges(n, mean_degree, seed)
+    # The same edges in the same (upper-triangle) order.
+    assert topo.u.dtype == topo.v.dtype == np.int64
+    assert topo.u.tolist() == u.tolist() and topo.v.tolist() == v.tolist()
 
 
 def test_er_graph_rejects_bad_params():
@@ -116,7 +119,7 @@ def test_directed_pairs_sorted_and_complete():
     topo = generate_er_graph(16, 4.0, 3)
     pairs = [tuple(p) for p in topo.directed_pairs().tolist()]
     assert pairs == sorted(pairs)
-    assert len(pairs) == 2 * len(topo.edges)
+    assert len(pairs) == 2 * len(topo.u)
     assert all((v, u) in set(pairs) for u, v in pairs)
 
 
@@ -184,8 +187,9 @@ def test_connected_special_shapes():
 def test_directed_pairs_match_sorted_tuples(n, mean_degree, seed):
     topo = generate_er_graph(n, mean_degree, seed)
     pairs = topo.directed_pairs()
-    assert pairs.dtype == np.int32 and pairs.shape == (2 * len(topo.edges), 2)
-    expected = sorted([(u, v) for u, v in topo.edges] + [(v, u) for u, v in topo.edges])
+    assert pairs.dtype == np.int32 and pairs.shape == (2 * len(topo.u), 2)
+    edges = list(zip(topo.u.tolist(), topo.v.tolist()))
+    expected = sorted(edges + [(v, u) for u, v in edges])
     assert [tuple(p) for p in pairs.tolist()] == expected
 
 
@@ -322,9 +326,11 @@ def test_publish_rejects_node_out_of_range(node):
         engine.publish_block(node, 1, time=0.0)
     with pytest.raises(ValueError, match="node"):
         engine.publish_attestation(node, validator=0, slot=0, target=1, time=0.0)
-    assert engine.blocks == [0, 0] and engine.votes == [0, 0]
+    # Only genesis, which every node starts with.
+    assert engine.blocks == [1, 1] and engine.votes == [0, 0]
     assert engine.vote_slots == []
-    assert np.isnan(engine.block_arrival).all()
+    assert (engine.block_arrival[:, 0] == 0.0).all()
+    assert np.isnan(engine.block_arrival[:, 1:]).all()
 
 
 def test_slot_and_deadline_cadence():

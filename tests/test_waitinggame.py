@@ -159,6 +159,26 @@ def test_delayed_release_times_recorded():
         assert out.tree.release_time[b] == pytest.approx(slot_start + 9.0)
 
 
+@pytest.mark.parametrize("n", [2, 5, 16, 128, 1000, 2048])
+def test_proposers_drawn_at_once_match_one_draw_per_slot(n):
+    # simulate draws every slot's proposer in one call; one integers(n)
+    # call per slot start, from the same stream, gives the same nodes.
+    for seed in range(5):
+        at_once = np.random.default_rng(seed).integers(n, size=501).tolist()
+        rng = np.random.default_rng(seed)
+        assert at_once == [int(rng.integers(n)) for _ in range(501)]
+
+
+def test_simulate_draws_proposers_from_their_seed_stream():
+    config = SimConfig(n=24, mean_degree=5.0, duration=100.0, x_d=0.5, t_d=6.0, seed=7)
+    out, _, handlers = run_with(config)
+    prop_ss = np.random.SeedSequence(config.seed).spawn(4)[1]
+    rng = np.random.default_rng(prop_ss)
+    want = [int(rng.integers(config.n)) for _ in range(8)]
+    assert handlers.proposers == want
+    assert out.tree.proposer[1:] == want
+
+
 def test_payoff_total_increases_with_delay():
     base = SimConfig(n=24, mean_degree=5.0, duration=480.0, seed=5)
     honest = run_simulation(base)
