@@ -136,6 +136,8 @@ def cli():
 @click.option("--verbose", is_flag=True)
 def ingest(bid_inputs, genesis_ms, window, out, stats_out, verbose):
     """Normalize, dedup and merge relay bid dumps into one CSV."""
+    if window[0] > window[1]:
+        raise click.UsageError(f"--window LO HI needs LO <= HI, got {window[0]} {window[1]}")
     if genesis_ms == "mainnet":
         genesis = relaydata.MAINNET_GENESIS_UNIX_MS
     else:

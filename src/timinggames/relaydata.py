@@ -244,19 +244,21 @@ def parse_bid_line(
     if end != len(line):
         raise IngestError(f"not valid JSON: extra data at char {end}")
     try:
-        slot = int(raw[_KEY_SLOT])
-        builder = str(raw[_KEY_BUILDER])
+        slot = _json_int(raw[_KEY_SLOT])
+        builder = raw[_KEY_BUILDER]
+        if type(builder) is not str:
+            raise TypeError(f"builder_pubkey {builder!r} is not a string")
         block_hash = str(raw[_KEY_HASH])
         parent_hash = str(raw.get(_KEY_PARENT, ""))
-        value_wei = int(raw[_KEY_VALUE])
-        num_tx = int(raw.get(_KEY_NUM_TX, 0))
+        value_wei = _json_int(raw[_KEY_VALUE])
+        num_tx = _json_int(raw.get(_KEY_NUM_TX, 0))
         if _KEY_MS in raw:
-            unix_ms = int(raw[_KEY_MS])
+            unix_ms = _json_int(raw[_KEY_MS])
         elif _KEY_S in raw:
-            unix_ms = int(raw[_KEY_S]) * 1000
+            unix_ms = _json_int(raw[_KEY_S]) * 1000
         else:
             raise IngestError("no timestamp field")
-    except (KeyError, ValueError, TypeError, OverflowError) as exc:
+    except (KeyError, ValueError, TypeError) as exc:
         raise IngestError(f"malformed record: {exc}") from exc
     if not _plausible_hash(block_hash):
         raise IngestError(f"non-hex block hash {block_hash!r}")
@@ -267,6 +269,17 @@ def parse_bid_line(
         )
     except ValueError as exc:
         raise IngestError(f"malformed record: {exc}") from exc
+
+
+def _json_int(value) -> int:
+    """A JSON integer, or a string holding one.  A float or a bool is
+    refused: ``int`` would truncate it, and a float above 2**53 is already
+    rounded."""
+    if type(value) is str:
+        return int(value)
+    if type(value) is int:
+        return value
+    raise TypeError(f"{value!r} is not an integer or a string holding one")
 
 
 _HEX_HASH = re.compile(r"(?:0x)?[0-9a-fA-F]{64}")

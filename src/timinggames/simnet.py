@@ -38,15 +38,11 @@ Gossip never changes a union, and a count of 0 means every node holds the
 same set, where an interaction is a no-op: the class's remaining draws up
 to the event are then skipped without a look.
 
-The drain stops at the run's last attestation deadline.  Past it no
-handler reads node state, and ``simulate`` reads only the global vote
-tables, so later releases are logged and kept pending, and they and the
-gossip up to ``end_time`` run when ``blocks``, ``votes`` or
-``block_arrival`` is first read.  The pending releases are plain numbers,
-and the stream cursor holds nothing of the engine (the stream is a
-module-level generator), so an engine is still freed by reference counting
-and not left to the cyclic collector, which would raise a wide run's peak
-memory.
+A run ends at its last attestation deadline, after which no handler reads
+node state: later releases and the end are only logged in ``events``.  The
+stream is a module-level generator, so its cursor holds nothing of the
+engine, and an engine is freed by reference counting, not left to the
+cyclic collector, which would raise a wide run's peak memory.
 """
 
 from __future__ import annotations
@@ -257,10 +253,9 @@ class EventEngine:
     release runs first, then a slot start, then a deadline, then the end;
     releases at one time run in the order they were scheduled.  Gossip
     interactions run strictly before the next of these events.  ``run()``
-    drains them up to the last attestation deadline and logs, but does not
-    yet publish, the releases after it.  Those releases and the gossip up
-    to ``end_time`` run when ``blocks``, ``votes`` or ``block_arrival`` is
-    first read, or before a later publish.
+    stops at the last attestation deadline and only logs the releases after
+    it and the end, so the knowledge state after a run is as of that
+    deadline (the initial state when no slot fits).
 
     Knowledge state, as fork choice reads it:
 
@@ -287,8 +282,8 @@ class EventEngine:
         self.end_time = float(end_time)
         self._seed = seed
         # The run's releases, slot starts, deadlines and end, as (time of the
-        # event being processed, trace row); run() restarts it, and only
-        # releases published while it runs are logged.
+        # event being processed, trace row); run() restarts it, and a
+        # publish outside a run is not logged.
         self.events: list = []
         self._now = 0.0
         self._running = False
@@ -300,10 +295,10 @@ class EventEngine:
         self._n_dir = len(self._src)
 
         # Knowledge state: every node holds genesis from time 0.
-        self._blocks = [1 << GENESIS_ID] * self.n_nodes
-        self._block_arrival = np.full((self.n_nodes, self.n_slots + 2), np.nan)
-        self._block_arrival[:, GENESIS_ID] = 0.0
-        self._votes = [0] * self.n_nodes
+        self.blocks = [1 << GENESIS_ID] * self.n_nodes
+        self.block_arrival = np.full((self.n_nodes, self.n_slots + 2), np.nan)
+        self.block_arrival[:, GENESIS_ID] = 0.0
+        self.votes = [0] * self.n_nodes
         self.vote_base = 0
         self.vote_slots: list = []
         self.vote_settled: dict = {}
@@ -318,11 +313,6 @@ class EventEngine:
         # each, and the time of the slice's last draw.  It must hold nothing
         # that holds the engine.
         self._cursor = None
-        # The releases run() logged after the last deadline, as (time, node,
-        # block id), and whether they and the draws before end_time are
-        # left to run.
-        self._pending: list = []
-        self._tail = False
 
         self._seq = itertools.count()
         self._queue = [(self.end_time, _END, next(self._seq), None)]
@@ -337,23 +327,20 @@ class EventEngine:
     def _check_block(self, node: int, block_id: int) -> None:
         if not 0 <= node < self.n_nodes:
             raise ValueError(f"node {node} not in [0, {self.n_nodes})")
-        if not 0 <= block_id < self._block_arrival.shape[1]:
-            raise ValueError(f"block {block_id} not in [0, {self._block_arrival.shape[1]})")
+        if not 0 <= block_id < self.block_arrival.shape[1]:
+            raise ValueError(f"block {block_id} not in [0, {self.block_arrival.shape[1]})")
 
     def schedule_release(self, time: float, node: int, block_id: int) -> None:
-        # Checked here, since a release after the last deadline is published
-        # only when the state is first read.
+        # The only check of a release after the last deadline: it is never published.
         self._check_block(node, block_id)
         self._push(time, _RELEASE, (node, block_id))
 
     def publish_block(self, node: int, block_id: int, time: float) -> None:
         self._check_block(node, block_id)
-        if self._tail:
-            self._settle()
         bit = 1 << block_id
-        if not self._blocks[node] & bit:
-            self._block_arrival[node, block_id] = time
-            self._blocks[node] |= bit
+        if not self.blocks[node] & bit:
+            self.block_arrival[node, block_id] = time
+            self.blocks[node] |= bit
             if not self._block_union & bit:
                 self._block_union |= bit
                 self._blocks_undelivered += self.n_nodes
@@ -371,8 +358,6 @@ class EventEngine:
         k = slot - self.vote_base
         if k < 0:
             raise ValueError(f"vote of slot {slot} published after the slot settled")
-        if self._tail:
-            self._settle()
         while len(self.vote_slots) <= k:
             self.vote_slots.append({})
         bit = 1 << (k * self.n_validators + validator)
@@ -382,44 +367,14 @@ class EventEngine:
             group[target] = group.get(target, 0) | 1 << validator
             self._vote_union |= bit
             self._votes_undelivered += self.n_nodes
-        if not self._votes[node] & bit:
+        if not self.votes[node] & bit:
             self._votes_undelivered -= 1
-            self._votes[node] |= bit
+            self.votes[node] |= bit
 
     # -- knowledge state ----------------------------------------------------
 
-    @property
-    def blocks(self) -> list:
-        if self._tail:
-            self._settle()
-        return self._blocks
-
-    @property
-    def votes(self) -> list:
-        if self._tail:
-            self._settle()
-        return self._votes
-
-    @property
-    def block_arrival(self) -> np.ndarray:
-        if self._tail:
-            self._settle()
-        return self._block_arrival
-
-    def _settle(self) -> None:
-        """Run what ``run()`` left pending: each release after the last
-        deadline, once the draws before it have run, then the draws up to
-        ``end_time``."""
-        self._tail = False
-        for time, node, block_id in self._pending:
-            self._drain(time)
-            self.publish_block(node, block_id, time)
-        self._pending = []
-        self._drain(self.end_time)
-        self._cursor = None
-
     def _arrive(self, node: int, new: int, t: float) -> None:
-        arrival = self._block_arrival
+        arrival = self.block_arrival
         while new:
             low = new & -new
             arrival[node, low.bit_length() - 1] = t
@@ -429,7 +384,7 @@ class EventEngine:
         """Settle the oldest vote slots, up to ``slot``, that all nodes hold alike."""
         width = self.n_validators
         mask = (1 << width) - 1
-        votes = self._votes
+        votes = self.votes
         settled = self.vote_settled
         k = 0
         while k < len(self.vote_slots) and self.vote_base + k <= slot:
@@ -528,8 +483,8 @@ class EventEngine:
         Python lists."""
         src = self._src
         dst = self._dst
-        blocks = self._blocks
-        votes = self._votes
+        blocks = self.blocks
+        votes = self.votes
         arrive = self._arrive
         stream, bt, be, vt, ve, bi, vi, last = self._cursor
         block_gap = self._blocks_undelivered
@@ -578,18 +533,13 @@ class EventEngine:
         self._votes_undelivered = vote_gap
 
     def run(self) -> None:
-        """Process events up to end_time.  Gossip is drained up to the last
-        attestation deadline; the releases after it are logged and, with the
-        gossip up to the end, left pending (see ``_settle``)."""
+        """Process events up to the last attestation deadline; log the rest."""
         queue = self._queue
         self.events = events = []
         self._running = True
         empty = np.empty(0)
         self._cursor = self._stream(), empty, empty, empty, empty, 0, 0, -math.inf
-        self._pending = pending = []
-        # Only handlers read node state, and after the last deadline only
-        # releases and the end are left in the queue.
-        deferring = not self.n_slots
+        done = False  # past the last deadline: only releases and the end are left
 
         while True:
             t, kind, _, payload = heapq.heappop(queue)
@@ -597,11 +547,9 @@ class EventEngine:
             if kind == _END:
                 events.append((t, (t, "SIM_END", -1, "")))
                 self._running = False
-                self._tail = True
                 return
-            if deferring:
+            if done:
                 node, block_id = payload
-                pending.append((t, node, block_id))
                 events.append((t, (t, "BLOCK_RELEASE", node, f"block={block_id}")))
                 continue
             self._drain(t)
@@ -619,7 +567,7 @@ class EventEngine:
                     events.append((t, (t, "ATTEST_DEADLINE", -1, f"slot={payload}")))
                     self.handlers.on_attest_deadline(self, t, payload)
                     self._compact(payload)
-                    deferring = payload == self.n_slots - 1
+                    done = payload == self.n_slots - 1
             except EngineError:
                 raise
             except Exception as exc:

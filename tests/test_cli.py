@@ -331,6 +331,21 @@ def test_ingest_missing_file(tmp_path):
     )
 
 
+
+def test_ingest_rejects_a_reversed_window(tmp_path, capsys):
+    # LO > HI would skip every record.  It is refused before any dump is
+    # read: a missing dump is not reported, and no CSV is written.
+    dump = tmp_path / "dump.ndjson"
+    dump.write_text("")
+    out = tmp_path / "o.csv"
+    for path in (dump, tmp_path / "missing.ndjson"):
+        argv = ["ingest", "--bids", f"A={path}", "--window", 100, -100, "--out", out]
+        assert run(argv) == EXIT_USAGE
+        assert "--window" in capsys.readouterr().err
+        assert not out.exists()
+    assert run(["ingest", "--bids", f"A={dump}", "--window", 5, 5, "--out", out]) == EXIT_OK
+
+
 ASCII_LOCALE = {"LC_ALL": "C", "PYTHONCOERCECLOCALE": "0", "PYTHONUTF8": "0"}
 UTF8_LOCALE = {"LC_ALL": "C.UTF-8", "PYTHONUTF8": "1"}
 

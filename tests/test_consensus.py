@@ -222,7 +222,9 @@ def test_mainchain_counts_votes_older_than_the_last_slot():
 
 def test_validator_view_attest_uses_strictly_earlier_arrivals():
     # Node 1 receives the slot-1 block by gossip exactly at the slot's 4 s
-    # deadline, or just before it.  Only the earlier arrival counts.
+    # deadline, or just before it.  Only the earlier arrival counts.  A third
+    # slot keeps the run going past the deadline, so that the draw at
+    # exactly 16 s runs.
     tree = BlockTree()
     a = tree.add(slot=0, proposer=0, parent=0, release_time=0.0)
     b = tree.add(slot=1, proposer=0, parent=a, release_time=12.0)
@@ -233,11 +235,12 @@ def test_validator_view_attest_uses_strictly_earlier_arrivals():
                 engine.publish_block(0, b, t)
 
         def on_attest_deadline(self, engine, t, slot):
-            self.head = node_head(tree, engine, 1)
+            if slot == 1:
+                self.head = node_head(tree, engine, 1)
 
     for arrival, expected in ((16.0, a), (15.999, b)):
         handlers = Handlers()
-        engine = two_node_engine(handlers)
+        engine = two_node_engine(handlers, end_time=36.0)
         for node in (0, 1):
             engine.publish_block(node, GENESIS_ID, 0.0)
             engine.publish_block(node, a, 0.0)

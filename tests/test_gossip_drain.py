@@ -4,9 +4,11 @@
 iteration per interaction in stream order, the time kept as a running
 ``t += gap``, and the non-equivocation rule as a scan over the slot's
 targets.  It lives here as the oracle, with its own copy of the batch
-draws, and records its trace inline as it runs.  The engine must reproduce
-it bit for bit: arrival times, bitsets, vote tables, heads and metrics, and
+draws, and records its trace inline as it runs, gossip after the last
+attestation deadline included.  The engine must reproduce it bit for bit:
+arrival times, bitsets, vote tables, heads and metrics, and
 ``engine.trace()``, replayed after the run, must equal the oracle's trace.
+The engine's state after a run must equal the oracle's at its last deadline.
 """
 
 from __future__ import annotations
@@ -43,9 +45,14 @@ from timinggames.waitinggame import SimConfig
 
 class LoopEngine(EventEngine):
     """Oracle: the engine with its per-interaction gossip loop.  ``rows`` is
-    the trace of its last run, recorded inline."""
+    the trace of its last run, recorded inline; ``states`` holds its
+    ``(block_arrival bytes, blocks, votes)`` at the start of the run and
+    after each deadline."""
 
     rows = None
+
+    def _snapshot(self):
+        self.states.append((self.block_arrival.tobytes(), list(self.blocks), list(self.votes)))
 
     def publish_block(self, node, block_id, time):
         bit = 1 << block_id
@@ -89,6 +96,8 @@ class LoopEngine(EventEngine):
         arrive = self._arrive
         queue = self._queue
         self.rows = rows = []
+        self.states = []
+        self._snapshot()
 
         draws = self._draws()
         gap, e, is_block = next(draws)
@@ -131,6 +140,7 @@ class LoopEngine(EventEngine):
                     rows.append((t, "ATTEST_DEADLINE", -1, f"slot={payload}"))
                     self.handlers.on_attest_deadline(self, t, payload)
                     self._compact(payload)
+                    self._snapshot()
                 else:
                     rows.append((t, "SIM_END", -1, ""))
                     return
@@ -155,12 +165,11 @@ class RecordingHandlers(waitinggame._ChainHandlers):
 
 
 def assert_same_run(config):
-    """The engine reproduces the oracle exactly, its replayed trace included."""
+    """The engine reproduces the oracle exactly, its replayed trace included,
+    and ends in the oracle's state at its last deadline."""
     want, oracle, oracle_handlers = run_with(config, LoopEngine, RecordingHandlers)
     got, engine, handlers = run_with(config, EventEngine, RecordingHandlers)
-    assert engine.block_arrival.tobytes() == oracle.block_arrival.tobytes()
-    assert engine.blocks == oracle.blocks
-    assert engine.votes == oracle.votes
+    assert (engine.block_arrival.tobytes(), engine.blocks, engine.votes) == oracle.states[-1]
     assert engine.vote_base == oracle.vote_base
     assert engine.vote_slots == oracle.vote_slots
     assert engine.vote_settled == oracle.vote_settled
@@ -201,7 +210,7 @@ def configs():
                    duration=60.0, x_d=1.0, t_d=4.0, seed=3))
 @example(SimConfig(n=12, mean_degree=5.0, tau_block=2.5, tau_attestation=1.0,
                    duration=60.0, x_d=0.5, t_d=12.0, seed=4))
-# Releases after the last deadline, left pending by run(): one slot, and
+# Releases after the last deadline, which run() only logs: one slot, and
 # five slots whose last release comes at 57 s.
 @example(SimConfig(n=12, mean_degree=5.0, tau_block=2.5, tau_attestation=1.0,
                    duration=12.0, x_d=1.0, t_d=11.0, seed=6))
@@ -250,38 +259,21 @@ LAST_SLOT_CONFIG = SimConfig(n=24, mean_degree=4.0, tau_block=2.0, tau_attestati
                              duration=65.0, x_d=1.0, t_d=10.0, seed=9)
 
 
-@pytest.mark.parametrize("first", ["blocks", "votes", "block_arrival", "publish"])
-def test_tail_settles_on_first_read(first):
-    # Whichever of the state's readers comes first, or a publish after the
-    # run, it sees the state at end_time, the pending release included.
-    for config in (TAIL_CONFIG, LAST_SLOT_CONFIG):
-        _, oracle, _ = run_with(config, LoopEngine)
-        out, engine, _ = run_with(config)
-        assert engine._tail
-        (release, node, block), = engine._pending
-        assert node == out.tree.proposer[block]
-        if first == "publish":
-            for e in (engine, oracle):
-                e.publish_block(0, 2, config.duration)
-                e.publish_attestation(1, 1, e.vote_base + 1, 3, config.duration)
-        else:
-            value, want = getattr(engine, first), getattr(oracle, first)
-            assert not engine._tail
-            if first == "block_arrival":
-                value, want = value.tobytes(), want.tobytes()
-            assert value == want
-        assert not engine._pending
-        assert engine.block_arrival[node, block] == release
-        assert engine.block_arrival.tobytes() == oracle.block_arrival.tobytes()
-        assert engine.blocks == oracle.blocks
-        assert engine.votes == oracle.votes
-        assert engine.vote_slots == oracle.vote_slots
+def late_releases(engine):
+    """The ``(time, node, block id)`` of each release logged after the last
+    deadline."""
+    last_deadline = (engine.n_slots - 1) * SLOT_SECONDS + ATTEST_DEADLINE_OFFSET
+    return [
+        (t, node, int(label.removeprefix("block=")))
+        for _, (t, kind, node, label) in engine.events
+        if kind == "BLOCK_RELEASE" and t > last_deadline
+    ]
 
 
 def test_simulate_leaves_the_tail_undrained(monkeypatch):
     # A 12 s run at N = 256 draws a slice of 2,048 interactions about every
     # 1.5 s.  simulate stops at the slice that reaches the deadline at 4 s,
-    # and reading the state draws the slices up to the end.
+    # and reading the state after it draws nothing more.
     ends = []  # time of each drawn slice's last draw
     stream = simnet._gossip_stream
 
@@ -295,14 +287,13 @@ def test_simulate_leaves_the_tail_undrained(monkeypatch):
     _, engine, _ = run_with(config)
     assert ends[-2] < ATTEST_DEADLINE_OFFSET <= ends[-1] < config.duration
     drawn = len(ends)
-    engine.votes
-    assert ends[-2] < config.duration <= ends[-1]
-    assert len(ends) > drawn + 2
+    assert engine.votes and engine.blocks and engine.block_arrival.size
+    assert len(ends) == drawn
 
 
 def test_simulate_drains_no_further_than_the_last_deadline(monkeypatch):
     # After the last deadline no handler reads node state: a later release
-    # is logged, not published, and no gossip runs up to it.
+    # is logged, never published, and no gossip runs up to it.
     times = []
     drain = EventEngine._drain
 
@@ -313,27 +304,27 @@ def test_simulate_drains_no_further_than_the_last_deadline(monkeypatch):
     monkeypatch.setattr(EventEngine, "_drain", recorded)
     for config in (TAIL_CONFIG, LAST_SLOT_CONFIG):
         times.clear()
-        _, engine, _ = run_with(config)
+        out, engine, _ = run_with(config)
         last_deadline = (engine.n_slots - 1) * SLOT_SECONDS + ATTEST_DEADLINE_OFFSET
         assert max(times) == times[-1] == last_deadline
-        (release, node, block), = engine._pending
-        assert release > last_deadline
-        assert (release, (release, "BLOCK_RELEASE", node, f"block={block}")) in engine.events
-        assert np.isnan(engine._block_arrival[:, block]).all()
+        (_, node, block), = late_releases(engine)
+        assert node == out.tree.proposer[block]
+        assert np.isnan(engine.block_arrival[:, block]).all()
+        assert not engine.blocks[node] >> block & 1
 
 
 def test_engine_is_freed_by_reference_counting(monkeypatch):
-    # A pending tail keeps the gossip stream and the releases after the last
-    # deadline on the engine.  Were either to hold the engine, the engine
-    # would wait for the cyclic collector, and a wide run's peak memory
-    # would grow with the engines left over.
+    # The engine keeps the gossip stream between drains.  Were it or
+    # anything else to hold the engine in a cycle, the engine would wait for
+    # the cyclic collector, and a wide run's peak memory would grow with the
+    # engines left over.  Both runs log a release after the last deadline.
     refs = []
-    pending = []
+    late = []
 
     class Watched(EventEngine):
         def run(self):
             super().run()
-            pending.append(list(self._pending))
+            late.append(late_releases(self))
 
     def make(*args):
         engine = Watched(*args)
@@ -346,7 +337,7 @@ def test_engine_is_freed_by_reference_counting(monkeypatch):
     try:
         for config in (TAIL_CONFIG, LAST_SLOT_CONFIG):
             waitinggame.simulate(config)
-            assert len(pending[-1]) == 1
+            assert len(late[-1]) == 1
             assert refs[-1]() is None
     finally:
         gc.enable()

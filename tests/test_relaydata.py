@@ -282,6 +282,9 @@ def test_bid_record_bounds():
     assert make_bid(value=2**256 - 1).value_wei == 2**256 - 1
 
 
+DROP = object()  # a key left out of the record
+
+
 @pytest.mark.parametrize(
     "record",
     [
@@ -290,13 +293,36 @@ def test_bid_record_bounds():
         {"timestamp_ms": "soon"},
         {"timestamp_ms": float("inf")},
         {"num_tx": [1]},
+        # A JSON float or bool where an integer belongs: int() would
+        # truncate it, or round it above 2**53.
+        {"value": 1.5},
+        {"value": 1.2345678901234567e21},
+        {"value": True},
+        {"slot": 1.7},
+        {"slot": 1.0},
+        {"slot": True},
+        {"num_tx": 2.9},
+        {"num_tx": False},
+        {"timestamp_ms": float(SLOT_MS + 5)},
+        {"timestamp_ms": DROP, "timestamp": 12.5},
+        {"timestamp_ms": DROP, "timestamp": True},
+        {"builder_pubkey": None},
+        {"builder_pubkey": 7},
     ],
 )
 def test_parse_bid_line_rejects_bad_values(record):
     raw = {"slot": 1, "builder_pubkey": "b", "block_hash": HASH, "value": "1",
            "timestamp_ms": SLOT_MS + 5, **record}
+    raw = {key: value for key, value in raw.items() if value is not DROP}
     with pytest.raises(IngestError):
         parse_bid_line(json.dumps(raw), "r", 0)
+
+
+def test_parse_bid_line_takes_integers_as_strings():
+    raw = {"slot": "1", "builder_pubkey": "b", "block_hash": HASH, "value": "7",
+           "num_tx": "3", "timestamp": str(SLOT_MS // 1000 + 1)}
+    bid = parse_bid_line(json.dumps(raw), "r", 0)
+    assert (bid.slot, bid.value_wei, bid.num_transactions, bid.arrival_ms) == (1, 7, 3, 1000)
 
 
 @pytest.mark.parametrize(
