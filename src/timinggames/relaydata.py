@@ -245,11 +245,12 @@ def parse_bid_line(
         raise IngestError(f"not valid JSON: extra data at char {end}")
     try:
         slot = _json_int(raw[_KEY_SLOT])
-        builder = raw[_KEY_BUILDER]
-        if type(builder) is not str:
-            raise TypeError(f"builder_pubkey {builder!r} is not a string")
-        block_hash = str(raw[_KEY_HASH])
-        parent_hash = str(raw.get(_KEY_PARENT, ""))
+        builder, block_hash = raw[_KEY_BUILDER], raw[_KEY_HASH]
+        parent_hash = raw.get(_KEY_PARENT, "")
+        # str() would take null as "None" and a number as its digits.
+        for text in (builder, block_hash, parent_hash):
+            if type(text) is not str:
+                raise TypeError(f"{text!r} is not a string")
         value_wei = _json_int(raw[_KEY_VALUE])
         num_tx = _json_int(raw.get(_KEY_NUM_TX, 0))
         if _KEY_MS in raw:

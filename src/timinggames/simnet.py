@@ -62,7 +62,6 @@ ATTEST_DEADLINE_OFFSET = 4.0
 _MAX_CONNECT_ATTEMPTS = 100
 _RNG_BATCH = 1 << 15
 _DRAW_SLICE = 1 << 11  # draws timed and split by class at a time
-_PAIR_CHUNK = 1 << 16  # node-pair draws held at once while sampling a graph
 
 
 class TopologyError(Exception):
@@ -134,40 +133,43 @@ def _connected(n: int, us: np.ndarray, vs: np.ndarray) -> bool:
     return bool(seen.all())
 
 
-def _sample_er_pairs(n: int, p: float, rng: np.random.Generator):
-    """One G(n, p) sample as int arrays ``(us, vs)``, or None if a node is
-    isolated.
+def _gap_batch(p: float, pairs: int) -> int:
+    """Gaps to draw at once with ``pairs`` pairs left: the expected number
+    of edges among them plus four standard deviations."""
+    return int(p * pairs + 4.0 * math.sqrt(p * pairs)) + 1
 
-    Pair ``(i, j)``, ``i < j``, is an edge when the draw at its place in
-    row-major upper-triangle order is below p, as ``rng.random(n * (n - 1)
-    // 2) < p`` would decide.  ``Generator.random`` maps a raw 64-bit draw r
-    to ``(r >> 11) * 2**-53``, so u < p exactly when r <= ceil(p * 2**53)
-    * 2**11 - 1, and raw draws are compared instead.  Rows are drawn about
-    ``_PAIR_CHUNK`` pairs at a time, so no n x n array is built, and the
-    sample is given up at the first node that has no neighbour once all of
-    its pairs are drawn.  Edges come out in upper-triangle order.
+
+def _sample_er_pairs(n: int, p: float, rng: np.random.Generator):
+    """One G(n, p) sample as int arrays ``(us, vs)``, in upper-triangle order.
+
+    Geometric edge skipping (Batagelj and Brandes 2005, "Efficient
+    generation of large random networks", Phys. Rev. E 71, 036113): the
+    k-th draw U_k of ``rng.random()`` gives the gap 1 + floor(log1p(-U_k) /
+    log1p(-p)), and edge k is the pair at row-major upper-triangle index
+    gap_1 + ... + gap_k - 1 while that index is below n(n - 1)/2.  So a
+    sample costs one draw per edge, not one per pair.  Gaps are drawn
+    ``_gap_batch`` at a time, which does not change the result.  With
+    p >= 1 every pair is an edge and nothing is drawn.
     """
-    top = np.uint64(min((math.ceil(p * 2.0**53) << 11) - 1, 2**64 - 1))
+    pairs = n * (n - 1) // 2
+    if p >= 1:
+        flat = np.arange(pairs, dtype=np.int64)
+    else:
+        log_q = np.log1p(-p)
+        chunks = [np.array([-1])]  # edge indices drawn, after a start at -1
+        while chunks[-1][-1] < pairs:
+            last = int(chunks[-1][-1])
+            skips = np.floor(np.log1p(-rng.random(_gap_batch(p, pairs - 1 - last))) / log_q)
+            # A gap past the last pair ends the sample; capping it at the
+            # pair count keeps the int64 sums from overflowing.
+            np.minimum(skips, pairs, out=skips)
+            chunks.append(last + np.cumsum(skips.astype(np.int64) + 1))
+        flat = np.concatenate(chunks[1:])
+        flat = flat[: np.searchsorted(flat, pairs)]
     rows = np.arange(n, dtype=np.int64)
     starts = rows * (2 * n - rows - 1) // 2  # flat index of (i, i + 1)
-    degree = np.zeros(n, dtype=np.int64)
-    us, vs = [], []  # one array per chunk
-    lo = 0
-    while lo < n - 1:
-        hi = int(np.searchsorted(starts, starts[lo] + _PAIR_CHUNK, side="right")) - 1
-        hi = max(hi, lo + 1)
-        hits = np.flatnonzero(rng.bit_generator.random_raw(int(starts[hi] - starts[lo])) <= top)
-        hits += starts[lo]
-        u = np.searchsorted(starts, hits, side="right") - 1
-        v = hits - starts[u] + u + 1
-        degree += np.bincount(u, minlength=n) + np.bincount(v, minlength=n)
-        # Nodes below hi have drawn every pair they belong to.
-        if not degree[lo:hi].all():
-            return None
-        us.append(u)
-        vs.append(v)
-        lo = hi
-    return (np.concatenate(us), np.concatenate(vs)) if degree[n - 1] else None
+    u = np.searchsorted(starts, flat, side="right") - 1
+    return u, flat - starts[u] + u + 1
 
 
 def generate_er_graph(n: int, mean_degree: float, seed: int) -> Topology:
@@ -184,11 +186,11 @@ def generate_er_graph(n: int, mean_degree: float, seed: int) -> Topology:
         raise ValueError("mean_degree must be in (0, n)")
     p = mean_degree / (n - 1)
     for attempt in range(_MAX_CONNECT_ATTEMPTS):
-        sample = _sample_er_pairs(n, p, np.random.default_rng([seed, attempt]))
-        if sample is None:
-            continue
-        us, vs = sample
-        if _connected(n, us, vs):
+        us, vs = _sample_er_pairs(n, p, np.random.default_rng([seed, attempt]))
+        # An isolated node, the usual reason a sample is disconnected, is
+        # found without the search.
+        degree = np.bincount(us, minlength=n) + np.bincount(vs, minlength=n)
+        if degree.all() and _connected(n, us, vs):
             return Topology(n, us, vs)
     raise TopologyError(
         f"no connected graph in {_MAX_CONNECT_ATTEMPTS} attempts "

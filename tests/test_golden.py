@@ -1,11 +1,13 @@
 """Golden outputs: the simulator must reproduce recorded runs exactly.
 
-The fixtures under ``tests/golden/`` were written by the dense-array engine
-that the bitset engine replaced.  They pin, bit for bit, the run metrics,
-main chains and block trees of the default configuration, two wide
-single-slot runs, the full event traces of small runs, and the edge set of
-an N = 2048 network that needs several sampling attempts.  Any fast path in
-``simnet``, ``consensus`` or ``waitinggame`` must keep them.
+The fixtures under ``tests/golden/`` were last written when geometric edge
+skipping replaced the sampler that drew once per node pair, which changed
+every graph and so every run; the fixtures before them came from the
+dense-array engine that the bitset engine replaced.  They pin, bit for bit,
+the run metrics, main chains and block trees of the default configuration,
+two wide single-slot runs, the full event traces of small runs, and the edge
+set of an N = 2048 network that needs several sampling attempts.  Any fast
+path in ``simnet``, ``consensus`` or ``waitinggame`` must keep them.
 
 Regenerate (only when an output change is intended and documented)::
 
@@ -21,9 +23,8 @@ import json
 import sys
 from pathlib import Path
 
-import numpy as np
 import pytest
-from conftest import run_with
+from conftest import gap_er_graph, run_with
 
 from timinggames import simnet
 from timinggames.waitinggame import SimConfig, simulate
@@ -92,14 +93,8 @@ def trace_rows(config: SimConfig) -> list:
 
 
 def sampling_attempts(n: int, mean_degree: float, seed: int) -> int:
-    """Attempts ``generate_er_graph`` makes, replayed from its seed streams."""
-    p = mean_degree / (n - 1)
-    iu, ju = np.triu_indices(n, k=1)
-    for attempt in range(100):
-        mask = np.random.default_rng([seed, attempt]).random(iu.shape[0]) < p
-        if simnet._connected(n, iu[mask], ju[mask]):
-            return attempt + 1
-    raise AssertionError("no connected sample")
+    """Attempts ``generate_er_graph`` makes, replayed one gap at a time."""
+    return gap_er_graph(n, mean_degree, seed)[0]
 
 
 def edge_digest(edges) -> str:

@@ -308,6 +308,10 @@ DROP = object()  # a key left out of the record
         {"timestamp_ms": DROP, "timestamp": True},
         {"builder_pubkey": None},
         {"builder_pubkey": 7},
+        # str() would take null as parent "None", and a 64-digit integer
+        # as a hex hash.
+        {"parent_hash": None},
+        {"block_hash": int("1" * 64)},
     ],
 )
 def test_parse_bid_line_rejects_bad_values(record):

@@ -6,10 +6,11 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from conftest import run_with
+from conftest import gap_er_graph, run_with
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from timinggames import simnet
 from timinggames.relaydata import write_csv
 from timinggames.simnet import (
     ATTEST_DEADLINE_OFFSET,
@@ -79,30 +80,43 @@ def test_er_graph_seed_changes_graph():
     assert not (np.array_equal(a.u, b.u) and np.array_equal(a.v, b.v))
 
 
-def dense_er_edges(n, mean_degree, seed):
-    """The sampler's definition: one ``Generator.random`` draw per
-    upper-triangle pair, each attempt on its own stream, until connected."""
-    p = mean_degree / (n - 1)
-    iu, ju = np.triu_indices(n, k=1)
-    for attempt in range(100):
-        mask = np.random.default_rng([seed, attempt]).random(iu.shape[0]) < p
-        if _connected(n, iu[mask], ju[mask]):
-            return iu[mask], ju[mask]
-    raise AssertionError("no connected sample")
-
-
 @pytest.mark.parametrize(
     "n, mean_degree, seed",
-    # p = 1.5, p = 0.5 exactly, a one-chunk graph, and multi-chunk graphs
-    # whose first samples mostly hold an isolated node.
+    # p = 1.5, p = 0.5 exactly, and graphs that need from 4 to 29 attempts,
+    # mostly for an isolated node.
     [(2, 1.5, 0), (64, 31.5, 5), (64, 3.0, 2), (600, 6.0, 3), (600, 6.0, 4), (600, 6.0, 7)],
 )
-def test_er_graph_matches_dense_sampling(n, mean_degree, seed):
+def test_er_graph_matches_one_gap_at_a_time(n, mean_degree, seed):
     topo = generate_er_graph(n, mean_degree, seed)
-    u, v = dense_er_edges(n, mean_degree, seed)
+    _, u, v = gap_er_graph(n, mean_degree, seed)
     # The same edges in the same (upper-triangle) order.
     assert topo.u.dtype == topo.v.dtype == np.int64
-    assert topo.u.tolist() == u.tolist() and topo.v.tolist() == v.tolist()
+    assert topo.u.tolist() == u and topo.v.tolist() == v
+
+
+@pytest.mark.parametrize("batch", [1, 7])
+def test_er_graph_same_for_any_gap_batch(monkeypatch, batch):
+    configs = [(64, 31.5, 5), (64, 3.0, 2), (600, 6.0, 3), (600, 6.0, 4)]
+    want = [generate_er_graph(*config) for config in configs]
+    monkeypatch.setattr(simnet, "_gap_batch", lambda p, pairs: batch)
+    for config, topo in zip(configs, want):
+        got = generate_er_graph(*config)
+        assert np.array_equal(got.u, topo.u) and np.array_equal(got.v, topo.v)
+
+
+@pytest.mark.parametrize("p", [0.05, 0.5, 0.95])
+def test_er_pair_frequencies_match_p(p):
+    # Every pair of n = 12, the first and last of each row included, is an
+    # edge in a share of the samples within 4 sigma of p.
+    n, samples = 12, 10_000
+    rng = np.random.default_rng(11)
+    counts = np.zeros((n, n))
+    for _ in range(samples):
+        u, v = simnet._sample_er_pairs(n, p, rng)
+        counts[u, v] += 1
+    iu, ju = np.triu_indices(n, k=1)
+    share = counts[iu, ju] / samples
+    assert np.abs(share - p).max() < 4 * math.sqrt(p * (1 - p) / samples)
 
 
 def test_er_graph_rejects_bad_params():
@@ -113,6 +127,9 @@ def test_er_graph_rejects_bad_params():
     with pytest.raises(TopologyError):
         # Mean degree far below the connectivity threshold for n = 40.
         generate_er_graph(40, 0.05, 0)
+    with pytest.raises(TopologyError):
+        # p so small that an uncapped gap would overflow int64.
+        generate_er_graph(40, 1e-300, 0)
 
 
 def test_directed_pairs_sorted_and_complete():
@@ -490,7 +507,8 @@ def test_settling_votes_keeps_latest_messages(monkeypatch):
 
 
 def test_trace_of_a_default_run_streams():
-    # 710,732 rows; as one list they took 177 MB.
+    # 690,816 rows; as one list, the 710,732 rows of the same run on an
+    # earlier sampler's network took 177 MB.
     engine = run_with(SimConfig())[1]
     tracemalloc.start()
     try:
@@ -498,5 +516,5 @@ def test_trace_of_a_default_run_streams():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert rows == 710_732
+    assert rows == 690_816
     assert peak < 8 * 2**20, peak / 2**20
