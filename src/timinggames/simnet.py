@@ -23,11 +23,15 @@ of every bitset.  A bitset then spans only the few slots still in flight, so
 the cost of a slot does not grow with the run's duration.
 
 Interaction times per ordered adjacent pair form a renewal process with
-exponential gaps of mean ``tau``.  Internally the engine draws the superposed
-Poisson stream (one global clock, then a uniformly chosen edge and message
-class), which is statistically identical and much cheaper to schedule.  The
-schedule does not depend on what any node holds, only on the seed, so
-``EventEngine.trace()`` replays it after a run to rebuild the event trace.
+exponential gaps of mean ``tau``, one per message class.  Internally each
+class draws its superposed Poisson stream (one clock at rate n_dir / tau,
+then a uniformly chosen ordered pair), which is statistically identical and
+much cheaper to schedule.  A class's stream is cut into fixed time windows
+of 1024 expected contacts, each drawn from its own stretch of the class's
+PCG64 generator, so any window can be drawn without the ones before it
+(``_ContactWindows``).  The schedule does not depend on what any node holds,
+only on the seed, so ``EventEngine.trace()`` replays it after a run to
+rebuild the event trace.
 
 Before each event the engine drains the stream's interactions up to it one
 message class at a time: all block interactions, then all vote
@@ -35,14 +39,15 @@ interactions.  The classes touch disjoint state, so the result is that of
 the interleaved stream.  Per class the engine keeps the union of every
 node's set and the number of (node, item) pairs of it not yet delivered.
 Gossip never changes a union, and a count of 0 means every node holds the
-same set, where an interaction is a no-op: the class's remaining draws up
-to the event are then skipped without a look.
+same set, where an interaction is a no-op: the class then stops, draws no
+window until it has something undelivered again, and resumes at its first
+contact at or after the drain that last found it idle.
 
 A run ends at its last attestation deadline, after which no handler reads
 node state: later releases and the end are only logged in ``events``.  The
-stream is a module-level generator, so its cursor holds nothing of the
-engine, and an engine is freed by reference counting, not left to the
-cyclic collector, which would raise a wide run's peak memory.
+windows' generators and the drain's cursors hold nothing of the engine, so
+an engine is freed by reference counting, not left to the cyclic collector,
+which would raise a wide run's peak memory.
 """
 
 from __future__ import annotations
@@ -60,8 +65,9 @@ SLOT_SECONDS = 12.0
 ATTEST_DEADLINE_OFFSET = 4.0
 
 _MAX_CONNECT_ATTEMPTS = 100
-_RNG_BATCH = 1 << 15
-_DRAW_SLICE = 1 << 11  # draws timed and split by class at a time
+_WINDOW_CONTACTS = 1024  # a contact window's expected number of contacts
+_WINDOW_STRIDE = 1 << 40  # raw generator outputs per window; edges start half-way
+_WINDOW_BATCH = 1152  # doubles drawn at a time: 1024 contacts plus 4 sigma
 
 
 class TopologyError(Exception):
@@ -106,7 +112,7 @@ class GossipConfig:
 # Structural event kinds.  The number orders events at equal times.
 _RELEASE, _SLOT_START, _DEADLINE, _END = range(4)
 _KIND_NAMES = ("BLOCK_RELEASE", "SLOT_START", "ATTEST_DEADLINE", "SIM_END")
-_CLASS_NAMES = ("attestation", "block")  # indexed by the block-class flag
+_CLASS_NAMES = ("attestation", "block")  # indexed by message class
 
 
 def _connected(n: int, us: np.ndarray, vs: np.ndarray) -> bool:
@@ -205,28 +211,68 @@ class EngineError(Exception):
         super().__init__(f"handler failed on {event}: {cause}")
 
 
-def _gossip_stream(seed, n_dir: int, gossip: GossipConfig):
-    """The gossip stream from a fresh generator, ``_DRAW_SLICE`` draws at a
-    time: times, edge indices and block-class flags.  A time is the running
-    sum of the gaps; ``cumsum`` adds left to right, as ``t += gap`` one draw
-    at a time would, so they are the same floats.
+class _ContactWindows:
+    """One message class's contacts, window by window.
 
-    A module-level generator, so that an engine can keep it between drains
-    without its frame holding the engine."""
-    rng = np.random.default_rng(seed)
-    rate_b = n_dir / gossip.tau_block
-    total_rate = rate_b + n_dir / gossip.tau_attestation
-    carry = 0.0
-    while True:
-        times = rng.exponential(1.0 / total_rate, _RNG_BATCH)
-        edges = rng.integers(0, n_dir, _RNG_BATCH)
-        kinds = rng.random(_RNG_BATCH) < rate_b / total_rate
-        times[0] += carry
-        np.cumsum(times, out=times)
-        carry = times[-1]
-        for lo in range(0, _RNG_BATCH, _DRAW_SLICE):
-            hi = lo + _DRAW_SLICE
-            yield times[lo:hi], edges[lo:hi], kinds[lo:hi]
+    Class c (0 attestation, 1 block) has rate r = n_dir / tau_c and window
+    width W = 1024 / r.  Its generator is ``PCG64(SeedSequence(ss.entropy,
+    spawn_key=(*ss.spawn_key, c)))`` of the engine's seed ``ss``.  Window k
+    takes consecutive ``random()`` doubles U from raw position k * 2^40,
+    sums the gaps -log1p(-U) / r left to right from k * W and keeps the
+    contacts below (k + 1) * W; their directed-pair indices are floor(V *
+    n_dir) of consecutive doubles V from position k * 2^40 + 2^39.  The
+    doubles are drawn ``_WINDOW_BATCH`` at a time, which does not change a
+    window.  A window is drawn by advancing the generator to its position,
+    so it does not depend on which windows were drawn before it.
+    """
+
+    __slots__ = ("rate", "width", "_n_dir", "_bitgen", "_random", "_pos")
+
+    def __init__(self, ss: np.random.SeedSequence, c: int, n_dir: int, tau: float):
+        self.rate = n_dir / tau
+        self.width = _WINDOW_CONTACTS / self.rate
+        self._n_dir = n_dir
+        self._bitgen = np.random.PCG64(
+            np.random.SeedSequence(ss.entropy, spawn_key=(*ss.spawn_key, c))
+        )
+        self._random = np.random.Generator(self._bitgen).random
+        self._pos = 0  # raw outputs drawn since the start
+
+    def _seek(self, pos: int) -> None:
+        # PCG64's state is an LCG of period 2^128, so a step back is this
+        # step forward.
+        self._bitgen.advance((pos - self._pos) % 2**128)
+        self._pos = pos
+
+    def _doubles(self, count: int) -> np.ndarray:
+        batch = _WINDOW_BATCH
+        parts = [self._random(min(batch, count - lo)) for lo in range(0, count, batch)]
+        self._pos += count
+        return parts[0] if len(parts) == 1 else np.concatenate([np.empty(0), *parts])
+
+    def window(self, k: int):
+        """Window k's contact times, in order, and their directed-pair indices."""
+        end = (k + 1) * self.width
+        self._seek(k * _WINDOW_STRIDE)
+        chunks = []
+        last = k * self.width
+        while last < end:
+            times = self._doubles(_WINDOW_BATCH)
+            np.negative(times, out=times)
+            np.log1p(times, out=times)
+            times /= -self.rate  # the gaps -log1p(-U) / r, bit for bit
+            # cumsum adds left to right, as t += gap one contact at a time would.
+            times[0] += last
+            np.cumsum(times, out=times)
+            chunks.append(times)
+            last = times[-1]
+        times = chunks[0] if len(chunks) == 1 else np.concatenate(chunks)
+        times = times[: times.searchsorted(end)]
+        self._seek(k * _WINDOW_STRIDE + _WINDOW_STRIDE // 2)
+        # V < 1 makes V * n_dir round below n_dir, and the cast floors it.
+        edges = self._doubles(len(times))
+        edges *= self._n_dir
+        return times, edges.astype(np.intp)
 
 
 def _bitset_rows(ints, nbits: int) -> np.ndarray:
@@ -247,8 +293,9 @@ class EventEngine:
 
     Every node starts with genesis, block ``GENESIS_ID``, at time 0.  Other
     blocks enter circulation via ``publish_block`` (usually from a scheduled
-    release), votes via ``publish_attestation``.  A vote must be published
-    by its slot's attestation deadline: later, its slot may be settled.
+    release), votes via ``publish_attestation`` or, for validators voting at
+    their own nodes, ``publish_attestations``.  A vote must be published by
+    its slot's attestation deadline: later, its slot may be settled.
 
     Block releases, slot starts, attestation deadlines and the end of the run
     share one heap of ``(time, kind, seq, payload)``.  At equal times a
@@ -270,8 +317,11 @@ class EventEngine:
 
     ``block_seen``, ``lm_slot`` and ``lm_target`` build dense arrays from the
     bitsets on each read, for inspection after a run.  The gossip schedule
-    does not depend on content, so ``trace()`` replays it from ``seed`` (an
-    int or ``SeedSequence``) and merges it with the run's ``events`` log.
+    does not depend on content: each class's contact windows come from
+    ``seed`` (an int or ``SeedSequence``) through ``_window``, which a run
+    calls only while the class has something undelivered, and ``trace()``
+    replays every window of both classes and merges them with the run's
+    ``events`` log.
     """
 
     def __init__(self, topology: Topology, gossip: GossipConfig, handlers,
@@ -282,7 +332,7 @@ class EventEngine:
         self.gossip = gossip
         self.handlers = handlers
         self.end_time = float(end_time)
-        self._seed = seed
+        ss = seed if isinstance(seed, np.random.SeedSequence) else np.random.SeedSequence(seed)
         # The run's releases, slot starts, deadlines and end, as (time of the
         # event being processed, trace row); run() restarts it, and a
         # publish outside a run is not logged.
@@ -295,6 +345,10 @@ class EventEngine:
 
         self._src, self._dst = topology.directed_pairs().T.copy()
         self._n_dir = len(self._src)
+        self._windows = [
+            _ContactWindows(ss, c, self._n_dir, tau)
+            for c, tau in enumerate((gossip.tau_attestation, gossip.tau_block))
+        ]
 
         # Knowledge state: every node holds genesis from time 0.
         self.blocks = [1 << GENESIS_ID] * self.n_nodes
@@ -310,11 +364,11 @@ class EventEngine:
         self._blocks_undelivered = 0
         self._vote_union = 0
         self._votes_undelivered = 0
-        # The gossip stream's cursor between drains: the stream, the current
-        # slice's block and vote draws (times and edges), the position in
-        # each, and the time of the slice's last draw.  It must hold nothing
-        # that holds the engine.
-        self._cursor = None
+        # Per class, the drain's cursor (window index, its times and edges,
+        # position of the next contact), with the position None while the
+        # class is idle; and the time the last drain ran to.  set in run().
+        self._cursors: list = []
+        self._bound = 0.0
 
         self._seq = itertools.count()
         self._queue = [(self.end_time, _END, next(self._seq), None)]
@@ -372,6 +426,39 @@ class EventEngine:
         if not self.votes[node] & bit:
             self._votes_undelivered -= 1
             self.votes[node] |= bit
+
+    def publish_attestations(self, slot: int, target: int, validators, time: float) -> None:
+        """Each of ``validators`` votes for ``target`` in ``slot`` at its own
+        node: the state that ``publish_attestation(v, v, slot, target,
+        time)`` for each in turn leaves, in one pass."""
+        if not validators:
+            return
+        width = self.n_validators
+        if not 0 <= min(validators) <= max(validators) < width:
+            raise ValueError(f"validators {validators} not all in [0, {width})")
+        k = slot - self.vote_base
+        if k < 0:
+            raise ValueError(f"vote of slot {slot} published after the slot settled")
+        while len(self.vote_slots) <= k:
+            self.vote_slots.append({})
+        shift = k * width
+        votes = self.votes
+        cast = 0
+        held = 0  # validators whose node already held its vote
+        for v in validators:
+            bit = 1 << (shift + v)
+            cast |= bit
+            if votes[v] & bit:
+                held += 1
+            else:
+                votes[v] |= bit
+        # Each validator's first vote of the slot fixes its target.
+        fresh = cast & ~self._vote_union
+        if fresh:
+            group = self.vote_slots[k]
+            group[target] = group.get(target, 0) | fresh >> shift
+            self._vote_union |= fresh
+        self._votes_undelivered += width * fresh.bit_count() - (len(validators) - held)
 
     # -- knowledge state ----------------------------------------------------
 
@@ -444,28 +531,44 @@ class EventEngine:
 
     # -- gossip stream ------------------------------------------------------
 
-    def _stream(self):
-        """The run's gossip stream, ``_DRAW_SLICE`` draws at a time."""
-        return _gossip_stream(self._seed, self._n_dir, self.gossip)
+    def _window(self, c: int, k: int):
+        """Class c's contact window k: its times, in order, and directed-pair
+        indices.  Every contact lies in [k * W_c, (k + 1) * W_c)."""
+        return self._windows[c].window(k)
 
     def trace(self):
         """The last run's event trace, row by row: the ``events`` log and,
-        replayed, a ``GOSSIP_INTERACTION`` row per draw, skipped or not.  A
-        draw goes after the events at or before its time, as the run drained
-        it.  One slice of draws is held at a time."""
+        replayed, a ``GOSSIP_INTERACTION`` row per contact, skipped or not.
+        Both classes' windows are merged by (time, class), and a contact goes
+        after the events at or before its time, as the run drained it.  One
+        window of each class is held at a time."""
         rows = [row for _, row in self.events]
-        # An event goes before the first draw at or after its time, and after
-        # every event before it.
+        # An event goes before the first contact at or after its time, and
+        # after every event before it.
         keys = np.maximum.accumulate([key for key, _ in self.events])
         src, dst = self._src, self._dst
+        widths = [w.width for w in self._windows]
+        window = [0, 0]
+        ahead = [self._window(0, 0), self._window(1, 0)]  # contacts not yet listed
         i = 0
-        for times, edges, kinds in self._stream():
-            stop = int(keys.searchsorted(times[-1], "right"))
+        while True:
+            # Up to the end of the window that ends first, both classes'
+            # contacts are all in hand.
+            c = 0 if (window[0] + 1) * widths[0] <= (window[1] + 1) * widths[1] else 1
+            bound = (window[c] + 1) * widths[c]
+            cut = [int(ts.searchsorted(bound)) for ts, _ in ahead]
+            times = np.concatenate([ts[:n] for (ts, _), n in zip(ahead, cut)])
+            edges = np.concatenate([es[:n] for (_, es), n in zip(ahead, cut)])
+            order = times.argsort(kind="stable")  # attestations first at a tie
+            times = times[order]
+            edges = edges[order]
             gossip = [
                 (t, "GOSSIP_INTERACTION", u, f"->{v}:{_CLASS_NAMES[k]}")
                 for t, u, v, k in zip(times.tolist(), src[edges].tolist(),
-                                      dst[edges].tolist(), kinds.tolist())
+                                      dst[edges].tolist(), (order >= cut[0]).tolist())
             ]
+            # Every later contact is at or after the bound.
+            stop = int(keys.searchsorted(bound, "right"))
             lo = 0
             for hi, row in zip(times.searchsorted(keys[i:stop]).tolist(), rows[i:stop]):
                 yield from gossip[lo:hi]
@@ -475,72 +578,111 @@ class EventEngine:
                 return
             yield from gossip[lo:]
             i = stop
+            ahead = [(ts[n:], es[n:]) for (ts, es), n in zip(ahead, cut)]
+            window[c] += 1
+            ahead[c] = self._window(c, window[c])
 
     # -- main loop ----------------------------------------------------------
 
+    def _spans(self, c: int, t: float):
+        """Class c's contacts strictly before ``t`` that have not run, as
+        ``(times, edges)`` spans, one per window, drawing windows as they are
+        reached.  The cursor is left at the first contact at or after ``t``;
+        a caller that stops early, its class having nothing undelivered,
+        marks the class idle.  A class's count can only fall to 0 in a
+        drain, so a class that starts a drain with nothing undelivered is
+        idle already.
+
+        An idle class resumes at its first contact at or after ``_bound``,
+        the time the previous drain ran to.  Every contact it passes over
+        was a no-op: the class had nothing undelivered from the drain that
+        found it idle up to the events at ``_bound``, which run before any
+        contact at their time."""
+        width = self._windows[c].width
+        k, times, edges, i = self._cursors[c]
+        if i is None:
+            bound = self._bound
+            j = int(bound // width)
+            while j * width > bound:
+                j -= 1
+            while (j + 1) * width <= bound:
+                j += 1
+            if j != k:
+                k = j
+                times, edges = self._window(c, k)
+            i = int(times.searchsorted(bound))
+        while True:
+            end = int(times.searchsorted(t))
+            self._cursors[c] = (k, times, edges, end)
+            if end > i:
+                yield times[i:end], edges[i:end]
+            if end < len(times) or (k + 1) * width >= t:
+                return
+            k += 1
+            times, edges = self._window(c, k)
+            i = 0
+
+    def _idle(self, c: int) -> None:
+        k, times, edges, _ = self._cursors[c]
+        self._cursors[c] = (k, times, edges, None)
+
     def _drain(self, t: float) -> None:
         """Run the gossip interactions strictly before ``t`` (at a tie the
-        event runs first), one class at a time, and skip the rest of a class
-        once nothing of it is undelivered.  Only the spans that run become
-        Python lists."""
+        event runs first), one class at a time, and stop a class once
+        nothing of it is undelivered.  Only the spans that run become Python
+        lists."""
         src = self._src
         dst = self._dst
         blocks = self.blocks
         votes = self.votes
         arrive = self._arrive
-        stream, bt, be, vt, ve, bi, vi, last = self._cursor
-        block_gap = self._blocks_undelivered
-        vote_gap = self._votes_undelivered
-        while True:
-            end = int(bt.searchsorted(t))
-            if block_gap and end > bi:
-                span = be[bi:end]
-                pairs = zip(src[span].tolist(), dst[span].tolist())
-                for i, (u, v) in enumerate(pairs, bi):
+
+        gap = self._blocks_undelivered
+        if gap:
+            for times, span in self._spans(1, t):
+                for i, (u, v) in enumerate(zip(src[span].tolist(), dst[span].tolist())):
                     a = blocks[u]
                     b = blocks[v]
                     if a != b:
                         blocks[u] = blocks[v] = a | b
                         if b & ~a:
-                            arrive(u, b & ~a, bt[i])
+                            arrive(u, b & ~a, times[i])
                         if a & ~b:
-                            arrive(v, a & ~b, bt[i])
-                        block_gap -= (a ^ b).bit_count()
-                        if not block_gap:
+                            arrive(v, a & ~b, times[i])
+                        gap -= (a ^ b).bit_count()
+                        if not gap:
                             break
-            bi = end
+                if not gap:
+                    break
+            self._blocks_undelivered = gap
+            if not gap:
+                self._idle(1)
 
-            end = int(vt.searchsorted(t))
-            if vote_gap and end > vi:
-                span = ve[vi:end]
+        gap = self._votes_undelivered
+        if gap:
+            for _, span in self._spans(0, t):
                 for u, v in zip(src[span].tolist(), dst[span].tolist()):
                     a = votes[u]
                     b = votes[v]
                     if a != b:
                         votes[u] = votes[v] = a | b
-                        vote_gap -= (a ^ b).bit_count()
-                        if not vote_gap:
+                        gap -= (a ^ b).bit_count()
+                        if not gap:
                             break
-            vi = end
-
-            if last >= t:
-                break
-            times, edges, kinds = next(stream)
-            block, vote = np.flatnonzero(kinds), np.flatnonzero(~kinds)
-            bt, be, vt, ve = times[block], edges[block], times[vote], edges[vote]
-            bi = vi = 0
-            last = times[-1]
-        self._cursor = stream, bt, be, vt, ve, bi, vi, last
-        self._blocks_undelivered = block_gap
-        self._votes_undelivered = vote_gap
+                if not gap:
+                    break
+            self._votes_undelivered = gap
+            if not gap:
+                self._idle(0)
+        self._bound = t
 
     def run(self) -> None:
         """Process events up to the last attestation deadline; log the rest."""
         queue = self._queue
         self.events = events = []
         self._running = True
-        empty = np.empty(0)
-        self._cursor = self._stream(), empty, empty, empty, empty, 0, 0, -math.inf
+        self._cursors = [(-1, None, None, None)] * 2  # idle, no window drawn
+        self._bound = 0.0
         done = False  # past the last deadline: only releases and the end are left
 
         while True:

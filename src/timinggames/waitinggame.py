@@ -28,7 +28,6 @@ from __future__ import annotations
 import math
 import numbers
 import os
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, fields, replace
 from itertools import islice
 
@@ -259,26 +258,27 @@ class _ChainHandlers:
         children = self.tree.children
         blocks = engine.blocks
         votes = engine.votes
-        # By the deadline most nodes share one view; a vote published in
-        # the loop changes only its own node's view, so a head computed for
-        # a view holds for every node with that view.
-        heads: dict = {}
+        # By the deadline most nodes share one view, and each view's
+        # validators vote for its head in one publish.  A vote changes only
+        # its own node's view and adds a vote that no other node holds yet,
+        # so no head depends on the publishes before it.  Views publish in
+        # the order of their first node, so each slot's targets enter the
+        # vote table in the order a loop over the nodes would add them.
+        views: dict = {}
         for v in range(self.n):
-            if v == proposer:
-                continue
-            view = (blocks[v], votes[v])
-            target = heads.get(view)
-            if target is None:
-                target = heads[view] = head_from_arrays(
-                    parent,
-                    children,
-                    blocks[v],
-                    votes[v],
-                    engine.vote_slots,
-                    engine.vote_settled,
-                    engine.n_validators,
-                )
-            engine.publish_attestation(v, v, slot, target, t)
+            if v != proposer:
+                views.setdefault((blocks[v], votes[v]), []).append(v)
+        for (held, voted), validators in views.items():
+            target = head_from_arrays(
+                parent,
+                children,
+                held,
+                voted,
+                engine.vote_slots,
+                engine.vote_settled,
+                engine.n_validators,
+            )
+            engine.publish_attestations(slot, target, validators, t)
 
 
 def simulate(config: SimConfig) -> SimulationOutput:
@@ -405,6 +405,10 @@ def sweep(grid: SweepConfig, base_config: SimConfig) -> tuple[list, dict]:
     ]
     workers = min(grid.jobs, len(args), os.cpu_count() or 1)
     if workers > 1:
+        # Imported here: it pulls in multiprocessing, which a run in this
+        # process never needs.
+        from concurrent.futures import ProcessPoolExecutor
+
         with ProcessPoolExecutor(max_workers=workers) as pool:
             outcomes = list(pool.map(_run_for_sweep_safe, args))
     else:

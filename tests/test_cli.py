@@ -362,6 +362,20 @@ def _cli_process(args, cwd, env, timeout=None):
     )
 
 
+def test_importing_the_cli_leaves_out_multiprocessing():
+    # Only a sweep with several workers needs a process pool, and it
+    # imports one itself; the import costs every command 14-23 ms.
+    src = Path(__file__).resolve().parents[1] / "src"
+    done = subprocess.run(
+        [sys.executable, "-c",
+         "import sys, timinggames.cli; print(sorted(m for m in sys.modules "
+         "if m.split('.')[0] in ('multiprocessing', 'concurrent')))"],
+        capture_output=True, env={**os.environ, "PYTHONPATH": str(src)}, timeout=60,
+    )
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.decode().split() == ["[]"]
+
+
 @pytest.mark.parametrize("command", ["run", "sweep"])
 def test_sim_refuses_a_tiny_tau_at_once(tmp_path, command):
     # tau_block = 1e-9 asks for about 7.7e12 gossip draws in 120 s at N = 16:

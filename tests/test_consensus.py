@@ -245,8 +245,10 @@ def test_validator_view_attest_uses_strictly_earlier_arrivals():
             engine.publish_block(node, GENESIS_ID, 0.0)
             engine.publish_block(node, a, 0.0)
         # One block-class interaction on the edge 0 -> 1, then none.
-        draws = (np.array([arrival, arrival + 1e9]), np.array([0, 0]), np.array([True, True]))
-        engine._stream = lambda: iter([draws])
+        engine._window = lambda c, k, arrival=arrival: (
+            (np.array([arrival]), np.array([0], dtype=np.intp)) if (c, k) == (1, 0)
+            else (np.empty(0), np.empty(0, dtype=np.intp))
+        )
         engine.run()
         assert engine.block_arrival[1, b] == arrival
         assert handlers.head == expected

@@ -1,9 +1,10 @@
 """Golden outputs: the simulator must reproduce recorded runs exactly.
 
-The fixtures under ``tests/golden/`` were last written when geometric edge
-skipping replaced the sampler that drew once per node pair, which changed
-every graph and so every run; the fixtures before them came from the
-dense-array engine that the bitset engine replaced.  They pin, bit for bit,
+The fixtures under ``tests/golden/`` were last written when each message
+class's contacts came to be drawn in windows from their own generator,
+which changed every gossip schedule and so every run; before that, when
+geometric edge skipping replaced the sampler that drew once per node pair,
+which changed every graph.  They pin, bit for bit,
 the run metrics, main chains and block trees of the default configuration,
 two wide single-slot runs, the full event traces of small runs, and the edge
 set of an N = 2048 network that needs several sampling attempts.  Any fast

@@ -1,12 +1,16 @@
 """The per-class gossip drain against the per-interaction loop it replaced.
 
-``LoopEngine`` is the engine as it was before the drain: one Python loop
-iteration per interaction in stream order, the time kept as a running
-``t += gap``, and the non-equivocation rule as a scan over the slot's
-targets.  It lives here as the oracle, with its own copy of the batch
-draws, and records its trace inline as it runs, gossip after the last
-attestation deadline included.  The engine must reproduce it bit for bit:
-arrival times, bitsets, vote tables, heads and metrics, and
+``LoopEngine`` is the engine without the drain: one Python loop iteration
+per interaction, none skipped, over both classes' contacts merged by (time,
+class), and the non-equivocation rule as a scan over the slot's targets.
+It lives here as the oracle, with its own copy of the contact windows'
+definition: a fresh generator per window, advanced to the window's
+position, and the time kept as a running ``t += gap``.  Its deadline
+handler (``PerNodeHandlers``) is the loop over the nodes that the per-view
+publish replaced, one ``publish_attestation`` call per vote.  It records its
+trace inline as it runs, gossip after the last attestation deadline
+included.  The engine must reproduce it bit for bit: arrival times,
+bitsets, vote tables with the order of their keys, heads and metrics, and
 ``engine.trace()``, replayed after the run, must equal the oracle's trace.
 The engine's state after a run must equal the oracle's at its last deadline.
 """
@@ -15,6 +19,7 @@ from __future__ import annotations
 
 import gc
 import heapq
+import itertools
 import weakref
 from functools import reduce
 from operator import or_
@@ -25,13 +30,12 @@ from conftest import run_with
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from timinggames import simnet, waitinggame
-from timinggames.consensus import GENESIS_ID
+from timinggames import waitinggame
+from timinggames.consensus import GENESIS_ID, head_from_arrays
 from timinggames.simnet import (
     _DEADLINE,
     _KIND_NAMES,
     _RELEASE,
-    _RNG_BATCH,
     _SLOT_START,
     ATTEST_DEADLINE_OFFSET,
     SLOT_SECONDS,
@@ -50,6 +54,10 @@ class LoopEngine(EventEngine):
     after each deadline."""
 
     rows = None
+
+    def __init__(self, topology, gossip, handlers, end_time, seed):
+        super().__init__(topology, gossip, handlers, end_time, seed)
+        self.seed = seed if isinstance(seed, np.random.SeedSequence) else np.random.SeedSequence(seed)
 
     def _snapshot(self):
         self.states.append((self.block_arrival.tobytes(), list(self.blocks), list(self.votes)))
@@ -74,19 +82,31 @@ class LoopEngine(EventEngine):
             group[target] = group.get(target, 0) | bit
         self.votes[node] |= bit << (k * self.n_validators)
 
+    def _class_draws(self, c):
+        """Class c's (time, edge index, block-class flag) contacts, window by
+        window, from the windows' definition."""
+        seed = self.seed
+        child = np.random.SeedSequence(seed.entropy, spawn_key=(*seed.spawn_key, c))
+        tau = (self.gossip.tau_attestation, self.gossip.tau_block)[c]
+        rate = self._n_dir / tau
+        width = 1024 / rate
+        for k in itertools.count():
+            gaps = np.random.PCG64(child)
+            gaps.advance(k * 2**40)
+            edges = np.random.PCG64(child)
+            edges.advance(k * 2**40 + 2**39)
+            gaps, edges = np.random.Generator(gaps), np.random.Generator(edges)
+            t = k * width
+            while True:
+                t += -np.log1p(-gaps.random()) / rate
+                if t >= (k + 1) * width:
+                    break
+                yield float(t), int(edges.random() * self._n_dir), bool(c)
+
     def _draws(self):
-        """The stream's (gap, edge index, block-class flag) draws, one at a
-        time, from batches of ``_RNG_BATCH`` gaps, then edges, then flags."""
-        rng = np.random.default_rng(self._seed)
-        rate_b = self._n_dir / self.gossip.tau_block
-        rate_a = self._n_dir / self.gossip.tau_attestation
-        total_rate = rate_b + rate_a
-        while True:
-            yield from zip(
-                rng.exponential(1.0 / total_rate, _RNG_BATCH).tolist(),
-                rng.integers(0, self._n_dir, _RNG_BATCH).tolist(),
-                (rng.random(_RNG_BATCH) < rate_b / total_rate).tolist(),
-            )
+        """Both classes' contacts, merged by (time, class)."""
+        return heapq.merge(self._class_draws(0), self._class_draws(1),
+                           key=lambda draw: (draw[0], draw[2]))
 
     def run(self):
         src = self._src.tolist()
@@ -100,8 +120,7 @@ class LoopEngine(EventEngine):
         self._snapshot()
 
         draws = self._draws()
-        gap, e, is_block = next(draws)
-        gossip_t = gap
+        gossip_t, e, is_block = next(draws)
 
         while True:
             t, kind, _, payload = heapq.heappop(queue)
@@ -124,8 +143,7 @@ class LoopEngine(EventEngine):
                     if a != b:
                         votes[u] = votes[v] = a | b
                     rows.append((gossip_t, "GOSSIP_INTERACTION", u, f"->{v}:attestation"))
-                gap, e, is_block = next(draws)
-                gossip_t += gap
+                gossip_t, e, is_block = next(draws)
 
             try:
                 if kind == _RELEASE:
@@ -151,7 +169,8 @@ class LoopEngine(EventEngine):
 
 
 class RecordingHandlers(waitinggame._ChainHandlers):
-    """Chain handlers that keep, per deadline, the gossiped view and the heads."""
+    """Chain handlers that keep, per deadline, the gossiped view and the
+    heads with their order in the vote table."""
 
     def __init__(self, *args):
         super().__init__(*args)
@@ -160,19 +179,45 @@ class RecordingHandlers(waitinggame._ChainHandlers):
     def on_attest_deadline(self, engine, t, slot):
         view = (list(engine.blocks), list(engine.votes), engine.vote_base)
         super().on_attest_deadline(engine, t, slot)
-        heads = dict(engine.vote_slots[slot - engine.vote_base])
+        heads = list(engine.vote_slots[slot - engine.vote_base].items())
         self.deadlines.append((t, view, heads))
+
+
+class PerNodeHandlers(waitinggame._ChainHandlers):
+    """The oracle's deadline: a loop over the nodes that computes a view's
+    head at its first node and publishes each vote by its own call."""
+
+    def on_attest_deadline(self, engine, t, slot):
+        heads = {}
+        for v in range(self.n):
+            if v == self.tree.proposer[slot + 1]:
+                continue
+            view = (engine.blocks[v], engine.votes[v])
+            if view not in heads:
+                heads[view] = head_from_arrays(
+                    self.tree.parent, self.tree.children, *view,
+                    engine.vote_slots, engine.vote_settled, engine.n_validators,
+                )
+            engine.publish_attestation(v, v, slot, heads[view], t)
+
+
+class OracleHandlers(RecordingHandlers, PerNodeHandlers):
+    pass
+
+
+def vote_tables(engine):
+    """The vote tables with the order of their keys."""
+    return [list(group.items()) for group in engine.vote_slots], list(engine.vote_settled.items())
 
 
 def assert_same_run(config):
     """The engine reproduces the oracle exactly, its replayed trace included,
     and ends in the oracle's state at its last deadline."""
-    want, oracle, oracle_handlers = run_with(config, LoopEngine, RecordingHandlers)
+    want, oracle, oracle_handlers = run_with(config, LoopEngine, OracleHandlers)
     got, engine, handlers = run_with(config, EventEngine, RecordingHandlers)
     assert (engine.block_arrival.tobytes(), engine.blocks, engine.votes) == oracle.states[-1]
     assert engine.vote_base == oracle.vote_base
-    assert engine.vote_slots == oracle.vote_slots
-    assert engine.vote_settled == oracle.vote_settled
+    assert vote_tables(engine) == vote_tables(oracle)
     assert handlers.deadlines == oracle_handlers.deadlines
     assert got.metrics == want.metrics
     assert got.mainchain_ids == want.mainchain_ids
@@ -222,13 +267,68 @@ def test_drain_matches_per_interaction_loop(config):
     assert_same_run(config)
 
 
-def test_drain_matches_loop_across_batches():
-    # More draws than one batch holds: the stream crosses a batch boundary.
+def test_drain_matches_loop_across_windows():
+    # Each class's contacts span over ten windows.
     config = SimConfig(n=16, mean_degree=4.0, tau_block=2.0, tau_attestation=3.5,
                        duration=1000.0, x_d=0.5, t_d=11.0, seed=8)
     oracle = assert_same_run(config)
-    gossip = sum(row[1] == "GOSSIP_INTERACTION" for row in oracle.rows)
-    assert gossip > _RNG_BATCH
+    for c, name in enumerate(("attestation", "block")):
+        contacts = sum(row[3].endswith(name) for row in oracle.rows)
+        assert contacts > 10 * 1024
+        assert oracle.end_time > 10 * oracle._windows[c].width
+
+
+def idle_configs():
+    """Gossip far faster than a slot, and delayers releasing at the next
+    slot start: each class spends most of a slot with nothing undelivered,
+    over many windows, so the drain's cursor jumps when it resumes."""
+    return st.builds(
+        lambda n, density, tau_b, tau_a, x_d, duration, seed: SimConfig(
+            n=n, mean_degree=density * (n - 1), tau_block=tau_b, tau_attestation=tau_a,
+            duration=duration, x_d=x_d, t_d=12.0, seed=seed,
+        ),
+        n=st.integers(2, 10),
+        density=st.floats(0.3, 0.95),
+        tau_b=st.floats(0.02, 0.5),
+        tau_a=st.floats(0.02, 0.5),
+        x_d=st.floats(0.0, 1.0),
+        duration=st.floats(12.0, 48.0),
+        seed=st.integers(0, 2**32),
+    )
+
+
+# Vote and block windows span 3.0 and 1.5 s, so a slot spans several.
+IDLE_CONFIG = SimConfig(n=8, mean_degree=5.0, tau_block=0.05, tau_attestation=0.1,
+                        duration=48.0, x_d=0.5, t_d=12.0, seed=2)
+
+
+@given(idle_configs())
+@example(IDLE_CONFIG)
+@settings(max_examples=20, deadline=None)
+def test_drain_matches_loop_over_idle_stretches(config):
+    assume(config.tau_block != config.tau_attestation)
+    assert_same_run(config)
+
+
+def test_idle_classes_skip_windows(monkeypatch):
+    # On IDLE_CONFIG, which matches the oracle above, each class draws
+    # under half of the windows up to the last deadline, and resumes past
+    # windows it skipped.
+    drawn = [set(), set()]
+    window = EventEngine._window
+
+    def counted(self, c, k):
+        drawn[c].add(k)
+        return window(self, c, k)
+
+    monkeypatch.setattr(EventEngine, "_window", counted)
+    _, engine, _ = run_with(IDLE_CONFIG)
+    last_deadline = (engine.n_slots - 1) * SLOT_SECONDS + ATTEST_DEADLINE_OFFSET
+    for c in (0, 1):
+        spanned = int(last_deadline // engine._windows[c].width) + 1
+        assert len(drawn[c]) < spanned / 2
+        # Some skipped window lies between two drawn ones.
+        assert max(drawn[c]) - min(drawn[c]) + 1 > len(drawn[c])
 
 
 # -- the tail after the last deadline -------------------------------------------
@@ -271,24 +371,26 @@ def late_releases(engine):
 
 
 def test_simulate_leaves_the_tail_undrained(monkeypatch):
-    # A 12 s run at N = 256 draws a slice of 2,048 interactions about every
-    # 1.5 s.  simulate stops at the slice that reaches the deadline at 4 s,
-    # and reading the state after it draws nothing more.
-    ends = []  # time of each drawn slice's last draw
-    stream = simnet._gossip_stream
+    # A 12 s run at N = 256: a block window spans about 1.5 s.  simulate
+    # draws block windows until the block has spread, none that starts at
+    # or after the deadline at 4 s, no vote window at all (the votes are
+    # published at the deadline), and reading the state after it draws
+    # nothing more.
+    drawn = []
+    window = EventEngine._window
 
-    def counted(*args):
-        for draws in stream(*args):
-            ends.append(draws[0][-1])
-            yield draws
+    def counted(self, c, k):
+        drawn.append((c, k * self._windows[c].width))
+        return window(self, c, k)
 
-    monkeypatch.setattr(simnet, "_gossip_stream", counted)
+    monkeypatch.setattr(EventEngine, "_window", counted)
     config = SimConfig(n=256, mean_degree=8.0, duration=SLOT_SECONDS, seed=1)
     _, engine, _ = run_with(config)
-    assert ends[-2] < ATTEST_DEADLINE_OFFSET <= ends[-1] < config.duration
-    drawn = len(ends)
+    starts = [start for c, start in drawn if c == 1]
+    assert len(starts) == len(drawn) > 1
+    assert max(starts) < ATTEST_DEADLINE_OFFSET
     assert engine.votes and engine.blocks and engine.block_arrival.size
-    assert len(ends) == drawn
+    assert len(drawn) == len(starts)
 
 
 def test_simulate_drains_no_further_than_the_last_deadline(monkeypatch):
@@ -314,7 +416,7 @@ def test_simulate_drains_no_further_than_the_last_deadline(monkeypatch):
 
 
 def test_engine_is_freed_by_reference_counting(monkeypatch):
-    # The engine keeps the gossip stream between drains.  Were it or
+    # The engine keeps its contact windows between drains.  Were they or
     # anything else to hold the engine in a cycle, the engine would wait for
     # the cyclic collector, and a wide run's peak memory would grow with the
     # engines left over.  Both runs log a release after the last deadline.
@@ -428,6 +530,74 @@ def test_conflicting_vote_at_another_node_is_ignored():
     assert engine.votes == oracle.votes
     assert_counts(engine)
     assert engine._votes_undelivered == 2 + 3
+
+
+@st.composite
+def vote_states(draw):
+    """A network, the votes published before, and one batch to publish: a
+    slot, a target and validators, some of which may have voted in that
+    slot already, for this target or another, at their own node or another.
+    The slot may lie past the vote window, and the oldest slots may have
+    settled."""
+    n = draw(st.integers(2, 12))
+    slot_ids = st.integers(0, 4)
+    before = draw(st.lists(
+        st.tuples(st.integers(0, n - 1), st.integers(0, n - 1), slot_ids, st.integers(0, 3)),
+        max_size=30,
+    ))
+    settle = draw(st.integers(-1, 2))
+    batch = (
+        draw(slot_ids),
+        draw(st.integers(0, 3)),
+        draw(st.lists(st.integers(0, n - 1), max_size=2 * n)),
+    )
+    return n, before, settle, batch
+
+
+@given(vote_states())
+@example((4, [(0, 1, 0, 1), (2, 2, 1, 3), (3, 0, 1, 1)], -1, (1, 2, [0, 2, 3, 1, 2])))
+@settings(max_examples=200, deadline=None)
+def test_publish_attestations_matches_a_loop(state):
+    n, before, settle, (slot, target, validators) = state
+    topology = generate_er_graph(n, min(1.5, n - 1), 0)
+    engines = [EventEngine(topology, GossipConfig(), None, 60.0, seed=0) for _ in range(2)]
+    for engine in engines:
+        for node, validator, s, tgt in before:
+            engine.publish_attestation(node, validator, s, tgt, 0.0)
+        # Nodes that all hold a slot's votes let it settle.
+        engine.votes[:] = [engine._vote_union if v % 2 else x for v, x in enumerate(engine.votes)]
+        engine._votes_undelivered = sum(
+            (engine._vote_union & ~x).bit_count() for x in engine.votes
+        )
+        engine._compact(settle)
+    batch, loop = engines
+    assume(slot >= batch.vote_base)
+    batch.publish_attestations(slot, target, validators, 4.0)
+    for v in validators:
+        loop.publish_attestation(v, v, slot, target, 4.0)
+    assert batch.votes == loop.votes
+    assert [list(group.items()) for group in batch.vote_slots] == [
+        list(group.items()) for group in loop.vote_slots
+    ]
+    assert batch._vote_union == loop._vote_union
+    assert batch._votes_undelivered == loop._votes_undelivered
+    assert batch.vote_base == loop.vote_base
+    assert_counts(batch)
+
+
+def test_publish_attestations_checks_its_arguments():
+    engine = EventEngine(generate_er_graph(4, 2.5, 0), GossipConfig(), None, 24.0, seed=0)
+    for validators in ([0, 4], [-1, 2]):
+        with pytest.raises(ValueError):
+            engine.publish_attestations(0, 1, validators, 4.0)
+    engine.publish_attestations(0, 1, [], 4.0)
+    assert engine.vote_slots == [] and engine.votes == [0] * 4
+    for node, v in itertools.product(range(4), repeat=2):
+        engine.publish_attestation(node, v, 0, 1, 4.0)
+    engine._compact(0)
+    assert engine.vote_base == 1
+    with pytest.raises(ValueError):
+        engine.publish_attestations(0, 1, [0], 16.0)
 
 
 # -- the fork-choice kernel's precondition --------------------------------------

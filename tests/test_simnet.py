@@ -1,6 +1,5 @@
 """Topology sampling and the gossip event engine."""
 
-import itertools
 import math
 import tracemalloc
 
@@ -210,34 +209,127 @@ def test_directed_pairs_match_sorted_tuples(n, mean_degree, seed):
     assert [tuple(p) for p in pairs.tolist()] == expected
 
 
-# -- gap sampling -------------------------------------------------------------
+# -- contact windows ----------------------------------------------------------
 
 
-def _engine_gaps(tau, seed, slices):
-    """Gaps between the interaction times of the engine's superposed stream,
-    and its total rate."""
-    topo = generate_er_graph(8, 3.0, 0)
-    engine = EventEngine(
-        topo, GossipConfig(tau_block=tau, tau_attestation=2 * tau), NullHandlers(),
-        end_time=12.0, seed=seed,
+def _windows_engine(tau, seed):
+    """An engine whose attestation clock runs at twice the block clock's mean gap."""
+    return EventEngine(
+        generate_er_graph(8, 3.0, 0), GossipConfig(tau_block=tau, tau_attestation=2 * tau),
+        NullHandlers(), end_time=12.0, seed=seed,
     )
-    times = np.concatenate([t for t, _, _ in itertools.islice(engine._stream(), slices)])
-    rate = len(topo.directed_pairs()) * (1 / tau + 1 / (2 * tau))
-    return np.diff(times, prepend=0.0), rate
+
+
+def _engine_gaps(engine, c, windows):
+    """Gaps between class c's contact times over its first ``windows``
+    windows, read through the engine's window seam, and the class's rate."""
+    times = np.concatenate([engine._window(c, k)[0] for k in range(windows)])
+    return np.diff(times, prepend=0.0), engine._windows[c].rate
 
 
 @given(st.floats(0.1, 50.0), st.integers(0, 2**32))
 @settings(max_examples=50, deadline=None)
 def test_gap_sampling_positive(tau, seed):
-    gaps, _ = _engine_gaps(tau, seed, slices=1)
-    assert np.all(gaps >= 0.0)
+    engine = _windows_engine(tau, seed)
+    for c in (0, 1):
+        gaps, _ = _engine_gaps(engine, c, windows=2)
+        assert np.all(gaps >= 0.0)
 
 
 def test_gap_sample_mean():
-    # The engine's stream superposes every pair's clocks: mean gap 1/total rate.
-    gaps, rate = _engine_gaps(3.0, 0, slices=10)
-    assert len(gaps) == 20480
-    assert np.mean(gaps) == pytest.approx(1.0 / rate, rel=0.05)
+    # Each class's stream superposes every pair's clocks: mean gap 1/rate,
+    # and about 1024 contacts a window.
+    engine = _windows_engine(3.0, 0)
+    for c in (0, 1):
+        gaps, rate = _engine_gaps(engine, c, windows=10)
+        assert abs(len(gaps) - 10240) < 4 * math.sqrt(10240)
+        assert np.mean(gaps) == pytest.approx(1.0 / rate, rel=0.05)
+        assert rate == len(engine.topology.directed_pairs()) / (6.0, 3.0)[c]
+
+
+def test_window_drawn_cold_equals_window_drawn_in_turn():
+    warm = _windows_engine(1.0, 7)
+    in_turn = [[warm._window(c, k) for k in range(6)] for c in (0, 1)]
+    for c in (0, 1):
+        for k in (5, 2, 0, 3):  # out of order, backwards included
+            times, edges = _windows_engine(1.0, 7)._window(c, k)
+            assert np.array_equal(times, in_turn[c][k][0])
+            assert np.array_equal(edges, in_turn[c][k][1])
+            again = warm._window(c, k)
+            assert np.array_equal(again[0], times) and np.array_equal(again[1], edges)
+
+
+@pytest.mark.parametrize("batch", [1, 7])
+def test_window_same_for_any_batch(monkeypatch, batch):
+    engine = _windows_engine(0.5, 3)
+    windows = [[engine._window(c, k) for k in (0, 1, 9)] for c in (0, 1)]
+    monkeypatch.setattr(simnet, "_WINDOW_BATCH", batch)
+    for c in (0, 1):
+        for k, (times, edges) in zip((0, 1, 9), windows[c]):
+            other = engine._window(c, k)
+            assert np.array_equal(other[0], times) and np.array_equal(other[1], edges)
+
+
+def test_window_bounds_and_definition():
+    # Window k holds the contacts in [k W, (k + 1) W), in time order, and
+    # its pair indices lie in [0, n_dir).  The classes' generators are
+    # children c = 0, 1 of the engine's seed, as SeedSequence.spawn would
+    # make them, and an int seed means SeedSequence(seed).
+    engine = _windows_engine(2.0, 11)
+    ss = np.random.SeedSequence(11)
+    for c, child in enumerate(ss.spawn(2)):
+        stream = engine._windows[c]
+        n_dir = len(engine.topology.directed_pairs())
+        for k in (0, 4):
+            times, edges = engine._window(c, k)
+            width = 1024 / stream.rate
+            assert k * width <= times[0] and times[-1] < (k + 1) * width
+            assert np.all(np.diff(times) >= 0)
+            assert edges.min() >= 0 and edges.max() < n_dir
+            gen = np.random.PCG64(child)
+            gen.advance(k * 2**40)
+            first = np.random.Generator(gen).random()
+            assert times[0] == k * width + -np.log1p(-first) / stream.rate
+
+
+@pytest.mark.parametrize("c", [0, 1])
+def test_pair_contact_counts_match_rate(c):
+    # Over many windows, each ordered pair's contacts are Poisson at rate
+    # 1 / tau_c: every pair's count lies within 4 sigma of tau's share.
+    topo = generate_er_graph(6, 3.0, 2)
+    engine = EventEngine(topo, GossipConfig(tau_block=0.5, tau_attestation=2.0),
+                         NullHandlers(), end_time=12.0, seed=5)
+    n_dir = len(topo.directed_pairs())
+    windows = 200
+    edges = np.concatenate([engine._window(c, k)[1] for k in range(windows)])
+    span = windows * engine._windows[c].width
+    expected = span / (2.0, 0.5)[c]
+    counts = np.bincount(edges, minlength=n_dir)
+    assert len(counts) == n_dir
+    assert np.all(np.abs(counts - expected) < 4 * math.sqrt(expected)), (counts, expected)
+
+
+def test_default_run_draws_under_70_percent_of_windows(monkeypatch):
+    # An idle class draws nothing: of the windows that trace() replays, a
+    # default run draws under 70%, and under 70% of each class's (350 of
+    # 676: 197 of 338 vote windows and 153 of 338 block windows).
+    drawn = []
+    window = EventEngine._window
+
+    def counted(self, c, k):
+        drawn.append((c, k))
+        return window(self, c, k)
+
+    monkeypatch.setattr(EventEngine, "_window", counted)
+    engine = run_with(SimConfig())[1]
+    in_run = list(drawn)
+    drawn.clear()
+    for _ in engine.trace():
+        pass
+    assert len(set(drawn)) == len(drawn)
+    assert len(in_run) < 0.7 * len(drawn), (len(in_run), len(drawn))
+    for c in (0, 1):
+        assert sum(d == c for d, _ in in_run) < 0.7 * sum(d == c for d, _ in drawn)
 
 
 # -- engine -------------------------------------------------------------------
@@ -448,14 +540,25 @@ def test_trace_starts_with_the_run():
 
 
 def test_trace_puts_a_draw_after_the_events_at_its_time():
-    # The run drains draws strictly before an event, so a draw at exactly a
-    # slot start or a deadline runs after it, and the trace lists it there.
-    # The draw at the end time never runs and is not listed.
+    # The run drains contacts strictly before an event, so a contact at
+    # exactly a slot start or a deadline runs after it, and the trace lists
+    # it there, an attestation contact before a block contact at the same
+    # time.  The contact at the end time never runs and is not listed.
     engine = EventEngine(
         two_node_topology(), GossipConfig(), ReleaseOnce(), end_time=13.0, seed=0
     )
-    draws = (np.array([0.0, 4.0, 13.0]), np.array([0, 1, 0]), np.array([True, False, True]))
-    engine._stream = lambda: iter([draws])
+    # Hand-made windows: the first of each class holds these contacts, on
+    # the edge 0 -> 1 (index 0) or 1 -> 0 (index 1), and the rest are empty.
+    contacts = {0: ([4.0], [1]), 1: ([0.0, 4.0, 13.0], [0, 1, 0])}
+    empty = (np.empty(0), np.empty(0, dtype=np.intp))
+
+    def window(c, k):
+        if k:
+            return empty
+        times, edges = contacts[c]
+        return np.array(times), np.array(edges, dtype=np.intp)
+
+    engine._window = window
     engine.run()
     assert list(engine.trace()) == [
         (0.0, "SLOT_START", -1, "slot=0"),
@@ -463,6 +566,7 @@ def test_trace_puts_a_draw_after_the_events_at_its_time():
         (0.0, "GOSSIP_INTERACTION", 0, "->1:block"),
         (4.0, "ATTEST_DEADLINE", -1, "slot=0"),
         (4.0, "GOSSIP_INTERACTION", 1, "->0:attestation"),
+        (4.0, "GOSSIP_INTERACTION", 1, "->0:block"),
         (13.0, "SIM_END", -1, ""),
     ]
     assert engine.block_arrival[1, 1] == 0.0
@@ -507,8 +611,8 @@ def test_settling_votes_keeps_latest_messages(monkeypatch):
 
 
 def test_trace_of_a_default_run_streams():
-    # 690,816 rows; as one list, the 710,732 rows of the same run on an
-    # earlier sampler's network took 177 MB.
+    # 690,107 rows; as one list, the 710,732 rows of the same run on an
+    # earlier sampler's network and contact stream took 177 MB.
     engine = run_with(SimConfig())[1]
     tracemalloc.start()
     try:
@@ -516,5 +620,5 @@ def test_trace_of_a_default_run_streams():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert rows == 690_816
+    assert rows == 690_107
     assert peak < 8 * 2**20, peak / 2**20

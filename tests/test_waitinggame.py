@@ -1,5 +1,6 @@
 """Strategy assignment, payoff model, metrics and the sweep harness."""
 
+import concurrent.futures
 from dataclasses import replace
 
 import numpy as np
@@ -272,7 +273,8 @@ def test_sweep_caps_worker_processes(monkeypatch):
         def map(self, fn, args):
             return map(fn, args)
 
-    monkeypatch.setattr(waitinggame, "ProcessPoolExecutor", FakePool)
+    # sweep imports the pool class from concurrent.futures when it needs one.
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", FakePool)
     monkeypatch.setattr(waitinggame.os, "cpu_count", lambda: 4)
     small = replace(FAST, duration=12.0)
     sweep(SweepConfig([0.0], [0.0, 1.0], seeds=1, jobs=64), small)  # 2 runs
