@@ -34,14 +34,16 @@ only on the seed, so ``EventEngine.trace()`` replays it after a run to
 rebuild the event trace.
 
 Before each event the engine drains the stream's interactions up to it one
-message class at a time: all block interactions, then all vote
-interactions.  The classes touch disjoint state, so the result is that of
-the interleaved stream.  Per class the engine keeps the union of every
-node's set and the number of (node, item) pairs of it not yet delivered.
-Gossip never changes a union, and a count of 0 means every node holds the
-same set, where an interaction is a no-op: the class then stops, draws no
-window until it has something undelivered again, and resumes at its first
-contact at or after the drain that last found it idle.
+message class at a time, blocks then votes, by one union loop.  The classes
+touch disjoint state, so the result is that of the interleaved stream.  Per
+class the engine keeps the union of every node's set and the number of
+nodes whose set is not that union.  Gossip never changes a union, and a
+count of 0 means every node holds the same set, where an interaction is a
+no-op: the class then stops, draws no window until a publish makes a node
+incomplete again, and resumes at its first contact at or after the drain
+that last found it idle.  The drain records no arrival times:
+``block_arrival`` replays the block windows from a log of block publishes
+when it is read.
 
 A run ends at its last attestation deadline, after which no handler reads
 node state: later releases and the end are only logged in ``events``.  The
@@ -204,6 +206,15 @@ def generate_er_graph(n: int, mean_degree: float, seed: int) -> Topology:
     )
 
 
+def _gain(union: int, left: int, n: int, held: int, bit: int):
+    """A class's union and count of incomplete nodes, out of n, after a node
+    that held ``held`` gains ``bit``.  A fresh bit leaves complete only a
+    publisher that held the old union."""
+    if not union & bit:
+        return union | bit, n - (held == union)
+    return union, left - (held | bit == union)
+
+
 class EngineError(Exception):
     """A handler failure; the message names the event and the cause."""
 
@@ -309,19 +320,19 @@ class EventEngine:
     Knowledge state, as fork choice reads it:
 
     * ``blocks[v]``: node v's block bitset;
-    * ``block_arrival[v, b]``: when node v got block b (NaN if it has not);
     * ``votes[v]``: node v's vote bitset over the slots from ``vote_base``;
     * ``vote_slots[k]``: ``{target: validator bitset}`` of slot ``vote_base + k``;
     * ``vote_settled``: ``{(slot, target): validator bitset}``, the latest
       vote before ``vote_base`` of each validator, which every node holds.
 
     ``block_seen``, ``lm_slot`` and ``lm_target`` build dense arrays from the
-    bitsets on each read, for inspection after a run.  The gossip schedule
-    does not depend on content: each class's contact windows come from
-    ``seed`` (an int or ``SeedSequence``) through ``_window``, which a run
-    calls only while the class has something undelivered, and ``trace()``
-    replays every window of both classes and merges them with the run's
-    ``events`` log.
+    bitsets on each read, for inspection after a run, and ``block_arrival``
+    replays the block gossip to rebuild when each node got each block.  The
+    gossip schedule does not depend on content: each class's contact
+    windows come from ``seed`` (an int or ``SeedSequence``) through
+    ``_window``, which a run calls only while some node lacks part of the
+    class's union, and ``trace()`` replays every window of both classes and
+    merges them with the run's ``events`` log.
     """
 
     def __init__(self, topology: Topology, gossip: GossipConfig, handlers,
@@ -352,23 +363,23 @@ class EventEngine:
 
         # Knowledge state: every node holds genesis from time 0.
         self.blocks = [1 << GENESIS_ID] * self.n_nodes
-        self.block_arrival = np.full((self.n_nodes, self.n_slots + 2), np.nan)
-        self.block_arrival[:, GENESIS_ID] = 0.0
         self.votes = [0] * self.n_nodes
         self.vote_base = 0
         self.vote_slots: list = []
         self.vote_settled: dict = {}
-        # Per class: the union of all nodes' sets, and the number of
-        # (node, item) pairs of it not yet delivered.
-        self._block_union = 1 << GENESIS_ID
-        self._blocks_undelivered = 0
-        self._vote_union = 0
-        self._votes_undelivered = 0
-        # Per class, the drain's cursor (window index, its times and edges,
-        # position of the next contact), with the position None while the
-        # class is idle; and the time the last drain ran to.  set in run().
+        self._n_blocks = self.n_slots + 2
+        # Per class (0 attestation, 1 block): the union of all nodes' sets,
+        # and the number of nodes whose set is not that union.
+        self._union = [0, 1 << GENESIS_ID]
+        self._left = [0, 0]
+        # Per class, the drain's cursor (see _spans), set in run(); and the
+        # time the last drain ran to.
         self._cursors: list = []
         self._bound = 0.0
+        # Each publish that added a block, as (drain bound, node, block,
+        # time), and the replay of block arrivals, made at its first read.
+        self._published: list = []
+        self._replay = None
 
         self._seq = itertools.count()
         self._queue = [(self.end_time, _END, next(self._seq), None)]
@@ -383,8 +394,8 @@ class EventEngine:
     def _check_block(self, node: int, block_id: int) -> None:
         if not 0 <= node < self.n_nodes:
             raise ValueError(f"node {node} not in [0, {self.n_nodes})")
-        if not 0 <= block_id < self.block_arrival.shape[1]:
-            raise ValueError(f"block {block_id} not in [0, {self.block_arrival.shape[1]})")
+        if not 0 <= block_id < self._n_blocks:
+            raise ValueError(f"block {block_id} not in [0, {self._n_blocks})")
 
     def schedule_release(self, time: float, node: int, block_id: int) -> None:
         # The only check of a release after the last deadline: it is never published.
@@ -394,13 +405,12 @@ class EventEngine:
     def publish_block(self, node: int, block_id: int, time: float) -> None:
         self._check_block(node, block_id)
         bit = 1 << block_id
-        if not self.blocks[node] & bit:
-            self.block_arrival[node, block_id] = time
-            self.blocks[node] |= bit
-            if not self._block_union & bit:
-                self._block_union |= bit
-                self._blocks_undelivered += self.n_nodes
-            self._blocks_undelivered -= 1
+        held = self.blocks[node]
+        if not held & bit:
+            self._published.append((self._bound, node, block_id, time))
+            self.blocks[node] = held | bit
+            self._union[1], self._left[1] = _gain(
+                self._union[1], self._left[1], self.n_nodes, held, bit)
         if self._running:
             self.events.append((self._now, (time, "BLOCK_RELEASE", node, f"block={block_id}")))
 
@@ -417,15 +427,15 @@ class EventEngine:
         while len(self.vote_slots) <= k:
             self.vote_slots.append({})
         bit = 1 << (k * self.n_validators + validator)
-        if not self._vote_union & bit:
+        if not self._union[0] & bit:
             # The validator's first vote of this slot: it fixes the target.
             group = self.vote_slots[k]
             group[target] = group.get(target, 0) | 1 << validator
-            self._vote_union |= bit
-            self._votes_undelivered += self.n_nodes
-        if not self.votes[node] & bit:
-            self._votes_undelivered -= 1
-            self.votes[node] |= bit
+        held = self.votes[node]
+        if not held & bit:
+            self.votes[node] = held | bit
+            self._union[0], self._left[0] = _gain(
+                self._union[0], self._left[0], self.n_nodes, held, bit)
 
     def publish_attestations(self, slot: int, target: int, validators, time: float) -> None:
         """Each of ``validators`` votes for ``target`` in ``slot`` at its own
@@ -444,30 +454,21 @@ class EventEngine:
         shift = k * width
         votes = self.votes
         cast = 0
-        held = 0  # validators whose node already held its vote
         for v in validators:
             bit = 1 << (shift + v)
             cast |= bit
-            if votes[v] & bit:
-                held += 1
-            else:
-                votes[v] |= bit
+            votes[v] |= bit
         # Each validator's first vote of the slot fixes its target.
-        fresh = cast & ~self._vote_union
+        fresh = cast & ~self._union[0]
         if fresh:
             group = self.vote_slots[k]
             group[target] = group.get(target, 0) | fresh >> shift
-            self._vote_union |= fresh
-        self._votes_undelivered += width * fresh.bit_count() - (len(validators) - held)
+            self._union[0] |= fresh
+        # Two fresh votes lie at two nodes, so no node holds the new union.
+        union = self._union[0]
+        self._left[0] = self.n_nodes if fresh & (fresh - 1) else sum(x != union for x in votes)
 
     # -- knowledge state ----------------------------------------------------
-
-    def _arrive(self, node: int, new: int, t: float) -> None:
-        arrival = self.block_arrival
-        while new:
-            low = new & -new
-            arrival[node, low.bit_length() - 1] = t
-            new ^= low
 
     def _compact(self, slot: int) -> None:
         """Settle the oldest vote slots, up to ``slot``, that all nodes hold alike."""
@@ -493,13 +494,62 @@ class EventEngine:
         if k:
             shift = k * width
             votes[:] = [x >> shift for x in votes]
-            self._vote_union >>= shift
+            self._union[0] >>= shift  # leaves each node's completeness as it was
             del self.vote_slots[:k]
             self.vote_base += k
 
     @property
     def block_seen(self) -> np.ndarray:
-        return _bitset_rows(self.blocks, self.block_arrival.shape[1])
+        return _bitset_rows(self.blocks, self._n_blocks)
+
+    @property
+    def block_arrival(self) -> np.ndarray:
+        """Read-only ``(n_nodes, n_slots + 2)`` array: when node v got block b
+        (NaN if it has not), as of the last drain.  Replayed on a copy of
+        the block sets: the block windows up to ``_bound``, each logged
+        publish after the contacts before its drain bound, stopping and
+        resuming where the drain did.  The replay's state stays here, so a
+        read costs only the contacts and publishes since the last one."""
+        if self._replay is None:
+            arrival = np.full((self.n_nodes, self._n_blocks), np.nan)
+            arrival[:, GENESIS_ID] = 0.0
+            self._replay = [[1 << GENESIS_ID] * self.n_nodes, arrival, [-1, None, None, None],
+                            0, 1 << GENESIS_ID, 0]
+        held, arrival, cursor, done, union, left = self._replay
+        log, src, dst = self._published, self._src, self._dst
+        while True:
+            stop = log[done][0] if done < len(log) else self._bound
+            # left > 0 only after a publish, which woke the class at its bound.
+            for times, span in self._spans(cursor, 1, log[done - 1][0], stop) if left else ():
+                for t, u, v in zip(times.tolist(), src[span].tolist(), dst[span].tolist()):
+                    a = held[u]
+                    b = held[v]
+                    if a != b:
+                        held[u] = held[v] = m = a | b
+                        for w, new in ((u, m ^ a), (v, m ^ b)):
+                            while new:
+                                low = new & -new
+                                arrival[w, low.bit_length() - 1] = t
+                                new ^= low
+                        if m == union:
+                            left -= (a != union) + (b != union)
+                            if not left:
+                                break
+                else:
+                    continue
+                cursor[3] = None
+                break
+            if done == len(log):
+                break
+            _, node, block, time = log[done]
+            arrival[node, block] = time
+            union, left = _gain(union, left, self.n_nodes, held[node], 1 << block)
+            held[node] |= 1 << block
+            done += 1
+        self._replay[3:] = done, union, left
+        view = arrival.view()
+        view.flags.writeable = False
+        return view
 
     def _latest_votes(self):
         """Dense ``(n_nodes, n_validators)`` latest-message slots and targets."""
@@ -584,36 +634,36 @@ class EventEngine:
 
     # -- main loop ----------------------------------------------------------
 
-    def _spans(self, c: int, t: float):
+    def _spans(self, cursor: list, c: int, start: float, t: float):
         """Class c's contacts strictly before ``t`` that have not run, as
         ``(times, edges)`` spans, one per window, drawing windows as they are
-        reached.  The cursor is left at the first contact at or after ``t``;
-        a caller that stops early, its class having nothing undelivered,
-        marks the class idle.  A class's count can only fall to 0 in a
-        drain, so a class that starts a drain with nothing undelivered is
-        idle already.
+        reached.  ``cursor`` is ``[window index, its times, its edges,
+        position of the next contact]``, the position None while the class
+        is idle, and is left at the first contact at or after ``t``; a
+        caller that stops early, its class having no incomplete node, marks
+        the cursor idle.
 
-        An idle class resumes at its first contact at or after ``_bound``,
-        the time the previous drain ran to.  Every contact it passes over
-        was a no-op: the class had nothing undelivered from the drain that
-        found it idle up to the events at ``_bound``, which run before any
-        contact at their time."""
+        An idle cursor resumes at its first contact at or after ``start``,
+        the bound of the publish that woke it, which for the drain is
+        ``_bound``, the time the previous drain ran to.  Every contact it
+        passes over was a no-op: every node held the class's union from the
+        drain that found it idle up to the events at ``start``, which run
+        before any contact at their time."""
         width = self._windows[c].width
-        k, times, edges, i = self._cursors[c]
+        k, times, edges, i = cursor
         if i is None:
-            bound = self._bound
-            j = int(bound // width)
-            while j * width > bound:
+            j = int(start // width)
+            while j * width > start:
                 j -= 1
-            while (j + 1) * width <= bound:
+            while (j + 1) * width <= start:
                 j += 1
             if j != k:
                 k = j
                 times, edges = self._window(c, k)
-            i = int(times.searchsorted(bound))
+            i = int(times.searchsorted(start))
         while True:
             end = int(times.searchsorted(t))
-            self._cursors[c] = (k, times, edges, end)
+            cursor[:] = k, times, edges, end
             if end > i:
                 yield times[i:end], edges[i:end]
             if end < len(times) or (k + 1) * width >= t:
@@ -622,58 +672,33 @@ class EventEngine:
             times, edges = self._window(c, k)
             i = 0
 
-    def _idle(self, c: int) -> None:
-        k, times, edges, _ = self._cursors[c]
-        self._cursors[c] = (k, times, edges, None)
-
     def _drain(self, t: float) -> None:
         """Run the gossip interactions strictly before ``t`` (at a tie the
-        event runs first), one class at a time, and stop a class once
-        nothing of it is undelivered.  Only the spans that run become Python
-        lists."""
+        event runs first), one class at a time, and stop a class once every
+        node holds its union.  Only the spans that run become Python lists."""
         src = self._src
         dst = self._dst
-        blocks = self.blocks
-        votes = self.votes
-        arrive = self._arrive
-
-        gap = self._blocks_undelivered
-        if gap:
-            for times, span in self._spans(1, t):
-                for i, (u, v) in enumerate(zip(src[span].tolist(), dst[span].tolist())):
-                    a = blocks[u]
-                    b = blocks[v]
-                    if a != b:
-                        blocks[u] = blocks[v] = a | b
-                        if b & ~a:
-                            arrive(u, b & ~a, times[i])
-                        if a & ~b:
-                            arrive(v, a & ~b, times[i])
-                        gap -= (a ^ b).bit_count()
-                        if not gap:
-                            break
-                if not gap:
-                    break
-            self._blocks_undelivered = gap
-            if not gap:
-                self._idle(1)
-
-        gap = self._votes_undelivered
-        if gap:
-            for _, span in self._spans(0, t):
+        for c, sets in ((1, self.blocks), (0, self.votes)):
+            left = self._left[c]
+            if not left:
+                continue
+            union = self._union[c]
+            cursor = self._cursors[c]
+            for _, span in self._spans(cursor, c, self._bound, t):
                 for u, v in zip(src[span].tolist(), dst[span].tolist()):
-                    a = votes[u]
-                    b = votes[v]
+                    a = sets[u]
+                    b = sets[v]
                     if a != b:
-                        votes[u] = votes[v] = a | b
-                        gap -= (a ^ b).bit_count()
-                        if not gap:
-                            break
-                if not gap:
-                    break
-            self._votes_undelivered = gap
-            if not gap:
-                self._idle(0)
+                        sets[u] = sets[v] = m = a | b
+                        if m == union:
+                            left -= (a != union) + (b != union)
+                            if not left:
+                                break
+                else:
+                    continue
+                cursor[3] = None  # idle
+                break
+            self._left[c] = left
         self._bound = t
 
     def run(self) -> None:
@@ -681,7 +706,7 @@ class EventEngine:
         queue = self._queue
         self.events = events = []
         self._running = True
-        self._cursors = [(-1, None, None, None)] * 2  # idle, no window drawn
+        self._cursors = [[-1, None, None, None] for _ in range(2)]  # idle, no window drawn
         self._bound = 0.0
         done = False  # past the last deadline: only releases and the end are left
 

@@ -37,7 +37,7 @@ from .consensus import BlockTree, head_from_arrays, mainchain
 from .simnet import SLOT_SECONDS, EventEngine, GossipConfig, generate_er_graph
 
 DEFAULT_LAMBDA_ETH_PER_MS = 5.71e-6
-# A run's engine holds an (n, slots + 2) float64 table of block arrivals.
+# A run's block arrivals, when read, fill an (n, slots + 2) float64 table.
 # Configs past this many cells (2 GiB) are refused before anything is
 # allocated, so an absurd duration is a config error, not a crash.
 MAX_ARRIVAL_CELLS = 2**28

@@ -5,8 +5,9 @@ class's contacts came to be drawn in windows from their own generator,
 which changed every gossip schedule and so every run; before that, when
 geometric edge skipping replaced the sampler that drew once per node pair,
 which changed every graph.  They pin, bit for bit,
-the run metrics, main chains and block trees of the default configuration,
-two wide single-slot runs, the full event traces of small runs, and the edge
+the run metrics, main chains, block trees and block arrival tables (as a
+SHA-256 of their bytes) of the default configuration, two wide single-slot
+runs, the full event traces of small runs, and the edge
 set of an N = 2048 network that needs several sampling attempts.  Any fast
 path in ``simnet``, ``consensus`` or ``waitinggame`` must keep them.
 
@@ -18,6 +19,7 @@ Regenerate (only when an output change is intended and documented)::
 from __future__ import annotations
 
 import dataclasses
+import functools
 import gzip
 import hashlib
 import json
@@ -28,7 +30,7 @@ import pytest
 from conftest import gap_er_graph, run_with
 
 from timinggames import simnet
-from timinggames.waitinggame import SimConfig, simulate
+from timinggames.waitinggame import SimConfig
 
 GOLDEN = Path(__file__).resolve().parent / "golden"
 RUNS_FILE = GOLDEN / "runs.json"
@@ -78,12 +80,18 @@ def trace_configs() -> dict:
 
 
 def run_record(config: SimConfig) -> dict:
-    out = simulate(config)
+    out, engine, _ = run_with(config)
     return {
         "metrics": dataclasses.asdict(out.metrics),
         "mainchain_ids": list(out.mainchain_ids),
         "parent": list(out.tree.parent),
+        "block_arrival_sha256": hashlib.sha256(engine.block_arrival.tobytes()).hexdigest(),
     }
+
+
+@functools.cache
+def recorded_run(key: str) -> dict:
+    return run_record(run_configs()[key])
 
 
 def trace_rows(config: SimConfig) -> list:
@@ -145,7 +153,14 @@ def golden_traces():
 
 @pytest.mark.parametrize("key", sorted(run_configs()))
 def test_run_matches_golden(key, golden_runs):
-    assert run_record(run_configs()[key]) == golden_runs[key]
+    got, want = recorded_run(key).copy(), golden_runs[key].copy()
+    del got["block_arrival_sha256"], want["block_arrival_sha256"]
+    assert got == want
+
+
+@pytest.mark.parametrize("key", sorted(run_configs()))
+def test_block_arrival_matches_golden(key, golden_runs):
+    assert recorded_run(key)["block_arrival_sha256"] == golden_runs[key]["block_arrival_sha256"]
 
 
 @pytest.mark.parametrize("key", sorted(trace_configs()))

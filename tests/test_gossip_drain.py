@@ -5,7 +5,9 @@ per interaction, none skipped, over both classes' contacts merged by (time,
 class), and the non-equivocation rule as a scan over the slot's targets.
 It lives here as the oracle, with its own copy of the contact windows'
 definition: a fresh generator per window, advanced to the window's
-position, and the time kept as a running ``t += gap``.  Its deadline
+position, and the time kept as a running ``t += gap``.  It keeps its own
+arrival array, written as each block arrives, where the engine replays
+arrivals when ``block_arrival`` is read.  Its deadline
 handler (``PerNodeHandlers``) is the loop over the nodes that the per-view
 publish replaced, one ``publish_attestation`` call per vote.  It records its
 trace inline as it runs, gossip after the last attestation deadline
@@ -21,6 +23,7 @@ import gc
 import heapq
 import itertools
 import weakref
+from collections import Counter
 from functools import reduce
 from operator import or_
 
@@ -48,24 +51,32 @@ from timinggames.waitinggame import SimConfig
 
 
 class LoopEngine(EventEngine):
-    """Oracle: the engine with its per-interaction gossip loop.  ``rows`` is
-    the trace of its last run, recorded inline; ``states`` holds its
-    ``(block_arrival bytes, blocks, votes)`` at the start of the run and
-    after each deadline."""
+    """Oracle: the engine with its per-interaction gossip loop.  ``arrival``
+    is its block arrival array, recorded inline; ``rows`` is the trace of
+    its last run, recorded inline; ``states`` holds its ``(arrival bytes,
+    blocks, votes)`` at the start of the run and after each deadline."""
 
     rows = None
 
     def __init__(self, topology, gossip, handlers, end_time, seed):
         super().__init__(topology, gossip, handlers, end_time, seed)
         self.seed = seed if isinstance(seed, np.random.SeedSequence) else np.random.SeedSequence(seed)
+        self.arrival = np.full((self.n_nodes, self.n_slots + 2), np.nan)
+        self.arrival[:, GENESIS_ID] = 0.0
 
     def _snapshot(self):
-        self.states.append((self.block_arrival.tobytes(), list(self.blocks), list(self.votes)))
+        self.states.append((self.arrival.tobytes(), list(self.blocks), list(self.votes)))
+
+    def _arrive(self, node, new, t):
+        while new:
+            low = new & -new
+            self.arrival[node, low.bit_length() - 1] = t
+            new ^= low
 
     def publish_block(self, node, block_id, time):
         bit = 1 << block_id
         if not self.blocks[node] & bit:
-            self.block_arrival[node, block_id] = time
+            self.arrival[node, block_id] = time
             self.blocks[node] |= bit
         if self.rows is not None:
             self.rows.append((time, "BLOCK_RELEASE", node, f"block={block_id}"))
@@ -373,9 +384,10 @@ def late_releases(engine):
 def test_simulate_leaves_the_tail_undrained(monkeypatch):
     # A 12 s run at N = 256: a block window spans about 1.5 s.  simulate
     # draws block windows until the block has spread, none that starts at
-    # or after the deadline at 4 s, no vote window at all (the votes are
-    # published at the deadline), and reading the state after it draws
-    # nothing more.
+    # or after the deadline at 4 s, and no vote window at all (the votes
+    # are published at the deadline).  Reading the bitsets after it draws
+    # nothing more, and reading block_arrival replays only the block
+    # windows the drain drew.
     drawn = []
     window = EventEngine._window
 
@@ -389,8 +401,9 @@ def test_simulate_leaves_the_tail_undrained(monkeypatch):
     starts = [start for c, start in drawn if c == 1]
     assert len(starts) == len(drawn) > 1
     assert max(starts) < ATTEST_DEADLINE_OFFSET
-    assert engine.votes and engine.blocks and engine.block_arrival.size
-    assert len(drawn) == len(starts)
+    assert engine.votes and engine.blocks and len(drawn) == len(starts)
+    assert engine.block_arrival.size
+    assert sorted(drawn[len(starts):]) == sorted((1, start) for start in starts)
 
 
 def test_simulate_drains_no_further_than_the_last_deadline(monkeypatch):
@@ -445,27 +458,153 @@ def test_engine_is_freed_by_reference_counting(monkeypatch):
         gc.enable()
 
 
-# -- undelivered counts -------------------------------------------------------
+# -- replayed block arrivals ----------------------------------------------------
+
+
+class ReadingHandlers(waitinggame._ChainHandlers):
+    """Chain handlers that read ``block_arrival`` at each slot start and,
+    twice, at each deadline, where they keep it."""
+
+    def __init__(self, *args):
+        super().__init__(*args)
+        self.arrivals = []
+
+    def on_slot_start(self, engine, t, slot):
+        engine.block_arrival
+        super().on_slot_start(engine, t, slot)
+
+    def on_attest_deadline(self, engine, t, slot):
+        super().on_attest_deadline(engine, t, slot)
+        first = engine.block_arrival.tobytes()
+        assert engine.block_arrival.tobytes() == first
+        self.arrivals.append(first)
+
+
+@given(configs())
+@example(IDLE_CONFIG)
+@example(TAIL_CONFIG)
+@settings(max_examples=25, deadline=None)
+def test_arrivals_read_mid_run_match_the_loop(config):
+    _, oracle, _ = run_with(config, LoopEngine, PerNodeHandlers)
+    read, engine, handlers = run_with(config, handlers_class=ReadingHandlers)
+    assert handlers.arrivals == [arrival for arrival, _, _ in oracle.states[1:]]
+    assert engine.block_arrival.tobytes() == oracle.states[-1][0]
+    # Reading changes nothing else the run leaves.
+    unread, plain, _ = run_with(config)
+    assert (engine.blocks, engine.votes) == (plain.blocks, plain.votes)
+    assert vote_tables(engine) == vote_tables(plain)
+    assert read.metrics == unread.metrics
+    assert read.mainchain_ids == unread.mainchain_ids
+    assert list(engine.trace()) == list(plain.trace())
+
+
+class PlannedReleases:
+    """Releases ``plan[slot]``'s ``(offset, node, block)`` after each slot
+    start, a block possibly from several nodes, and keeps ``block_arrival``
+    at each deadline."""
+
+    def __init__(self, plan):
+        self.plan = plan
+        self.arrivals = []
+
+    def on_slot_start(self, engine, t, slot):
+        for offset, node, block in self.plan.get(slot, ()):
+            engine.schedule_release(t + offset, node, block)
+
+    def on_attest_deadline(self, engine, t, slot):
+        if not isinstance(engine, LoopEngine):
+            self.arrivals.append(engine.block_arrival.tobytes())
+
+
+@st.composite
+def release_plans(draw):
+    """A network, blocks published before the run, releases per slot (a
+    block may come from a second node), and blocks published after it."""
+    n = draw(st.integers(2, 12))
+    slots = draw(st.integers(1, 4))
+    nodes = st.integers(0, n - 1)
+    blocks = st.integers(1, slots + 1)
+    before = draw(st.lists(st.tuples(nodes, blocks, st.floats(0.0, 1.0)), max_size=3))
+    plan = draw(st.dictionaries(
+        st.integers(0, slots - 1),
+        st.lists(st.tuples(st.floats(0.0, 11.9), nodes, blocks), min_size=1, max_size=3),
+    ))
+    after = draw(st.lists(st.tuples(nodes, blocks, st.floats(0.0, 100.0)), max_size=4))
+    return (n, draw(st.floats(0.3, 0.95)), draw(st.floats(0.1, 6.0)), slots,
+            draw(st.integers(0, 2**32)), before, plan, after)
+
+
+@given(release_plans())
+@example((6, 0.5, 0.2, 3, 1, [(2, 1, 0.5)], {0: [(0.0, 0, 1), (3.0, 4, 1)], 1: [(2.0, 1, 2)]},
+          [(5, 3, 40.0), (5, 3, 41.0)]))
+@settings(max_examples=60, deadline=None)
+def test_arrivals_replay_every_publish(case):
+    n, density, tau, slots, seed, before, plan, after = case
+    topology = generate_er_graph(n, density * (n - 1), seed)
+    gossip = GossipConfig(tau_block=tau, tau_attestation=3.0)
+    engines = []
+    for cls in (LoopEngine, EventEngine):
+        engines.append(cls(topology, gossip, PlannedReleases(plan), slots * SLOT_SECONDS, seed))
+        for node, block, time in before:
+            engines[-1].publish_block(node, block, time)
+    oracle, engine = engines
+    assert engine.block_arrival.tobytes() == oracle.arrival.tobytes()
+    oracle.run()
+    engine.run()
+    assert engine.handlers.arrivals == [arrival for arrival, _, _ in oracle.states[1:]]
+    assert engine.block_arrival.tobytes() == oracle.states[-1][0]
+    # The replay's union and count of incomplete nodes are the drain's.
+    assert engine._replay[4:] == engine._union[1:] + engine._left[1:]
+    # Publishes after the run set the arrival of a node that lacks the block.
+    want = engine.block_arrival.copy()
+    for node, block, time in after:
+        if np.isnan(want[node, block]):
+            want[node, block] = time
+        engine.publish_block(node, block, time)
+        assert engine.block_arrival.tobytes() == want.tobytes()
+
+
+def test_block_windows_are_drawn_at_most_twice(monkeypatch):
+    # Read at every slot start and deadline of a default run, the replay
+    # draws once more each block window the drain drew, and no other; a
+    # read after the run draws nothing.
+    drawn = []
+    window = EventEngine._window
+
+    def counted(self, c, k):
+        if c == 1:
+            drawn.append(k)
+        return window(self, c, k)
+
+    monkeypatch.setattr(EventEngine, "_window", counted)
+    _, engine, _ = run_with(SimConfig(), handlers_class=ReadingHandlers)
+    counts = Counter(drawn)
+    assert set(counts.values()) == {2}
+    engine.block_arrival
+    assert Counter(drawn) == counts
+
+
+# -- incomplete-node counts -----------------------------------------------------
 
 
 def assert_counts(engine):
-    """The engine's per-class unions and undelivered counts, recounted."""
+    """The engine's per-class unions and counts of incomplete nodes,
+    recounted."""
     released = np.flatnonzero(~np.isnan(engine.block_arrival).all(axis=0))
     block_union = sum(1 << int(b) for b in released)
-    assert reduce(or_, engine.blocks, 0) == block_union == engine._block_union
-    assert engine._blocks_undelivered == sum(
-        (block_union & ~held).bit_count() for held in engine.blocks
-    )
+    assert reduce(or_, engine.blocks, 0) == block_union == engine._union[1]
+    assert engine._left[1] == sum(held != block_union for held in engine.blocks)
     cast = 0
     for k, group in enumerate(engine.vote_slots):
         for bits in group.values():
             cast |= bits << (k * engine.n_validators)
-    assert reduce(or_, engine.votes, 0) == cast == engine._vote_union
-    assert engine._votes_undelivered == sum((cast & ~held).bit_count() for held in engine.votes)
+    assert reduce(or_, engine.votes, 0) == cast == engine._union[0]
+    assert engine._left[0] == sum(held != cast for held in engine.votes)
 
 
 class CheckingHandlers(waitinggame._ChainHandlers):
-    """Chain handlers that recount before and after each of their events."""
+    """Chain handlers that recount before and after each of their events,
+    each publish and each settle."""
 
     def __init__(self, *args):
         super().__init__(*args)
@@ -473,15 +612,10 @@ class CheckingHandlers(waitinggame._ChainHandlers):
 
     def on_slot_start(self, engine, t, slot):
         if slot == 0:
-            # Releases run no handler: check them where they publish.
-            publish = engine.publish_block
-
-            def checked_publish(*args):
-                assert_counts(engine)
-                publish(*args)
-                assert_counts(engine)
-
-            engine.publish_block = checked_publish
+            # Releases run no handler, and slots settle after the deadline
+            # handler: check them where they run.
+            for name in ("publish_block", "publish_attestations", "_compact"):
+                setattr(engine, name, self.checked(engine, getattr(engine, name)))
         assert_counts(engine)
         super().on_slot_start(engine, t, slot)
         assert_counts(engine)
@@ -492,15 +626,24 @@ class CheckingHandlers(waitinggame._ChainHandlers):
         assert_counts(engine)
         self.bases.append(engine.vote_base)
 
+    @staticmethod
+    def checked(engine, method):
+        def call(*args):
+            assert_counts(engine)
+            method(*args)
+            assert_counts(engine)
+
+        return call
+
 
 @given(configs())
 @settings(max_examples=30, deadline=None)
-def test_undelivered_counts_match_recount(config):
+def test_incomplete_counts_match_recount(config):
     _, engine, _ = run_with(config, handlers_class=CheckingHandlers)
     assert_counts(engine)
 
 
-def test_undelivered_counts_while_slots_settle():
+def test_incomplete_counts_while_slots_settle():
     # Fast vote gossip settles vote slots at most deadlines, and each
     # settle shifts the window and the vote union.
     for seed in range(3):
@@ -529,7 +672,42 @@ def test_conflicting_vote_at_another_node_is_ignored():
     assert engine.vote_slots == oracle.vote_slots == [{5: 0b10}, {6: 0b100}]
     assert engine.votes == oracle.votes
     assert_counts(engine)
-    assert engine._votes_undelivered == 2 + 3
+    # Node 1 holds both votes; nodes 0, 2 and 3 lack one.
+    assert engine._left[0] == 3
+
+
+def test_incomplete_counts_after_each_publish():
+    engine = EventEngine(generate_er_graph(4, 2.5, 0), GossipConfig(), None, 36.0, seed=0)
+    steps = [  # a publish, then the (vote, block) counts of incomplete nodes
+        # A fresh vote: only its publisher holds the new union.
+        (lambda: engine.publish_attestation(0, 1, 0, 5, 4.0), [3, 0]),
+        # The known vote completes the nodes it reaches, by a conflicting
+        # publish too.
+        (lambda: engine.publish_attestation(2, 1, 0, 6, 4.0), [2, 0]),
+        (lambda: engine.publish_attestation(1, 1, 0, 5, 4.0), [1, 0]),
+        # One fresh vote, at a node that lacks another one.
+        (lambda: engine.publish_attestations(1, 7, [3], 16.0), [4, 0]),
+        # Two fresh votes, at nodes 0 and 2.
+        (lambda: engine.publish_attestations(1, 7, [0, 2], 16.0), [4, 0]),
+        # Validators that voted already: nothing changes.
+        (lambda: engine.publish_attestations(1, 8, [0, 3], 16.0), [4, 0]),
+        # Blocks: a fresh one at a complete node, the known one at another
+        # node, and again at that node.
+        (lambda: engine.publish_block(1, 1, 12.0), [4, 3]),
+        (lambda: engine.publish_block(2, 1, 12.0), [4, 2]),
+        (lambda: engine.publish_block(2, 1, 12.5), [4, 2]),
+    ]
+    for step, left in steps:
+        step()
+        assert_counts(engine)
+        assert engine._left == left
+    # Every node completes its votes; then one fresh vote leaves only its
+    # publisher complete.
+    engine.votes[:] = [engine._union[0]] * 4
+    engine._left[0] = 0
+    engine.publish_attestations(2, 9, [1], 28.0)
+    assert_counts(engine)
+    assert engine._left[0] == 3
 
 
 @st.composite
@@ -565,10 +743,8 @@ def test_publish_attestations_matches_a_loop(state):
         for node, validator, s, tgt in before:
             engine.publish_attestation(node, validator, s, tgt, 0.0)
         # Nodes that all hold a slot's votes let it settle.
-        engine.votes[:] = [engine._vote_union if v % 2 else x for v, x in enumerate(engine.votes)]
-        engine._votes_undelivered = sum(
-            (engine._vote_union & ~x).bit_count() for x in engine.votes
-        )
+        engine.votes[:] = [engine._union[0] if v % 2 else x for v, x in enumerate(engine.votes)]
+        engine._left[0] = sum(x != engine._union[0] for x in engine.votes)
         engine._compact(settle)
     batch, loop = engines
     assume(slot >= batch.vote_base)
@@ -579,8 +755,8 @@ def test_publish_attestations_matches_a_loop(state):
     assert [list(group.items()) for group in batch.vote_slots] == [
         list(group.items()) for group in loop.vote_slots
     ]
-    assert batch._vote_union == loop._vote_union
-    assert batch._votes_undelivered == loop._votes_undelivered
+    assert batch._union[0] == loop._union[0]
+    assert batch._left[0] == loop._left[0]
     assert batch.vote_base == loop.vote_base
     assert_counts(batch)
 
