@@ -5,10 +5,11 @@ auction and mirror them to several relays, so the raw streams carry heavy
 duplication.  A bid's identity is the (slot, builder, block hash, value)
 tuple; of its records the earliest arrival wins, then the earlier dump, then
 the line read first.  ``BidFold`` folds each dump's records into that as they
-are read, so ingest holds unique bids, never the raw records.
-
-Values stay as exact wei integers everywhere in this module; conversion to
-ETH happens only at analysis boundaries.
+are read, one dict entry per bid holding its earliest record and the relays
+that sent it, so ingest holds unique bids, never the raw records.  Each file
+is read in one flat loop with no per-record helper: ``parse_bid_line`` is the
+whole record rule, inline, and ``read_csv_rows`` splits plain lines on commas.
+Values stay exact wei integers; conversion to ETH happens only in analyses.
 
 The module also holds the one CSV reader (``read_csv_rows``) and writer
 (``write_csv``) that every command's data files and outputs go through.
@@ -20,7 +21,7 @@ import csv
 import json
 import re
 from collections import Counter
-from itertools import groupby, islice
+from itertools import chain, groupby, islice
 from operator import itemgetter
 from typing import NamedTuple, Sequence
 
@@ -32,17 +33,8 @@ WEI_LIMIT = 2**256  # values are EVM uint256
 CSV_HEADER = "slot,relay,builder,block_hash,value_wei,arrival_ms,num_tx"
 _BID_COLUMNS = CSV_HEADER.split(",")
 
-# Record keys of the relay data API schema.
-_KEY_SLOT = "slot"
-_KEY_BUILDER = "builder_pubkey"
-_KEY_HASH = "block_hash"
-_KEY_PARENT = "parent_hash"
-_KEY_VALUE = "value"
-_KEY_NUM_TX = "num_tx"
-_KEY_MS = "timestamp_ms"
-_KEY_S = "timestamp"
-
-_json_decode = json.JSONDecoder().raw_decode
+_scan_json = json.JSONDecoder().scan_once  # the C scanner behind json.loads
+_unhex = bytes.fromhex
 
 
 class IngestError(Exception):
@@ -54,6 +46,7 @@ class IngestError(Exception):
 _dedup_key = itemgetter(0, 2, 3, 5)
 _arrival = itemgetter(7)
 _merged_order = itemgetter(0, 7, 1, 3)  # slot, arrival, relay, block hash
+_record = itemgetter(0)
 
 
 class _BidFields(NamedTuple):
@@ -72,17 +65,8 @@ class BidRecord(_BidFields):
 
     __slots__ = ()
 
-    def __new__(
-        cls,
-        slot: int,
-        relay_id: str,
-        builder_id: str,
-        block_hash: str,
-        parent_hash: str,
-        value_wei: int,
-        num_transactions: int,
-        arrival_ms: int,
-    ):
+    def __new__(cls, slot: int, relay_id: str, builder_id: str, block_hash: str,
+                parent_hash: str, value_wei: int, num_transactions: int, arrival_ms: int):
         if slot < 0:
             raise ValueError("slot must be non-negative")
         if not 0 <= value_wei < WEI_LIMIT:
@@ -103,80 +87,50 @@ class BidRecord(_BidFields):
         return self.value_wei / 1e18
 
 
-def normalize_arrival(
-    unix_ms: int,
-    slot: int,
-    genesis_unix_ms: int,
-    window_ms=DEFAULT_PLAUSIBILITY_WINDOW_MS,
-) -> int:
-    """Milliseconds relative to the slot start; negative means the bid
-    arrived during the previous slot."""
-    slot_start = genesis_unix_ms + slot * SLOT_MS
-    arrival = unix_ms - slot_start
-    lo, hi = window_ms
-    if not lo <= arrival <= hi:
-        raise IngestError(f"arrival {arrival}ms outside plausibility window [{lo}, {hi}]")
-    return arrival
-
-
-def _keep_earliest(bids, best: dict) -> dict:
-    """Fold ``bids`` into ``best``, one record per key: the earliest arrival,
-    and of equal arrivals the one folded first."""
-    get = best.get
-    for bid in bids:
-        key = _dedup_key(bid)
-        held = get(key)
-        # Replacing a value keeps the key's place: keys stay in first-folded order.
-        if held is None or bid[7] < held[7]:
-            best[key] = bid
-    return best
-
-
-def _tallied(bids, slots: dict, holders: dict, bit: int):
-    """``bids`` passed through, each counted under its slot in ``slots`` and
-    ``bit`` set in its key's entry of ``holders``."""
-    count = slots.get
-    held = holders.get
-    for bid in bids:
-        slots[bid[0]] = count(bid[0], 0) + 1
-        key = _dedup_key(bid)
-        holders[key] = held(key, 0) | bit
-        yield bid
-
-
 class BidFold:
     """Relay dumps folded in one pass, one record at a time.
 
-    ``best`` holds the earliest record per key across the dumps added;
-    ``raw`` counts the records per (relay, slot) in first-seen order, and
-    ``holders`` maps each key to a bitmask of the relays that sent it
-    (``relays`` gives each relay its bit), for the duplicate stats.  A
-    record that is not the earliest of its key so far is dropped as soon as
-    it is read, so memory grows with unique keys, not with raw records, and
-    a key mirrored to several relays is held once.
+    ``bids`` maps each bid key to a list ``[earliest record so far, bitmask
+    of the relays that sent the key]`` (``relays`` gives each relay its
+    bit), and ``raw`` counts the records per (relay, slot) in first-seen
+    order.  A record that is not the earliest of its key so far is dropped
+    as soon as it is read, so memory grows with unique keys, not with raw
+    records, and a key mirrored to several relays is held once.
     """
 
     def __init__(self):
-        self.best: dict = {}
+        self.bids: dict = {}
         self.raw: dict = {}
-        self.holders: dict = {}
         self.relays: dict = {}
 
     def add(self, bids, relay_id: str) -> int:
         """Fold one dump of ``relay_id``'s records, iterated once; returns
         how many there were."""
-        best = self.best
-        old = len(best)
+        table = self.bids
+        find = table.get
+        old = len(table)
         slots: dict = {}
+        count = slots.get
         bit = self.relays.setdefault(relay_id, 1 << len(self.relays))
-        _keep_earliest(_tallied(bids, slots, self.holders, bit), best)
+        for bid in bids:
+            slot = bid[0]
+            slots[slot] = count(slot, 0) + 1
+            key = slot, bid[2], bid[3], bid[5]
+            held = find(key)
+            if held is None:
+                table[key] = [bid, bit]
+            else:
+                # Of equal arrivals the record folded first stays.
+                if bid[7] < held[0][7]:
+                    held[0] = bid
+                held[1] |= bit
         # Keys first seen in this dump go behind the older ones in order of
         # arrival, where merging the dump's own dedup, sorted by arrival,
         # puts them; that order breaks ties of ``merged``'s sort key.
-        new = sorted(islice(best.items(), old, None), key=lambda item: item[1][7])
+        new = sorted(islice(table.items(), old, None), key=lambda item: item[1][0][7])
         for key, _ in new:
-            del best[key]
-        best.update(new)
+            del table[key]
+        table.update(new)
         raw = self.raw
         for slot, count in slots.items():
             raw[relay_id, slot] = raw.get((relay_id, slot), 0) + count
@@ -185,13 +139,13 @@ class BidFold:
     def merged(self) -> list:
         """The earliest record per key, sorted by slot, arrival, relay and
         block hash."""
-        return sorted(self.best.values(), key=_merged_order)
+        return sorted(map(_record, self.bids.values()), key=_merged_order)
 
     def stats(self) -> dict:
         """Duplicate counts (raw records minus unique keys) per (relay, slot),
         plus, per relay, the number of slots it saw and its average over them."""
         # Keys per (relay bitmask, slot), then per (relay, slot).
-        shared = Counter((bits, key[0]) for key, bits in self.holders.items())
+        shared = Counter((held[1], key[0]) for key, held in self.bids.items())
         unique = Counter()
         for (bits, slot), count in shared.items():
             for relay, bit in self.relays.items():
@@ -212,13 +166,15 @@ def dedup_within_relay(bids: Sequence[BidRecord], relay_id: str) -> list:
     for bid in bids:
         if bid[1] != relay_id:
             raise ValueError(f"bid from relay {bid.relay_id!r}, expected {relay_id!r}")
-    return sorted(_keep_earliest(bids, {}).values(), key=_arrival)
+    return dedup_across_relays(bids)
 
 
 def dedup_across_relays(bids: Sequence[BidRecord]) -> list:
     """Globally earliest record per key, sorted by arrival (stable on ties);
     survivors keep their relay_id."""
-    return sorted(_keep_earliest(bids, {}).values(), key=_arrival)
+    fold = BidFold()
+    fold.add(bids, None)
+    return sorted(map(_record, fold.bids.values()), key=_arrival)
 
 
 def duplicate_stats(bids: Sequence[BidRecord]) -> dict:
@@ -229,66 +185,72 @@ def duplicate_stats(bids: Sequence[BidRecord]) -> dict:
     return fold.stats()
 
 
-def parse_bid_line(
-    line: str,
-    relay_id: str,
-    genesis_unix_ms: int,
-    window_ms=DEFAULT_PLAUSIBILITY_WINDOW_MS,
-) -> BidRecord:
-    """One stripped newline-delimited JSON record in the relay data API schema."""
-    try:
-        # ``line`` is stripped, so this is ``json.loads`` less two wrappers.
-        raw, end = _json_decode(line)
-    except (json.JSONDecodeError, RecursionError) as exc:
-        raise IngestError(f"not valid JSON: {exc}") from exc
-    if end != len(line):
-        raise IngestError(f"not valid JSON: extra data at char {end}")
-    try:
-        slot = _json_int(raw[_KEY_SLOT])
-        builder, block_hash = raw[_KEY_BUILDER], raw[_KEY_HASH]
-        parent_hash = raw.get(_KEY_PARENT, "")
-        # str() would take null as "None" and a number as its digits.
-        for text in (builder, block_hash, parent_hash):
-            if type(text) is not str:
-                raise TypeError(f"{text!r} is not a string")
-        value_wei = _json_int(raw[_KEY_VALUE])
-        num_tx = _json_int(raw.get(_KEY_NUM_TX, 0))
-        if _KEY_MS in raw:
-            unix_ms = _json_int(raw[_KEY_MS])
-        elif _KEY_S in raw:
-            unix_ms = _json_int(raw[_KEY_S]) * 1000
-        else:
-            raise IngestError("no timestamp field")
-    except (KeyError, ValueError, TypeError) as exc:
-        raise IngestError(f"malformed record: {exc}") from exc
-    if not _plausible_hash(block_hash):
-        raise IngestError(f"non-hex block hash {block_hash!r}")
-    arrival = normalize_arrival(unix_ms, slot, genesis_unix_ms, window_ms)
-    try:
-        return BidRecord(
-            slot, relay_id, builder, block_hash, parent_hash, value_wei, num_tx, arrival
-        )
-    except ValueError as exc:
-        raise IngestError(f"malformed record: {exc}") from exc
-
-
-def _json_int(value) -> int:
-    """A JSON integer, or a string holding one.  A float or a bool is
+def parse_bid_line(line: str, relay_id: str, genesis_unix_ms: int,
+                   window_ms=DEFAULT_PLAUSIBILITY_WINDOW_MS) -> BidRecord:
+    """One stripped newline-delimited JSON record in the relay data API
+    schema, checked inline: a JSON object whose numbers are JSON integers or
+    strings of an optional ``-`` and ASCII digits (a float or a bool is
     refused: ``int`` would truncate it, and a float above 2**53 is already
-    rounded."""
-    if type(value) is str:
-        return int(value)
-    if type(value) is int:
-        return value
-    raise TypeError(f"{value!r} is not an integer or a string holding one")
-
-
-_HEX_HASH = re.compile(r"(?:0x)?[0-9a-fA-F]{64}")
-
-
-def _plausible_hash(value: str) -> bool:
-    """Exactly 64 ASCII hex digits, after an optional ``0x``."""
-    return _HEX_HASH.fullmatch(value) is not None
+    rounded), whose ids and hashes are strings, whose block hash is 64 hex
+    digits after an optional ``0x``, and whose arrival, in milliseconds from
+    the slot start, lies in ``window_ms``."""
+    try:
+        raw, end = _scan_json(line, 0)
+    except StopIteration as exc:
+        raise IngestError(f"not valid JSON: expecting a value at char {exc.value}") from None
+    except (ValueError, RecursionError) as exc:
+        raise IngestError(f"not valid JSON: {exc}") from None
+    if end != len(line) or type(raw) is not dict:
+        raise IngestError("not valid JSON: not one object")
+    get = raw.get
+    try:
+        slot, value, num_tx = raw["slot"], raw["value"], get("num_tx", 0)
+        stamp, scale = ((raw["timestamp_ms"], 1) if "timestamp_ms" in raw
+                        else (raw["timestamp"], 1000))
+        # int() alone would also take "+1", " 1", "1_000" and non-ASCII digits.
+        if type(slot) is str and slot.isascii() and (
+                slot.isdigit() or slot[:1] == "-" and slot[1:].isdigit()):
+            slot = int(slot)
+        elif type(slot) is not int:
+            raise TypeError(f"slot {slot!r} is not an integer")
+        if type(value) is str and value.isascii() and (
+                value.isdigit() or value[:1] == "-" and value[1:].isdigit()):
+            value = int(value)
+        elif type(value) is not int:
+            raise TypeError(f"value {value!r} is not an integer")
+        if type(num_tx) is str and num_tx.isascii() and (
+                num_tx.isdigit() or num_tx[:1] == "-" and num_tx[1:].isdigit()):
+            num_tx = int(num_tx)
+        elif type(num_tx) is not int:
+            raise TypeError(f"num_tx {num_tx!r} is not an integer")
+        if type(stamp) is str and stamp.isascii() and (
+                stamp.isdigit() or stamp[:1] == "-" and stamp[1:].isdigit()):
+            stamp = int(stamp)
+        elif type(stamp) is not int:
+            raise TypeError(f"timestamp {stamp!r} is not an integer")
+        builder, block_hash = raw["builder_pubkey"], raw["block_hash"]
+        parent_hash = get("parent_hash", "")
+        # str() would take null as "None" and a number as its digits.
+        if not type(builder) is type(parent_hash) is str:
+            raise TypeError(f"not strings: {builder!r}, {parent_hash!r}")
+        # fromhex takes only a str and skips whitespace: 64 characters are
+        # 32 bytes only if all are hex digits.
+        if (len(block_hash) != 64 and (len(block_hash) != 66 or block_hash[:2] != "0x")
+                or len(_unhex(block_hash[-64:])) != 32):
+            raise ValueError(f"non-hex block hash {block_hash!r}")
+    except KeyError as exc:
+        raise IngestError(f"malformed record: no field {exc}") from None
+    except (ValueError, TypeError) as exc:
+        raise IngestError(f"malformed record: {exc}") from None
+    arrival = stamp * scale - genesis_unix_ms - slot * SLOT_MS
+    lo, hi = window_ms
+    if not lo <= arrival <= hi:
+        raise IngestError(f"arrival {arrival}ms outside plausibility window [{lo}, {hi}]")
+    if slot < 0 or num_tx < 0 or not 0 <= value < WEI_LIMIT:
+        raise IngestError(f"malformed record: slot {slot}, num_tx {num_tx} or value out of range")
+    # BidRecord.__new__ less its checks, made above.
+    return tuple.__new__(BidRecord, (slot, relay_id, builder, block_hash, parent_hash,
+                                     value, num_tx, arrival))
 
 
 def undecodable_line(path) -> int:
@@ -337,12 +299,8 @@ class BidDump:
             raise IngestError(f"{path}, line {undecodable_line(path)}: not valid UTF-8") from None
 
 
-def load_bids(
-    path,
-    relay_id: str,
-    genesis_unix_ms: int,
-    window_ms=DEFAULT_PLAUSIBILITY_WINDOW_MS,
-):
+def load_bids(path, relay_id: str, genesis_unix_ms: int,
+              window_ms=DEFAULT_PLAUSIBILITY_WINDOW_MS):
     """A ``BidDump`` read into a list: returns (bids, skipped_count)."""
     dump = BidDump(path, relay_id, genesis_unix_ms, window_ms)
     bids = list(dump)
@@ -380,8 +338,12 @@ def read_bids_csv(path) -> list:
     rows = read_csv_rows(path, _BID_COLUMNS)
     try:
         for line, (slot, relay, builder, block_hash, value, arrival, num_tx) in rows:
-            append(BidRecord(int(slot), relay, builder, block_hash, "",
-                             int(value), int(num_tx), int(arrival)))
+            slot, value, num_tx, arrival = int(slot), int(value), int(num_tx), int(arrival)
+            if slot < 0 or num_tx < 0 or not 0 <= value < WEI_LIMIT:
+                BidRecord(slot, relay, builder, block_hash, "", value, num_tx, arrival)  # raises
+            append(tuple.__new__(
+                BidRecord, (slot, relay, builder, block_hash, "", value, num_tx, arrival)
+            ))
     except ValueError as exc:
         raise IngestError(f"{path}, line {line}: {exc}") from None
     return bids
@@ -390,34 +352,58 @@ def read_bids_csv(path) -> list:
 def read_csv_rows(path, columns: Sequence[str]):
     """(line number, the values of ``columns``) for each non-blank row of a
     CSV with a header row; the last of equal column names wins, as in
-    ``csv.DictReader``.  A missing column, a row too short for one of
-    ``columns``, a malformed field or a file that is not UTF-8 raises
-    ``IngestError`` naming the file and line."""
+    ``csv.DictReader``.  Lines are split on commas while they hold no quote
+    and no NUL and are no longer than ``csv.field_size_limit()``; from the
+    first line that breaks one of these rules, ``csv.reader`` reads the rest
+    of the file, so the rows, line numbers and errors are ``csv.reader``'s
+    throughout.  A missing column, a row too short for one of ``columns``, a
+    malformed field or a file that is not UTF-8 raises ``IngestError``
+    naming the file and line."""
+    limit = csv.field_size_limit()
     with open(path, newline="", encoding="utf-8") as fh:
-        reader = csv.reader(fh)
+        number = 0  # lines split here, before csv.reader takes over
+        reader = None
         try:
-            index = {name: i for i, name in enumerate(next(reader, []))}
+            line = next(fh, "")
+            if '"' in line or "\0" in line or len(line) > limit:
+                reader = csv.reader(chain((line,), fh))
+                header = next(reader, [])
+            else:
+                number = 1
+                line = line.rstrip("\r\n")
+                header = line.split(",") if line else []
+            index = {name: i for i, name in enumerate(header)}
             missing = set(columns) - index.keys()
             if missing:
                 raise IngestError(f"{path}: missing columns: {sorted(missing)}")
             at = [index[name] for name in columns]
             pick = itemgetter(*at) if len(at) > 1 else lambda row: (row[at[0]],)
-            for row in reader:
+            for line in fh if reader is None else ():
+                if '"' in line or "\0" in line or len(line) > limit:
+                    reader = csv.reader(chain((line,), fh))
+                    break
+                number += 1
+                line = line.rstrip("\r\n")
+                if line:
+                    row = line.split(",")
+                    try:
+                        values = pick(row)
+                    except IndexError:
+                        raise IngestError(f"{path}, line {number}: {len(row)} fields, "
+                                          f"too few for the header") from None
+                    yield number, values
+            for row in reader or ():
                 if row:
                     try:
                         values = pick(row)
                     except IndexError:
-                        raise IngestError(
-                            f"{path}, line {reader.line_num}: {len(row)} fields, "
-                            f"too few for the header"
-                        ) from None
-                    yield reader.line_num, values
+                        raise IngestError(f"{path}, line {number + reader.line_num}: "
+                                          f"{len(row)} fields, too few for the header") from None
+                    yield number + reader.line_num, values
         except csv.Error as exc:
-            raise IngestError(f"{path}, line {reader.line_num}: {exc}") from None
+            raise IngestError(f"{path}, line {number + reader.line_num}: {exc}") from None
         except UnicodeDecodeError:
-            raise IngestError(
-                f"{path}, line {undecodable_line(path)}: not valid UTF-8"
-            ) from None
+            raise IngestError(f"{path}, line {undecodable_line(path)}: not valid UTF-8") from None
 
 
 def _cell(value) -> str:

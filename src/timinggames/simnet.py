@@ -519,7 +519,10 @@ class EventEngine:
         log, src, dst = self._published, self._src, self._dst
         while True:
             stop = log[done][0] if done < len(log) else self._bound
-            # left > 0 only after a publish, which woke the class at its bound.
+            # left > 0 only after a publish, which woke the class at its bound;
+            # a class that a publish completed is idle, as in the drain.
+            if not left:
+                cursor[3] = None
             for times, span in self._spans(cursor, 1, log[done - 1][0], stop) if left else ():
                 for t, u, v in zip(times.tolist(), src[span].tolist(), dst[span].tolist()):
                     a = held[u]
@@ -680,10 +683,11 @@ class EventEngine:
         dst = self._dst
         for c, sets in ((1, self.blocks), (0, self.votes)):
             left = self._left[c]
+            cursor = self._cursors[c]
             if not left:
+                cursor[3] = None  # a publish may have completed the class: idle
                 continue
             union = self._union[c]
-            cursor = self._cursors[c]
             for _, span in self._spans(cursor, c, self._bound, t):
                 for u, v in zip(src[span].tolist(), dst[span].tolist()):
                     a = sets[u]

@@ -460,7 +460,8 @@ def test_acceptance_9_determinism(tmp_path):
     cfg = tmp_path / "cfg.yaml"
     cfg.write_text(
         "n: 32\nmean_degree: 6.0\nduration: 240\n"
-        "x_values: [0.0, 1.0]\nt_values: [0.0, 9.0]\nseeds: 3\nseed: 17\n"
+        "x_values: [0.0, 1.0]\nt_values: [0.0, 9.0]\nseeds: 3\nseed: 17\n",
+        encoding="utf-8",
     )
     o1, o2 = tmp_path / "s1.csv", tmp_path / "s2.csv"
     c1 = main(["sim", "sweep", "--config", str(cfg), "--out", str(o1)])
@@ -471,8 +472,8 @@ def test_acceptance_9_determinism(tmp_path):
     rows = [f"{e},{s},{(s + 1) * 10**15},{(s + 2) * 10**6}"
             for e in range(4) for s in range(8)]
     f1, f2 = tmp_path / "a.csv", tmp_path / "b.csv"
-    f1.write_text(header + "\n" + "\n".join(rows) + "\n")
-    f2.write_text(header + "\n" + "\n".join(reversed(rows)) + "\n")
+    f1.write_text(header + "\n" + "\n".join(rows) + "\n", encoding="utf-8")
+    f2.write_text(header + "\n" + "\n".join(reversed(rows)) + "\n", encoding="utf-8")
     r1, r2 = tmp_path / "r1.csv", tmp_path / "r2.csv"
     a1 = main(["analyze", "rewards", "--blocks", str(f1), "--out", str(r1)])
     a2 = main(["analyze", "rewards", "--blocks", str(f2), "--out", str(r2)])

@@ -45,7 +45,7 @@ def bid_csv(tmp_path):
     ]
     lines = ["slot,relay,builder,block_hash,value_wei,arrival_ms,num_tx"]
     lines += [",".join(str(v) for v in row) for row in rows]
-    path.write_text("\n".join(lines) + "\n")
+    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
     return path
 
 
@@ -57,12 +57,12 @@ def test_missing_subcommand_is_usage_error():
 def test_sim_run_default_config(tmp_path):
     out = tmp_path / "run.csv"
     cfg = tmp_path / "cfg.yaml"
-    cfg.write_text("n: 24\nmean_degree: 5.0\nduration: 120\n")
+    cfg.write_text("n: 24\nmean_degree: 5.0\nduration: 120\n", encoding="utf-8")
     assert run(["sim", "run", "--config", cfg, "--out", out, "--seed", 3]) == EXIT_OK
-    lines = out.read_text().splitlines()
+    lines = out.read_text(encoding="utf-8").splitlines()
     assert lines[0].startswith("b_count,m_count,mu,")
     assert lines[1].split(",")[0] == "10"
-    manifest = json.loads((tmp_path / "run.csv.manifest.json").read_text())
+    manifest = json.loads((tmp_path / "run.csv.manifest.json").read_text(encoding="utf-8"))
     assert manifest["seed"] == 3
     assert manifest["command"] == "sim run"
     assert manifest["config_digest"]
@@ -70,7 +70,7 @@ def test_sim_run_default_config(tmp_path):
 
 def test_sim_run_unknown_key(tmp_path):
     cfg = tmp_path / "cfg.yaml"
-    cfg.write_text("bogus: 1\n")
+    cfg.write_text("bogus: 1\n", encoding="utf-8")
     assert run(["sim", "run", "--config", cfg, "--out", tmp_path / "x.csv"]) == EXIT_USAGE
 
 
@@ -115,7 +115,7 @@ def test_sim_run_unknown_key(tmp_path):
 )
 def test_sim_rejects_bad_config(tmp_path, capsys, command, line):
     cfg = tmp_path / "cfg.yaml"
-    cfg.write_text(line + "\n")
+    cfg.write_text(line + "\n", encoding="utf-8")
     out = tmp_path / "out.csv"
     assert run(["sim", command, "--config", cfg, "--out", out]) == EXIT_USAGE
     err = capsys.readouterr().err.strip().splitlines()
@@ -128,7 +128,7 @@ def test_sim_rejects_bad_config(tmp_path, capsys, command, line):
 )
 def test_sim_rejects_unparseable_config(tmp_path, capsys, text):
     cfg = tmp_path / "cfg.yaml"
-    cfg.write_text(text + "\n")
+    cfg.write_text(text + "\n", encoding="utf-8")
     assert run(["sim", "run", "--config", cfg, "--out", tmp_path / "out.csv"]) == EXIT_USAGE
     err = capsys.readouterr().err.strip().splitlines()
     assert len(err) == 1 and err[0].startswith("error: invalid config document: ")
@@ -156,7 +156,8 @@ def test_sim_sweep_failing_cell_exits_2(tmp_path, capsys):
     cfg = tmp_path / "cfg.yaml"
     cfg.write_text(
         "n: 24\nmean_degree: 5.0\nduration: 120\n"
-        "x_values: [0.0]\nt_values: [0.0, 13.0]\nseeds: 1\n"
+        "x_values: [0.0]\nt_values: [0.0, 13.0]\nseeds: 1\n",
+        encoding="utf-8",
     )
     for jobs in (1, 2):
         out = tmp_path / f"jobs{jobs}.csv"
@@ -166,14 +167,14 @@ def test_sim_sweep_failing_cell_exits_2(tmp_path, capsys):
             "cell (0, 1) failed: t_d must lie in [0, 12]",
             "error: 1 sweep cell(s) failed",
         ]
-        assert len(out.read_text().splitlines()) == 2  # header + the t_d = 0 cell
+        assert len(out.read_text(encoding="utf-8").splitlines()) == 2  # header + the t_d = 0 cell
         assert Path(str(out) + ".manifest.json").exists()
 
 
 def test_readme_config_defaults_match_schema():
     # The README's "Simulation config" lists are a second copy of the
     # defaults; hold them to the dataclasses that own them.
-    readme = (Path(__file__).parents[1] / "README.md").read_text()
+    readme = (Path(__file__).parents[1] / "README.md").read_text(encoding="utf-8")
     section = readme.split("### Simulation config (YAML)")[1]
     sim_keys, rest = section.split("defaults in parentheses:")[1].split("Sweep-only keys:")
     sweep_keys = rest.split("Precedence:")[0]
@@ -212,13 +213,14 @@ def test_sim_sweep_byte_identical(tmp_path):
     cfg = tmp_path / "cfg.yaml"
     cfg.write_text(
         "n: 24\nmean_degree: 5.0\nduration: 120\n"
-        "x_values: [0.0, 1.0]\nt_values: [0.0, 6.0]\nseeds: 2\nseed: 9\n"
+        "x_values: [0.0, 1.0]\nt_values: [0.0, 6.0]\nseeds: 2\nseed: 9\n",
+        encoding="utf-8",
     )
     out1, out2 = tmp_path / "s1.csv", tmp_path / "s2.csv"
     assert run(["sim", "sweep", "--config", cfg, "--out", out1]) == EXIT_OK
     assert run(["sim", "sweep", "--config", cfg, "--out", out2]) == EXIT_OK
     assert out1.read_bytes() == out2.read_bytes()
-    assert len(out1.read_text().splitlines()) == 5  # header + 4 cells
+    assert len(out1.read_text(encoding="utf-8").splitlines()) == 5  # header + 4 cells
 
 
 def test_ingest_and_dedup(tmp_path):
@@ -233,16 +235,16 @@ def test_ingest_and_dedup(tmp_path):
     }
     dup = dict(rec, timestamp_ms=12000 + 900)
     other = dict(rec, block_hash=HASH_B, timestamp_ms=12000 + 100)
-    dump.write_text("\n".join(json.dumps(r) for r in (rec, dup, other)) + "\n")
+    dump.write_text("\n".join(json.dumps(r) for r in (rec, dup, other)) + "\n", encoding="utf-8")
     out = tmp_path / "dedup.csv"
     code = run(
         ["ingest", "--bids", f"A={dump}", "--genesis-ms", genesis, "--out", out]
     )
     assert code == EXIT_OK
-    lines = out.read_text().splitlines()
+    lines = out.read_text(encoding="utf-8").splitlines()
     assert lines[0] == "slot,relay,builder,block_hash,value_wei,arrival_ms,num_tx"
     assert len(lines) == 3  # two unique bids survive
-    stats = (tmp_path / "dedup.csv.dupstats.csv").read_text().splitlines()
+    stats = (tmp_path / "dedup.csv.dupstats.csv").read_text(encoding="utf-8").splitlines()
     assert stats[1].startswith("A,1,1.0")
 
 
@@ -260,27 +262,27 @@ def test_ingest_quotes_ids_for_the_analyses(tmp_path):
                 records.append({"slot": slot, "builder_pubkey": builder, "block_hash": block_hash,
                                 "value": str(value), "timestamp_ms": 12000 * slot + ms})
         delivered.append(f"{slot},x,b,{block_hash},{value},1")
-    dump.write_text("\n".join(json.dumps(r) for r in records) + "\n")
-    (tmp_path / "delivered.csv").write_text("\n".join(delivered) + "\n")
+    dump.write_text("\n".join(json.dumps(r) for r in records) + "\n", encoding="utf-8")
+    (tmp_path / "delivered.csv").write_text("\n".join(delivered) + "\n", encoding="utf-8")
     out = tmp_path / "dedup.csv"
     assert run(["ingest", "--bids", f"r,x={dump}", "--genesis-ms", 0, "--out", out]) == EXIT_OK
-    lines = out.read_text().splitlines()
+    lines = out.read_text(encoding="utf-8").splitlines()
     assert lines[1].startswith('1,"r,x","b,1",')
     assert any(',"r,x","q""x",' in line for line in lines)
     bids = relaydata.read_bids_csv(out)
     assert len(bids) == len(records)
     assert {(b.relay_id, b.builder_id) for b in bids} == {("r,x", "b,1"), ("r,x", 'q"x')}
-    stats = (tmp_path / "dedup.csv.dupstats.csv").read_text().splitlines()
+    stats = (tmp_path / "dedup.csv.dupstats.csv").read_text(encoding="utf-8").splitlines()
     assert stats[1] == '"r,x",3,0.0'
 
     assert run(["analyze", "regress", "--bids", out, "--out", tmp_path / "r.csv"]) == EXIT_OK
-    header, row = (tmp_path / "r.csv").read_text().splitlines()
+    header, row = (tmp_path / "r.csv").read_text(encoding="utf-8").splitlines()
     fields = dict(zip(header.split(","), map(float, row.split(","))))
     assert fields["n"] == len(records)
     assert fields["slope_eth_per_ms"] == pytest.approx(lam, rel=1e-6)
     assert run(["analyze", "winners", "--bids", out, "--delivered", tmp_path / "delivered.csv",
                 "--out", tmp_path / "w.csv"]) == EXIT_OK
-    assert len((tmp_path / "w.csv").read_text().splitlines()) == 4
+    assert len((tmp_path / "w.csv").read_text(encoding="utf-8").splitlines()) == 4
 
 
 @pytest.mark.parametrize("command", ["ingest", "sim run", "sim sweep"])
@@ -288,12 +290,14 @@ def test_verbose_only_adds_a_stderr_line(tmp_path, monkeypatch, capsys, command)
     dump = tmp_path / "dump.ndjson"
     rec = {"slot": 1, "builder_pubkey": "b1", "block_hash": HASH_A, "value": "1000",
            "timestamp_ms": 12500}
-    dump.write_text(json.dumps(rec) + "\n")
+    dump.write_text(json.dumps(rec) + "\n", encoding="utf-8")
     run_cfg, sweep_cfg = tmp_path / "run.yaml", tmp_path / "sweep.yaml"
-    run_cfg.write_text("n: 16\nmean_degree: 4.0\nduration: 48\nx_d: 0.5\nt_d: 6.0\n")
+    run_cfg.write_text("n: 16\nmean_degree: 4.0\nduration: 48\nx_d: 0.5\nt_d: 6.0\n",
+                       encoding="utf-8")
     sweep_cfg.write_text(
         "n: 16\nmean_degree: 4.0\nduration: 48\n"
-        "x_values: [0.0, 1.0]\nt_values: [6.0]\nseeds: 2\n"
+        "x_values: [0.0, 1.0]\nt_values: [6.0]\nseeds: 2\n",
+        encoding="utf-8",
     )
     args = {
         "ingest": ["ingest", "--bids", f"A={dump}", "--genesis-ms", 0],
@@ -316,10 +320,10 @@ def test_verbose_only_adds_a_stderr_line(tmp_path, monkeypatch, capsys, command)
 
 def test_ingest_empty_input(tmp_path):
     empty = tmp_path / "empty.ndjson"
-    empty.write_text("")
+    empty.write_text("", encoding="utf-8")
     out = tmp_path / "out.csv"
     assert run(["ingest", "--bids", f"A={empty}", "--out", out]) == EXIT_OK
-    assert out.read_text().splitlines() == [
+    assert out.read_text(encoding="utf-8").splitlines() == [
         "slot,relay,builder,block_hash,value_wei,arrival_ms,num_tx"
     ]
 
@@ -336,7 +340,7 @@ def test_ingest_rejects_a_reversed_window(tmp_path, capsys):
     # LO > HI would skip every record.  It is refused before any dump is
     # read: a missing dump is not reported, and no CSV is written.
     dump = tmp_path / "dump.ndjson"
-    dump.write_text("")
+    dump.write_text("", encoding="utf-8")
     out = tmp_path / "o.csv"
     for path in (dump, tmp_path / "missing.ndjson"):
         argv = ["ingest", "--bids", f"A={path}", "--window", 100, -100, "--out", out]
@@ -381,7 +385,7 @@ def test_sim_refuses_a_tiny_tau_at_once(tmp_path, command):
     # tau_block = 1e-9 asks for about 7.7e12 gossip draws in 120 s at N = 16:
     # the config is refused before anything is built, instead of running
     # for hours.
-    (tmp_path / "cfg.yaml").write_text("n: 16\nduration: 120\ntau_block: 1.0e-9\n")
+    (tmp_path / "cfg.yaml").write_text("n: 16\nduration: 120\ntau_block: 1.0e-9\n", encoding="utf-8")
     done = _cli_process(["sim", command, "--config", "cfg.yaml", "--out", "out.csv"],
                         tmp_path, {}, timeout=60)
     assert done.returncode == EXIT_USAGE
@@ -394,9 +398,9 @@ def test_sim_refuses_a_tiny_tau_at_once(tmp_path, command):
 def test_written_files_are_utf8_under_an_ascii_locale(tmp_path):
     probe = subprocess.run(
         [sys.executable, "-c", "import locale; print(locale.getpreferredencoding(False))"],
-        capture_output=True, text=True, env={**os.environ, **ASCII_LOCALE},
+        capture_output=True, env={**os.environ, **ASCII_LOCALE},
     )
-    assert probe.stdout.strip().lower() not in ("utf-8", "utf8")  # the locale is not UTF-8
+    assert probe.stdout.decode().strip().lower() not in ("utf-8", "utf8")  # the locale is not UTF-8
     builder = "0xbuild\u00e9r"
     rec = {"slot": 1, "builder_pubkey": builder, "block_hash": HASH_A, "value": "1000",
            "timestamp_ms": 12500}
@@ -431,10 +435,10 @@ def test_analyze_regress_noiseless(tmp_path):
     for i, t in enumerate(range(0, 2000, 20)):
         wei = int(5.71e-6 * t * 1e18)
         lines.append(f"5,r,b,h{i},{wei},{t},0")
-    path.write_text("\n".join(lines) + "\n")
+    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
     out = tmp_path / "regress.csv"
     assert run(["analyze", "regress", "--bids", path, "--out", out]) == EXIT_OK
-    header, row = out.read_text().splitlines()
+    header, row = out.read_text(encoding="utf-8").splitlines()
     assert header == "n,slope_eth_per_ms,intercept_eth,r_squared"
     slope = float(row.split(",")[1])
     assert slope == pytest.approx(5.71e-6, rel=1e-6)
@@ -445,14 +449,15 @@ def test_analyze_winners(tmp_path, bid_csv):
     delivered.write_text(
         "slot,relay,builder,block_hash,value_wei,proposer\n"
         f"100,r1,b1,{HASH_A},{46 * 10**15},p1\n"
-        f"101,r1,b1,{HASH_A},{30 * 10**15},p2\n"
+        f"101,r1,b1,{HASH_A},{30 * 10**15},p2\n",
+        encoding="utf-8",
     )
     out = tmp_path / "winners.csv"
     code = run(
         ["analyze", "winners", "--bids", bid_csv, "--delivered", delivered, "--out", out]
     )
     assert code == EXIT_OK
-    lines = out.read_text().splitlines()
+    lines = out.read_text(encoding="utf-8").splitlines()
     assert lines[0] == (
         "slot,winner_arrival_ms,highest_arrival_ms,delta_t_ms,delta_v_eth,class"
     )
@@ -460,7 +465,7 @@ def test_analyze_winners(tmp_path, bid_csv):
     assert row100[0] == "100" and row100[5] == "EARLY" and row100[3] == "501"
     row101 = lines[2].split(",")
     assert row101[5] == "HIGHEST"
-    summary = (tmp_path / "winners.csv.summary.csv").read_text().splitlines()
+    summary = (tmp_path / "winners.csv.summary.csv").read_text(encoding="utf-8").splitlines()
     assert summary[1].split(",")[0] == "1"  # one early winner
 
 
@@ -470,11 +475,12 @@ def test_analyze_shares_boundary(tmp_path):
         "slot,block_root,attestor_count,committee_size\n"
         "1,r,399,1000\n"
         "2,r,400,1000\n"
-        "3,r,980,1000\n"
+        "3,r,980,1000\n",
+        encoding="utf-8",
     )
     out = tmp_path / "shares.csv"
     assert run(["analyze", "shares", "--attestations", att, "--out", out]) == EXIT_OK
-    lines = out.read_text().splitlines()
+    lines = out.read_text(encoding="utf-8").splitlines()
     assert lines[0] == "slot,share,vulnerable"
     assert lines[1] == "1,0.399,true"
     assert lines[2] == "2,0.4,false"
@@ -483,7 +489,7 @@ def test_analyze_shares_boundary(tmp_path):
 
 def test_analyze_shares_missing_column(tmp_path):
     att = tmp_path / "att.csv"
-    att.write_text("slot,attestor_count\n1,5\n")
+    att.write_text("slot,attestor_count\n1,5\n", encoding="utf-8")
     out = tmp_path / "shares.csv"
     assert run(["analyze", "shares", "--attestations", att, "--out", out]) == EXIT_DATA
 
@@ -494,12 +500,13 @@ def test_analyze_orphans(tmp_path, bid_csv):
         "slot,block_hash,status\n"
         f"100,{HASH_A},orphaned\n"
         f"101,{HASH_A},canonical\n"
-        "102,,missed\n"
+        "102,,missed\n",
+        encoding="utf-8",
     )
     out = tmp_path / "orphans.csv"
     code = run(["analyze", "orphans", "--status", status, "--bids", bid_csv, "--out", out])
     assert code == EXIT_OK
-    header, row = out.read_text().splitlines()
+    header, row = out.read_text(encoding="utf-8").splitlines()
     fields = dict(zip(header.split(","), row.split(",")))
     assert fields["orphaned_count"] == "1"
     assert fields["missed_count"] == "1"
@@ -512,24 +519,25 @@ def test_analyze_rewards(tmp_path):
         "epoch,slot,mev_wei,proposal_gwei\n"
         f"0,1,{48 * 10**15},{34 * 10**6}\n"
         f"0,2,{48 * 10**15},{34 * 10**6}\n"
-        f"1,33,{10 * 10**15},{34 * 10**6}\n"
+        f"1,33,{10 * 10**15},{34 * 10**6}\n",
+        encoding="utf-8",
     )
     out = tmp_path / "rewards.csv"
     assert run(["analyze", "rewards", "--blocks", blocks, "--out", out]) == EXIT_OK
-    lines = out.read_text().splitlines()
+    lines = out.read_text(encoding="utf-8").splitlines()
     assert lines[0] == "epoch,median_mev_eth,median_proposal_eth"
     assert lines[1].startswith("0,0.048,")
-    summary = (tmp_path / "rewards.csv.summary.csv").read_text().splitlines()
+    summary = (tmp_path / "rewards.csv.summary.csv").read_text(encoding="utf-8").splitlines()
     assert summary[0] == "median_mev_eth,median_proposal_eth,mev_share_of_total"
 
 
 def test_analyze_rewards_undefined_share_is_empty(tmp_path):
     # No MEV and no proposal reward: the MEV share of the total is undefined.
     blocks = tmp_path / "blocks.csv"
-    blocks.write_text("epoch,slot,mev_wei,proposal_gwei\n0,1,0,0\n")
+    blocks.write_text("epoch,slot,mev_wei,proposal_gwei\n0,1,0,0\n", encoding="utf-8")
     out = tmp_path / "rewards.csv"
     assert run(["analyze", "rewards", "--blocks", blocks, "--out", out]) == EXIT_OK
-    summary = (tmp_path / "rewards.csv.summary.csv").read_text().splitlines()
+    summary = (tmp_path / "rewards.csv.summary.csv").read_text(encoding="utf-8").splitlines()
     assert summary[1] == "0.0,0.0,"
 
 
@@ -538,8 +546,8 @@ def test_analyze_rewards_permutation_stable(tmp_path):
     rows = [f"{e},{s},{(s + 1) * 10**15},{(s + 2) * 10**6}"
             for e in range(3) for s in range(6)]
     f1, f2 = tmp_path / "a.csv", tmp_path / "b.csv"
-    f1.write_text(header + "\n" + "\n".join(rows) + "\n")
-    f2.write_text(header + "\n" + "\n".join(reversed(rows)) + "\n")
+    f1.write_text(header + "\n" + "\n".join(rows) + "\n", encoding="utf-8")
+    f2.write_text(header + "\n" + "\n".join(reversed(rows)) + "\n", encoding="utf-8")
     o1, o2 = tmp_path / "o1.csv", tmp_path / "o2.csv"
     assert run(["analyze", "rewards", "--blocks", f1, "--out", o1]) == EXIT_OK
     assert run(["analyze", "rewards", "--blocks", f2, "--out", o2]) == EXIT_OK
@@ -556,7 +564,8 @@ BID_HEADER = "slot,relay,builder,block_hash,value_wei,arrival_ms,num_tx"
 
 def _bad_bids(tmp_path, row):
     path = tmp_path / "bad_bids.csv"
-    path.write_text(f"{BID_HEADER}\n5,r,b,h0,1000,10,0\n{row}\n5,r,b,h2,3000,30,0\n")
+    path.write_text(f"{BID_HEADER}\n5,r,b,h0,1000,10,0\n{row}\n5,r,b,h2,3000,30,0\n",
+                    encoding="utf-8")
     return path
 
 
@@ -572,13 +581,13 @@ def _case_bad_value(tmp_path, bid_csv):
 
 def _case_delivered_slot(tmp_path, bid_csv):
     path = tmp_path / "delivered.csv"
-    path.write_text(f"slot,block_hash\n100,{HASH_A}\nsoon,{HASH_B}\n")
+    path.write_text(f"slot,block_hash\n100,{HASH_A}\nsoon,{HASH_B}\n", encoding="utf-8")
     return ["analyze", "winners", "--bids", bid_csv, "--delivered", path], path, 3
 
 
 def _case_status_slot(tmp_path, bid_csv):
     path = tmp_path / "status.csv"
-    path.write_text(f"slot,block_hash,status\n1e2,{HASH_A},orphaned\n")
+    path.write_text(f"slot,block_hash,status\n1e2,{HASH_A},orphaned\n", encoding="utf-8")
     return ["analyze", "orphans", "--status", path, "--bids", bid_csv], path, 2
 
 
@@ -596,31 +605,32 @@ def _case_csv_encoding(tmp_path, bid_csv):
 
 def _case_status_unknown_block(tmp_path, bid_csv):
     path = tmp_path / "status.csv"
-    path.write_text(f"slot,block_hash,status\n100,{HASH_A},orphaned\n101,{HASH_C},canonical\n")
+    path.write_text(f"slot,block_hash,status\n100,{HASH_A},orphaned\n101,{HASH_C},canonical\n",
+                    encoding="utf-8")
     return ["analyze", "orphans", "--status", path, "--bids", bid_csv], path, 3
 
 
 def _case_status_unknown_value(tmp_path, bid_csv):
     path = tmp_path / "status.csv"
-    path.write_text(f"slot,block_hash,status\n100,{HASH_A},late\n")
+    path.write_text(f"slot,block_hash,status\n100,{HASH_A},late\n", encoding="utf-8")
     return ["analyze", "orphans", "--status", path, "--bids", bid_csv], path, None
 
 
 def _case_one_bid(tmp_path, bid_csv):
     path = tmp_path / "bids.csv"
-    path.write_text(f"{BID_HEADER}\n5,r,b,h0,1000,10,0\n")
+    path.write_text(f"{BID_HEADER}\n5,r,b,h0,1000,10,0\n", encoding="utf-8")
     return ["analyze", "regress", "--bids", path], path, None
 
 
 def _case_arrival_fixed(tmp_path, bid_csv):
     path = tmp_path / "bids.csv"
-    path.write_text(f"{BID_HEADER}\n5,r,b,h0,1000,10,0\n6,r,b,h1,3000,30,0\n")
+    path.write_text(f"{BID_HEADER}\n5,r,b,h0,1000,10,0\n6,r,b,h1,3000,30,0\n", encoding="utf-8")
     return ["analyze", "regress", "--bids", path], path, None
 
 
 def _case_no_reward_rows(tmp_path, bid_csv):
     path = tmp_path / "blocks.csv"
-    path.write_text("epoch,slot,mev_wei,proposal_gwei\n")
+    path.write_text("epoch,slot,mev_wei,proposal_gwei\n", encoding="utf-8")
     return ["analyze", "rewards", "--blocks", path], path, None
 
 
@@ -668,10 +678,10 @@ def test_analyze_regress_recovers_slope_with_correlated_arrival(tmp_path):
                 values.append(wei / 1e18)
                 arrivals.append(arrival)
     path = tmp_path / "bids.csv"
-    path.write_text("\n".join(rows) + "\n")
+    path.write_text("\n".join(rows) + "\n", encoding="utf-8")
     out = tmp_path / "regress.csv"
     assert run(["analyze", "regress", "--bids", path, "--out", out]) == EXIT_OK
-    header, row = out.read_text().splitlines()
+    header, row = out.read_text(encoding="utf-8").splitlines()
     fields = dict(zip(header.split(","), map(float, row.split(","))))
     assert abs(fields["slope_eth_per_ms"] / lam - 1) < 1e-9
     assert abs(fields["intercept_eth"]) < 1e-12
@@ -687,7 +697,7 @@ def test_analyze_regress_rejects_arrival_fixed_by_effects(tmp_path, capsys):
     # One bid per slot: the slot effects absorb every arrival time.
     path = tmp_path / "bids.csv"
     rows = [f"{s},r,b,h{s},{s * 10},{s * 7},0" for s in range(5)]
-    path.write_text("\n".join([BID_HEADER, *rows]) + "\n")
+    path.write_text("\n".join([BID_HEADER, *rows]) + "\n", encoding="utf-8")
     code = run(["analyze", "regress", "--bids", path, "--out", tmp_path / "o.csv"])
     assert code == EXIT_DATA
     assert "does not vary within slot and builder" in capsys.readouterr().err
@@ -833,7 +843,7 @@ def test_sim_commands_never_raise(run_doc, sweep_doc, seed_flag):
         codes = []
         for command, doc in (("run", run_doc), ("sweep", sweep_doc)):
             cfg = d / f"{command}.yaml"
-            cfg.write_text(yaml.safe_dump(doc))
+            cfg.write_text(yaml.safe_dump(doc), encoding="utf-8")
             argv = ["sim", command, "--config", cfg, "--out", d / f"{command}.csv"]
             if seed_flag is not None:
                 argv += ["--seed", seed_flag]

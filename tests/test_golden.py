@@ -126,7 +126,7 @@ def graph_record(seed: int) -> dict:
 def write_fixtures() -> None:
     GOLDEN.mkdir(exist_ok=True)
     runs = {key: run_record(config) for key, config in run_configs().items()}
-    RUNS_FILE.write_text(json.dumps(runs, sort_keys=True) + "\n")
+    RUNS_FILE.write_text(json.dumps(runs, sort_keys=True) + "\n", encoding="utf-8")
     traces = {key: trace_rows(config) for key, config in trace_configs().items()}
     # A fixed mtime keeps the archive byte-identical across rewrites.
     with open(TRACES_FILE, "wb") as raw, gzip.GzipFile(
@@ -134,7 +134,7 @@ def write_fixtures() -> None:
     ) as fh:
         fh.write(json.dumps(traces, sort_keys=True).encode())
     seed = next(s for s in range(1000) if sampling_attempts(GRAPH_N, GRAPH_DEGREE, s) >= 2)
-    GRAPH_FILE.write_text(json.dumps(graph_record(seed), sort_keys=True) + "\n")
+    GRAPH_FILE.write_text(json.dumps(graph_record(seed), sort_keys=True) + "\n", encoding="utf-8")
 
 
 # -- tests --------------------------------------------------------------------
@@ -142,7 +142,7 @@ def write_fixtures() -> None:
 
 @pytest.fixture(scope="module")
 def golden_runs():
-    return json.loads(RUNS_FILE.read_text())
+    return json.loads(RUNS_FILE.read_text(encoding="utf-8"))
 
 
 @pytest.fixture(scope="module")
@@ -174,7 +174,7 @@ def test_trace_matches_golden(key, golden_traces):
 
 
 def test_er_graph_matches_golden():
-    want = json.loads(GRAPH_FILE.read_text())
+    want = json.loads(GRAPH_FILE.read_text(encoding="utf-8"))
     assert want["attempts"] >= 2
     assert graph_record(want["seed"]) == want
 

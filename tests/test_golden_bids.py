@@ -130,11 +130,11 @@ def write_inputs(workdir: Path) -> dict:
         for k, bad in enumerate(malformed):
             lines.insert((7 * k + 3 * r) % (len(lines) + 1), bad)
         path = workdir / f"{relay}.ndjson"
-        path.write_text("\n".join(lines) + "\n")
+        path.write_text("\n".join(lines) + "\n", encoding="utf-8")
         paths[relay] = path
     for name, rows in (("delivered", delivered), ("status", status), *_share_reward_rows()):
         paths[name] = workdir / f"{name}.csv"
-        paths[name].write_text("\n".join(rows) + "\n")
+        paths[name].write_text("\n".join(rows) + "\n", encoding="utf-8")
     return paths
 
 
@@ -181,8 +181,8 @@ def run_pipeline(workdir: Path) -> dict:
 def run_sims(workdir: Path) -> dict:
     """Run ``sim run`` and ``sim sweep`` on a small config; returns output bytes."""
     run_config, sweep_config = workdir / "run.yaml", workdir / "sweep.yaml"
-    run_config.write_text(SIM_CONFIG)
-    sweep_config.write_text(SIM_CONFIG + SWEEP_KEYS)
+    run_config.write_text(SIM_CONFIG, encoding="utf-8")
+    sweep_config.write_text(SIM_CONFIG + SWEEP_KEYS, encoding="utf-8")
     out = {name: workdir / name for name in SIM_OUTPUTS}
     _run_all((
         ["sim", "run", "--config", run_config, "--out", out["run.csv"]],
@@ -224,7 +224,8 @@ def test_golden_inputs_hold_ties_and_malformed_lines(outputs):
     assert {row[1] for row in rows} == set(RELAYS)
     with tempfile.TemporaryDirectory() as tmp:
         paths = write_inputs(Path(tmp))
-        raw = [line for relay in RELAYS for line in paths[relay].read_text().splitlines()]
+        raw = [line for relay in RELAYS
+               for line in paths[relay].read_text(encoding="utf-8").splitlines()]
     records = []
     for line in raw:
         try:

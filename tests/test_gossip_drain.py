@@ -501,11 +501,12 @@ def test_arrivals_read_mid_run_match_the_loop(config):
 class PlannedReleases:
     """Releases ``plan[slot]``'s ``(offset, node, block)`` after each slot
     start, a block possibly from several nodes, and keeps ``block_arrival``
-    at each deadline."""
+    and the block sets at each deadline."""
 
     def __init__(self, plan):
         self.plan = plan
         self.arrivals = []
+        self.blocks = []
 
     def on_slot_start(self, engine, t, slot):
         for offset, node, block in self.plan.get(slot, ()):
@@ -513,6 +514,7 @@ class PlannedReleases:
 
     def on_attest_deadline(self, engine, t, slot):
         if not isinstance(engine, LoopEngine):
+            self.blocks.append(list(engine.blocks))
             self.arrivals.append(engine.block_arrival.tobytes())
 
 
@@ -537,6 +539,11 @@ def release_plans(draw):
 @given(release_plans())
 @example((6, 0.5, 0.2, 3, 1, [(2, 1, 0.5)], {0: [(0.0, 0, 1), (3.0, 4, 1)], 1: [(2.0, 1, 2)]},
           [(5, 3, 40.0), (5, 3, 41.0)]))
+# A publish completes the block class; a later one must not wake it at
+# contacts from before the first.
+@example((3, 0.5, 2.0, 2, 1, [(1, 2, 0.0)], {0: [(1.0, 0, 2)], 1: [(0.0, 0, 1)]}, []))
+@example((3, 0.5, 2.0, 1, 1, [(1, 2, 0.0)], {0: [(1.0, 0, 2)]}, [(0, 1, 0.0)]))
+@example((2, 0.9, 6.0, 2, 1, [(1, 2, 0.0)], {0: [(1.0, 0, 2)], 1: [(0.0, 0, 1)]}, []))
 @settings(max_examples=60, deadline=None)
 def test_arrivals_replay_every_publish(case):
     n, density, tau, slots, seed, before, plan, after = case
@@ -551,6 +558,7 @@ def test_arrivals_replay_every_publish(case):
     assert engine.block_arrival.tobytes() == oracle.arrival.tobytes()
     oracle.run()
     engine.run()
+    assert engine.handlers.blocks == [blocks for _, blocks, _ in oracle.states[1:]]
     assert engine.handlers.arrivals == [arrival for arrival, _, _ in oracle.states[1:]]
     assert engine.block_arrival.tobytes() == oracle.states[-1][0]
     # The replay's union and count of incomplete nodes are the drain's.

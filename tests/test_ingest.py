@@ -104,6 +104,67 @@ def bid_line(slot, builder, block_hash, value, arrival_ms, num_tx):
 
 
 HASHES = ("0x" + "aa" * 32, "0x" + "bb" * 32)
+GOOD = dict(slot=7, builder="b1", block_hash=HASHES[0], value=1, arrival_ms=0, num_tx=0)
+
+
+def record(**changes):
+    """A good record's JSON object with ``changes``; a change to ``DROP``
+    leaves the key out."""
+    raw = json.loads(bid_line(**GOOD))
+    raw.update(changes)
+    return {key: value for key, value in raw.items() if value is not DROP}
+
+
+DROP = object()
+UNIX_MS = GENESIS_MS + 7 * SLOT_MS
+# Lines that ``parse_bid_line`` must accept: other spellings of the same
+# bids, with timestamps in seconds, numbers as strings, no ``num_tx``.
+good_variants = st.sampled_from((
+    json.dumps(record(timestamp_ms=DROP, timestamp=UNIX_MS // 1000)),
+    json.dumps(record(timestamp_ms=DROP, timestamp=str(UNIX_MS // 1000 + 1))),
+    json.dumps(record(slot="7", num_tx="2", timestamp_ms=str(UNIX_MS - 10))),
+    json.dumps(record(num_tx=DROP, value="2", block_hash=HASHES[1][2:])),
+    json.dumps(record(parent_hash=HASHES[1], builder_pubkey="b,2")),
+))
+# Every kind of line it must reject.
+bad_lines = st.sampled_from((
+    "not json",
+    '{"slot": 7, "builder_pubkey": "b1"',
+    "[1, 2]", "7", "null", '"text"',  # not an object
+    bid_line(**GOOD) + " {}",  # trailing data
+    bid_line(**GOOD) + " x",
+    "[" * 100_000,  # deep nesting
+    '{"a": ' * 100_000,
+    '{"slot": ' + "1" * 5000 + "}",  # more digits than int() converts
+    json.dumps(record(value=True)),
+    json.dumps(record(slot=7.0)),
+    json.dumps(record(num_tx=None)),
+    json.dumps(record(timestamp_ms=float(UNIX_MS))),
+    json.dumps(record(timestamp_ms=DROP, timestamp=UNIX_MS / 1000 + 0.5)),
+    json.dumps(record(timestamp_ms=DROP)),  # no timestamp at all
+    json.dumps(record(timestamp_ms=DROP, timestamp=UNIX_MS // 1000 + 5)),  # outside the window
+    json.dumps(record(timestamp_ms=UNIX_MS + 5_000)),
+    json.dumps(record(timestamp_ms=UNIX_MS - 2_001)),
+    json.dumps(record(slot=DROP)),
+    json.dumps(record(value=DROP)),
+    json.dumps(record(builder_pubkey=5)),
+    json.dumps(record(block_hash=int("1" * 64))),
+    json.dumps(record(parent_hash=None)),
+    json.dumps(record(block_hash="0x1234")),  # short
+    json.dumps(record(block_hash="0x" + "g" * 64)),  # not hex
+    json.dumps(record(block_hash="0X" + "a" * 64)),
+    json.dumps(record(block_hash="0x" + "a " * 32)),
+    json.dumps(record(block_hash="0x" + "aa" * 32 + "a")),
+    json.dumps(record(value="-1")),
+    json.dumps(record(value=str(2**256))),
+    json.dumps(record(slot="-7")),
+    json.dumps(record(slot=-1, timestamp_ms=GENESIS_MS - SLOT_MS)),  # in the window
+    json.dumps(record(num_tx=-1)),
+    json.dumps(record(value="+1")),
+    json.dumps(record(value="1_0")),
+    json.dumps(record(num_tx=" 3")),
+    json.dumps(record(num_tx="\u0663")),
+))
 # A small universe, so that keys repeat and arrivals tie inside and across
 # relays; num_tx tells tied records apart in the CSV.
 good_lines = st.builds(
@@ -115,29 +176,45 @@ good_lines = st.builds(
     arrival_ms=st.sampled_from((-10, 0, 10)),
     num_tx=st.integers(0, 3),
 )
-bad_lines = st.sampled_from((
-    "",
-    "not json",
-    '{"slot": 7, "builder_pubkey": "b1"',
-    bid_line(7, "b1", "0x1234", 1, 0, 0),  # short hash
-    bid_line(7, "b1", HASHES[0], 1, 5_000, 0),  # outside the window
-    json.dumps({"slot": 7, "builder_pubkey": "b1", "block_hash": HASHES[0], "value": "1"}),
-))
-dump_lines = st.lists(st.one_of(good_lines, good_lines, good_lines, bad_lines), max_size=12)
-# Relay names repeat, so one relay can be named twice in --bids.
-relay_dumps = st.lists(
-    st.tuples(st.sampled_from(("A", "B", "C")), dump_lines), min_size=1, max_size=4
+# (line, 1 if parse_bid_line rejects it, else 0); blank lines are not counted.
+labelled_lines = st.one_of(
+    good_lines.map(lambda line: (line, 0)),
+    good_lines.map(lambda line: (line, 0)),
+    good_variants.map(lambda line: (line, 0)),
+    bad_lines.map(lambda line: (line, 1)),
+    st.sampled_from(("", "  ")).map(lambda line: (line, 0)),
 )
 
-TIED_INSIDE = [bid_line(7, "b1", HASHES[0], 1, 0, 1), bid_line(7, "b1", HASHES[0], 1, 0, 2)]
+
+@st.composite
+def relay_dumps(draw):
+    """Dumps of relays A, B and C (one relay may be named twice), and
+    perhaps a mirror: a dump's lines, shuffled, again under another relay."""
+    dumps = draw(st.lists(
+        st.tuples(st.sampled_from(("A", "B", "C")), st.lists(labelled_lines, max_size=12)),
+        min_size=1, max_size=4,
+    ))
+    if draw(st.booleans()):
+        relay, lines = draw(st.sampled_from(dumps))
+        mirror = draw(st.sampled_from(sorted({"A", "B", "C"} - {relay})))
+        dumps.append((mirror, draw(st.permutations(lines))))
+    return dumps
+
+
+def tied(lines):
+    return [(line, 0) for line in lines]
+
+
+TIED_INSIDE = tied([bid_line(7, "b1", HASHES[0], 1, 0, 1), bid_line(7, "b1", HASHES[0], 1, 0, 2)])
 
 
 @settings(max_examples=150, deadline=None)
-@given(relay_dumps)
+@given(relay_dumps())
 @example([("A", TIED_INSIDE), ("B", TIED_INSIDE[::-1]), ("A", TIED_INSIDE[::-1])])
 @example([  # keys tied on the CSV's sort key, first seen in another dump
-    ("B", [bid_line(7, "b1", HASHES[0], 1, 10, 0), bid_line(7, "b1", HASHES[0], 2, 0, 0)]),
-    ("A", [bid_line(7, "b1", HASHES[0], 2, -10, 0), bid_line(7, "b1", HASHES[0], 1, -10, 0)]),
+    ("B", tied([bid_line(7, "b1", HASHES[0], 1, 10, 0), bid_line(7, "b1", HASHES[0], 2, 0, 0)])),
+    ("A", tied([bid_line(7, "b1", HASHES[0], 2, -10, 0),
+                bid_line(7, "b1", HASHES[0], 1, -10, 0)])),
 ])
 def test_ingest_matches_list_pipeline(dumps):
     with tempfile.TemporaryDirectory() as tmp:
@@ -145,9 +222,13 @@ def test_ingest_matches_list_pipeline(dumps):
         paths = []
         for i, (relay, lines) in enumerate(dumps):
             path = tmp / f"dump{i}.ndjson"
-            path.write_text("".join(line + "\n" for line in lines), encoding="utf-8")
+            path.write_text("".join(line + "\n" for line, _ in lines), encoding="utf-8")
             paths.append((relay, path))
         want_verbose = list_pipeline(paths, tmp / "want.csv")
+        # The oracle shares parse_bid_line: each dump's skipped count is
+        # checked against the lines made to be rejected.
+        for (relay, lines), verbose in zip(dumps, want_verbose):
+            assert verbose.endswith(f" {sum(bad for _, bad in lines)} skipped"), (lines, verbose)
         code, verbose = run_ingest(paths, tmp / "got.csv")
         assert code == EXIT_OK
         assert verbose == want_verbose

@@ -1,10 +1,13 @@
 """Bid ingest and deduplication against naive group-by oracles."""
 
+import csv
 import json
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from timinggames.relaydata import (
@@ -16,10 +19,10 @@ from timinggames.relaydata import (
     dedup_within_relay,
     duplicate_stats,
     load_bids,
-    normalize_arrival,
     parse_bid_line,
     read_bids_csv,
     read_csv_rows,
+    undecodable_line,
     write_bids_csv,
     write_csv,
 )
@@ -54,18 +57,25 @@ def oracle_dedup(bids):
     return sorted(out, key=lambda b: b.arrival_ms)
 
 
-def test_normalize_arrival_basic():
+def arrival(unix_ms, slot, genesis):
+    """``parse_bid_line``'s arrival of a record stamped ``unix_ms``."""
+    raw = {"slot": slot, "builder_pubkey": "b", "block_hash": "0x" + "ab" * 32,
+           "value": "1", "timestamp_ms": unix_ms}
+    return parse_bid_line(json.dumps(raw), "r", genesis).arrival_ms
+
+
+def test_parse_bid_line_arrival_from_slot_start():
     genesis = 1_000_000
-    assert normalize_arrival(genesis + 5 * SLOT_MS + 250, 5, genesis) == 250
-    assert normalize_arrival(genesis + 5 * SLOT_MS - 100, 5, genesis) == -100
+    assert arrival(genesis + 5 * SLOT_MS + 250, 5, genesis) == 250
+    assert arrival(genesis + 5 * SLOT_MS - 100, 5, genesis) == -100
 
 
-def test_normalize_arrival_window():
+def test_parse_bid_line_arrival_window():
     genesis = 0
     with pytest.raises(IngestError):
-        normalize_arrival(genesis + 24_001, 0, genesis)
-    assert normalize_arrival(genesis + 24_000, 0, genesis) == 24_000
-    assert normalize_arrival(genesis - 24_000, 0, genesis) == -24_000
+        arrival(genesis + 24_001, 0, genesis)
+    assert arrival(genesis + 24_000, 0, genesis) == 24_000
+    assert arrival(genesis - 24_000, 0, genesis) == -24_000
 
 
 def test_dedup_within_relay_keeps_earliest():
@@ -212,7 +222,7 @@ def test_load_bids_skips_and_counts(tmp_path):
         "timestamp_ms": 2 * SLOT_MS + 40,
     }
     path = tmp_path / "bids.ndjson"
-    path.write_text(json.dumps(good) + "\nnot json\n\n" + json.dumps(good) + "\n")
+    path.write_text(json.dumps(good) + "\nnot json\n\n" + json.dumps(good) + "\n", encoding="utf-8")
     bids, skipped = load_bids(path, "r", 0)
     assert len(bids) == 2
     assert skipped == 1
@@ -250,7 +260,7 @@ def test_csv_round_trip(tmp_path):
 
 def test_read_bids_csv_missing_column(tmp_path):
     path = tmp_path / "bad.csv"
-    path.write_text("slot,relay\n1,A\n")
+    path.write_text("slot,relay\n1,A\n", encoding="utf-8")
     with pytest.raises(IngestError):
         read_bids_csv(path)
 
@@ -312,6 +322,23 @@ DROP = object()  # a key left out of the record
         # as a hex hash.
         {"parent_hash": None},
         {"block_hash": int("1" * 64)},
+        # Strings that int() takes but that are not an optional "-" and
+        # ASCII digits.
+        {"value": "7_000_000"},
+        {"num_tx": " 100 "},
+        {"value": "+100"},
+        {"slot": "+1"},
+        {"timestamp_ms": "+" + str(SLOT_MS + 5)},
+        {"num_tx": "\u0665"},  # ARABIC-INDIC DIGIT FIVE
+        {"value": "\u0667000000"},  # ARABIC-INDIC DIGIT SEVEN, then six zeros
+        {"slot": "\u0661"},  # each field: int() would read these as 1, 12005 and 12
+        {"timestamp_ms": "\u0661" + str(SLOT_MS + 5)[1:]},
+        {"timestamp_ms": DROP, "timestamp": "\u0661\u0662"},
+        {"value": ""},
+        {"value": "-"},
+        {"slot": "--1"},
+        {"value": "1" * 5000},  # more digits than int() converts
+        {"slot": -1, "timestamp_ms": 5 - SLOT_MS},  # a negative slot, arrival 5 ms
     ],
 )
 def test_parse_bid_line_rejects_bad_values(record):
@@ -327,12 +354,20 @@ def test_parse_bid_line_takes_integers_as_strings():
            "num_tx": "3", "timestamp": str(SLOT_MS // 1000 + 1)}
     bid = parse_bid_line(json.dumps(raw), "r", 0)
     assert (bid.slot, bid.value_wei, bid.num_transactions, bid.arrival_ms) == (1, 7, 3, 1000)
+    # An optional "-", and leading zeros.
+    raw = {"slot": "-0", "builder_pubkey": "b", "block_hash": HASH, "value": "007",
+           "timestamp_ms": "-5"}
+    bid = parse_bid_line(json.dumps(raw), "r", -1005)
+    assert (bid.slot, bid.value_wei, bid.arrival_ms) == (0, 7, 1000)
+    raw.update(value="-0", num_tx="-00")
+    bid = parse_bid_line(json.dumps(raw), "r", -1005)
+    assert (bid.value_wei, bid.num_transactions) == (0, 0)
 
 
 @pytest.mark.parametrize(
     "line",
-    ["[1, 2]", "7", "null", '{"slot": 1} {}', "[" * 100_000],
-    ids=["array", "number", "null", "extra-data", "deep"],
+    ["[1, 2]", "7", "null", '{"slot": 1} {}', "[" * 100_000, '{"slot": ' + "1" * 5000 + "}"],
+    ids=["array", "number", "null", "extra-data", "deep", "huge-integer"],
 )
 def test_parse_bid_line_rejects_non_records(line):
     with pytest.raises(IngestError):
@@ -348,9 +383,7 @@ def test_load_bids_names_undecodable_line(tmp_path):
 
 def _dictreader_bids(path):
     """The ``csv.DictReader`` reading that ``read_bids_csv`` replaced."""
-    import csv
-
-    with open(path, newline="") as fh:
+    with open(path, newline="", encoding="utf-8") as fh:
         return [
             BidRecord(
                 slot=int(row["slot"]),
@@ -375,7 +408,8 @@ def test_read_bids_csv_matches_dictreader(tmp_path):
         'x,3,-20,500,"h,1",b1,ignored,7,A\n'
         "\n"
         "y,0,15,9,h2,b2,ignored,8,B,surplus,fields\n"
-        "\n"
+        "\n",
+        encoding="utf-8",
     )
     got = read_bids_csv(path)
     assert got == _dictreader_bids(path)
@@ -394,7 +428,7 @@ def test_read_bids_csv_matches_dictreader(tmp_path):
 )
 def test_read_bids_csv_names_bad_row(tmp_path, row, message):
     path = tmp_path / "bids.csv"
-    path.write_text(CSV_HEADER_LINE + "2,A,b,h,5,0,1\n" + row + "\n")
+    path.write_text(CSV_HEADER_LINE + "2,A,b,h,5,0,1\n" + row + "\n", encoding="utf-8")
     with pytest.raises(IngestError, match=message) as info:
         read_bids_csv(path)
     assert str(path) in str(info.value)
@@ -413,7 +447,7 @@ CSV_HEADER_LINE = "slot,relay,builder,block_hash,value_wei,arrival_ms,num_tx\n"
 def test_write_csv_cells_read_back(tmp_path):
     path = tmp_path / "out.csv"
     write_csv(path, "a,b,c", [(None, True, 'x,"y"'), (0.1, float("nan"), 7), (False, "", -0.0)])
-    assert path.read_text() == 'a,b,c\n,true,"x,""y"""\n0.1,nan,7\nfalse,,-0.0\n'
+    assert path.read_text(encoding="utf-8") == 'a,b,c\n,true,"x,""y"""\n0.1,nan,7\nfalse,,-0.0\n'
     assert list(read_csv_rows(path, ("c", "a"))) == [
         (2, ('x,"y"', "")), (3, ("7", "0.1")), (4, ("-0.0", "false"))
     ]
@@ -441,3 +475,84 @@ def test_duplicate_stats_matches_naive_randomized():
     assert stats["per_relay_slot"] == per_cell
     assert list(stats["per_relay_slot"]) == list(per_cell)  # first-seen order
     assert stats["per_relay"] == per_relay
+
+
+def _csv_reader_rows(path, columns):
+    """``read_csv_rows`` with ``csv.reader`` over the whole file, as it was
+    before the comma-split path."""
+    with open(path, newline="", encoding="utf-8") as fh:
+        reader = csv.reader(fh)
+        try:
+            index = {name: i for i, name in enumerate(next(reader, []))}
+            missing = set(columns) - index.keys()
+            if missing:
+                raise IngestError(f"{path}: missing columns: {sorted(missing)}")
+            at = [index[name] for name in columns]
+            for row in reader:
+                if row:
+                    if len(row) <= max(at):
+                        raise IngestError(f"{path}, line {reader.line_num}: {len(row)} fields, "
+                                          f"too few for the header")
+                    yield reader.line_num, tuple(row[i] for i in at)
+        except csv.Error as exc:
+            raise IngestError(f"{path}, line {reader.line_num}: {exc}") from None
+        except UnicodeDecodeError:
+            raise IngestError(f"{path}, line {undecodable_line(path)}: not valid UTF-8") from None
+
+
+def _rows_or_error(read, path, columns):
+    """The rows ``read`` yields, then its ``IngestError`` message if any."""
+    out = []
+    try:
+        for item in read(path, columns):
+            out.append(item)
+    except IngestError as exc:
+        out.append(str(exc))
+    return out
+
+
+CSV_FIELDS = st.sampled_from([
+    "", "a", "b", "c", "7", " ", "x y",
+    '"q"', '"a,b"', '"say ""hi"""', '"two\nlines"', '"cr\rin"', '"crlf\r\nin"', 'mid"quote',
+    "nul\0", "z" * 30,
+])
+CSV_ENDINGS = st.sampled_from(["\n", "\r\n", "\r"])
+
+
+@st.composite
+def csv_files(draw):
+    """A header of names from a, b, c (repeated or missing), rows of
+    generated fields, blank and whitespace-only lines, mixed line endings,
+    no ending after the last line, and perhaps a byte that is not UTF-8."""
+    header = draw(st.lists(st.sampled_from(["a", "b", "c", '"b"']), min_size=0, max_size=4))
+    lines = [",".join(header)]
+    lines += draw(st.lists(
+        st.one_of(st.lists(CSV_FIELDS, min_size=1, max_size=4).map(",".join),
+                  st.sampled_from(["", " ", "\t"])),
+        max_size=8,
+    ))
+    text = "".join(line + draw(CSV_ENDINGS) for line in lines)
+    if draw(st.booleans()):
+        text = text.rstrip("\r\n")
+    data = text.encode("utf-8")
+    if draw(st.integers(0, 9)) == 0:
+        at = draw(st.integers(0, len(data)))
+        data = data[:at] + b"\xff" + data[at:]
+    return data
+
+
+@settings(max_examples=400, deadline=None)
+@given(csv_files(), st.sampled_from([("a",), ("a", "c"), ("c", "b", "a")]),
+       st.sampled_from([24, 64, 131072]))
+@example(b'a,b\n1,2\n"3\n4",5\r\n6,7', ("a", "b"), 131072)  # a quote mid-file
+@example(b"a,b\n1,2\n" + b"z" * 30 + b",1\n", ("b",), 24)  # a field over the limit
+def test_read_csv_rows_matches_csv_reader(data, columns, limit):
+    old = csv.field_size_limit(limit)
+    try:
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "rows.csv"
+            path.write_bytes(data)
+            want = _rows_or_error(_csv_reader_rows, path, columns)
+            assert _rows_or_error(read_csv_rows, path, columns) == want
+    finally:
+        csv.field_size_limit(old)

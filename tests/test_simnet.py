@@ -508,7 +508,7 @@ def test_trace_csv(tmp_path):
     trace = run_trace(two_node_topology(), 13.0, 0)
     path = tmp_path / "trace.csv"
     write_csv(path, "time,kind,node,detail", trace)
-    lines = path.read_text().splitlines()
+    lines = path.read_text(encoding="utf-8").splitlines()
     assert lines[0] == "time,kind,node,detail"
     assert any("SLOT_START" in line for line in lines)
     assert any("BLOCK_RELEASE" in line for line in lines)
@@ -518,7 +518,7 @@ def test_trace_csv_times_parse_as_floats(tmp_path):
     trace = run_trace(generate_er_graph(16, 8.0, 5), 36.0, 3)
     path = tmp_path / "trace.csv"
     write_csv(path, "time,kind,node,detail", trace)
-    rows = [line.split(",") for line in path.read_text().splitlines()[1:]]
+    rows = [line.split(",") for line in path.read_text(encoding="utf-8").splitlines()[1:]]
     assert sum(row[1] == "GOSSIP_INTERACTION" for row in rows) > 1000
     times = [float(row[0]) for row in rows]
     assert times == sorted(times)

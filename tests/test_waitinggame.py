@@ -215,7 +215,7 @@ def test_sweep_deterministic_csv(tmp_path):
     write_csv(p1, SWEEP_CSV_HEADER, sweep(grid, FAST)[0])
     write_csv(p2, SWEEP_CSV_HEADER, sweep(grid, FAST)[0])
     assert p1.read_bytes() == p2.read_bytes()
-    header = p1.read_text().splitlines()[0]
+    header = p1.read_text(encoding="utf-8").splitlines()[0]
     assert header == (
         "x_d,t_d,seed_count,mu_mean,mu_std,theta_mean,theta_std,"
         "theta_norm_mean,payoff_honest_mean,payoff_delayer_mean"
