@@ -29,9 +29,10 @@ then a uniformly chosen ordered pair), which is statistically identical and
 much cheaper to schedule.  A class's stream is cut into fixed time windows
 of 1024 expected contacts, each drawn from its own stretch of the class's
 PCG64 generator, so any window can be drawn without the ones before it
-(``_ContactWindows``).  The schedule does not depend on what any node holds,
-only on the seed, so ``EventEngine.trace()`` replays it after a run to
-rebuild the event trace.
+(``_ContactWindows``); only contact times are drawn ``_WINDOW_BATCH`` at a
+time.  The schedule does not depend on what any node holds, only on the
+seed, so ``EventEngine.trace()`` replays it after a run, through the
+drain's span walker, to rebuild the event trace.
 
 Before each event the engine drains the stream's interactions up to it one
 message class at a time, blocks then votes, by one union loop.  The classes
@@ -231,10 +232,10 @@ class _ContactWindows:
     takes consecutive ``random()`` doubles U from raw position k * 2^40,
     sums the gaps -log1p(-U) / r left to right from k * W and keeps the
     contacts below (k + 1) * W; their directed-pair indices are floor(V *
-    n_dir) of consecutive doubles V from position k * 2^40 + 2^39.  The
-    doubles are drawn ``_WINDOW_BATCH`` at a time, which does not change a
-    window.  A window is drawn by advancing the generator to its position,
-    so it does not depend on which windows were drawn before it.
+    n_dir) of consecutive doubles V from position k * 2^40 + 2^39, drawn at
+    once.  Only the times are drawn ``_WINDOW_BATCH`` at a time, which does
+    not change a window.  A window is drawn by advancing the generator to
+    its position, so it does not depend on which windows were drawn before.
     """
 
     __slots__ = ("rate", "width", "_n_dir", "_bitgen", "_random", "_pos")
@@ -256,10 +257,8 @@ class _ContactWindows:
         self._pos = pos
 
     def _doubles(self, count: int) -> np.ndarray:
-        batch = _WINDOW_BATCH
-        parts = [self._random(min(batch, count - lo)) for lo in range(0, count, batch)]
-        self._pos += count
-        return parts[0] if len(parts) == 1 else np.concatenate([np.empty(0), *parts])
+        self._pos += count  # PCG64 spends one raw output per double
+        return self._random(count)
 
     def window(self, k: int):
         """Window k's contact times, in order, and their directed-pair indices."""
@@ -305,8 +304,9 @@ class EventEngine:
     Every node starts with genesis, block ``GENESIS_ID``, at time 0.  Other
     blocks enter circulation via ``publish_block`` (usually from a scheduled
     release), votes via ``publish_attestation`` or, for validators voting at
-    their own nodes, ``publish_attestations``.  A vote must be published by
-    its slot's attestation deadline: later, its slot may be settled.
+    their own nodes, ``publish_attestations``; both check their arguments and
+    share one core, ``_publish_votes``.  A vote must be published by its
+    slot's attestation deadline: later, its slot may be settled.
 
     Block releases, slot starts, attestation deadlines and the end of the run
     share one heap of ``(time, kind, seq, payload)``.  At equal times a
@@ -331,8 +331,8 @@ class EventEngine:
     gossip schedule does not depend on content: each class's contact
     windows come from ``seed`` (an int or ``SeedSequence``) through
     ``_window``, which a run calls only while some node lacks part of the
-    class's union, and ``trace()`` replays every window of both classes and
-    merges them with the run's ``events`` log.
+    class's union, and ``trace()`` walks every window of both classes with
+    ``_spans``, as the drain does, merging them into the ``events`` log.
     """
 
     def __init__(self, topology: Topology, gossip: GossipConfig, handlers,
@@ -421,21 +421,7 @@ class EventEngine:
             raise ValueError(f"node {node} not in [0, {self.n_nodes})")
         if not 0 <= validator < self.n_validators:
             raise ValueError(f"validator {validator} not in [0, {self.n_validators})")
-        k = slot - self.vote_base
-        if k < 0:
-            raise ValueError(f"vote of slot {slot} published after the slot settled")
-        while len(self.vote_slots) <= k:
-            self.vote_slots.append({})
-        bit = 1 << (k * self.n_validators + validator)
-        if not self._union[0] & bit:
-            # The validator's first vote of this slot: it fixes the target.
-            group = self.vote_slots[k]
-            group[target] = group.get(target, 0) | 1 << validator
-        held = self.votes[node]
-        if not held & bit:
-            self.votes[node] = held | bit
-            self._union[0], self._left[0] = _gain(
-                self._union[0], self._left[0], self.n_nodes, held, bit)
+        self._publish_votes(slot, target, ((node, validator),))
 
     def publish_attestations(self, slot: int, target: int, validators, time: float) -> None:
         """Each of ``validators`` votes for ``target`` in ``slot`` at its own
@@ -446,20 +432,26 @@ class EventEngine:
         width = self.n_validators
         if not 0 <= min(validators) <= max(validators) < width:
             raise ValueError(f"validators {validators} not all in [0, {width})")
+        self._publish_votes(slot, target, zip(validators, validators))
+
+    def _publish_votes(self, slot: int, target: int, cast) -> None:
+        """Each ``(node, validator)`` of ``cast``, one pair or validators at
+        their own nodes, publishes the validator's vote for ``target`` in
+        ``slot`` at the node."""
         k = slot - self.vote_base
         if k < 0:
             raise ValueError(f"vote of slot {slot} published after the slot settled")
         while len(self.vote_slots) <= k:
             self.vote_slots.append({})
-        shift = k * width
+        shift = k * self.n_validators
         votes = self.votes
-        cast = 0
-        for v in validators:
+        new = 0
+        for node, v in cast:
             bit = 1 << (shift + v)
-            cast |= bit
-            votes[v] |= bit
+            new |= bit
+            votes[node] |= bit
         # Each validator's first vote of the slot fixes its target.
-        fresh = cast & ~self._union[0]
+        fresh = new & ~self._union[0]
         if fresh:
             group = self.vote_slots[k]
             group[target] = group.get(target, 0) | fresh >> shift
@@ -592,48 +584,26 @@ class EventEngine:
     def trace(self):
         """The last run's event trace, row by row: the ``events`` log and,
         replayed, a ``GOSSIP_INTERACTION`` row per contact, skipped or not.
-        Both classes' windows are merged by (time, class), and a contact goes
-        after the events at or before its time, as the run drained it.  One
-        window of each class is held at a time."""
-        rows = [row for _, row in self.events]
-        # An event goes before the first contact at or after its time, and
-        # after every event before it.
-        keys = np.maximum.accumulate([key for key, _ in self.events])
+        Before each event, both classes' contacts before the latest event
+        time so far, as the run drained them, come from ``_spans`` on a
+        cursor of this call's own, merged by (time, class)."""
         src, dst = self._src, self._dst
-        widths = [w.width for w in self._windows]
-        window = [0, 0]
-        ahead = [self._window(0, 0), self._window(1, 0)]  # contacts not yet listed
-        i = 0
-        while True:
-            # Up to the end of the window that ends first, both classes'
-            # contacts are all in hand.
-            c = 0 if (window[0] + 1) * widths[0] <= (window[1] + 1) * widths[1] else 1
-            bound = (window[c] + 1) * widths[c]
-            cut = [int(ts.searchsorted(bound)) for ts, _ in ahead]
-            times = np.concatenate([ts[:n] for (ts, _), n in zip(ahead, cut)])
-            edges = np.concatenate([es[:n] for (_, es), n in zip(ahead, cut)])
-            order = times.argsort(kind="stable")  # attestations first at a tie
-            times = times[order]
-            edges = edges[order]
-            gossip = [
-                (t, "GOSSIP_INTERACTION", u, f"->{v}:{_CLASS_NAMES[k]}")
-                for t, u, v, k in zip(times.tolist(), src[edges].tolist(),
-                                      dst[edges].tolist(), (order >= cut[0]).tolist())
-            ]
-            # Every later contact is at or after the bound.
-            stop = int(keys.searchsorted(bound, "right"))
-            lo = 0
-            for hi, row in zip(times.searchsorted(keys[i:stop]).tolist(), rows[i:stop]):
-                yield from gossip[lo:hi]
-                yield row
-                lo = hi
-            if stop == len(rows):
-                return
-            yield from gossip[lo:]
-            i = stop
-            ahead = [(ts[n:], es[n:]) for (ts, es), n in zip(ahead, cut)]
-            window[c] += 1
-            ahead[c] = self._window(c, window[c])
+        cursors = [[0, *self._window(c, 0), 0] for c in (0, 1)]  # never idle
+        bound = 0.0
+        for key, row in self.events:
+            bound = max(bound, key)
+            spans = [list(self._spans(cursors[c], c, 0.0, bound)) for c in (0, 1)]
+            if spans[0] or spans[1]:
+                times, edges = (np.concatenate(part) for part in zip(*spans[0], *spans[1]))
+                order = times.argsort(kind="stable")  # attestations first at a tie
+                edges = edges[order]
+                blocks = order >= sum(len(ts) for ts, _ in spans[0])
+                yield from (
+                    (t, "GOSSIP_INTERACTION", u, f"->{v}:{_CLASS_NAMES[k]}")
+                    for t, u, v, k in zip(times[order].tolist(), src[edges].tolist(),
+                                          dst[edges].tolist(), blocks.tolist())
+                )
+            yield row
 
     # -- main loop ----------------------------------------------------------
 

@@ -394,7 +394,8 @@ def sweep(grid: SweepConfig, base_config: SimConfig) -> tuple[list, dict]:
     reproducible and independent across cells.  A failing run fails its
     cell: the cell's first error in task order goes to ``errors`` under
     ``(ix, it)`` instead of a row, and other cells proceed.  Runs go to
-    min(jobs, runs, CPU count) worker processes, or run here when that is 1.
+    min(jobs, runs, CPU count) worker processes, or run here when that is 1;
+    a worker that dies fails every run that has no outcome yet.
     """
     cells = [(ix, x, it, t) for ix, x in enumerate(grid.x_values)
              for it, t in enumerate(grid.t_values)]
@@ -408,9 +409,15 @@ def sweep(grid: SweepConfig, base_config: SimConfig) -> tuple[list, dict]:
         # Imported here: it pulls in multiprocessing, which a run in this
         # process never needs.
         from concurrent.futures import ProcessPoolExecutor
+        from concurrent.futures.process import BrokenProcessPool
 
+        outcomes = []
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            outcomes = list(pool.map(_run_for_sweep_safe, args))
+            try:
+                for outcome in pool.map(_run_for_sweep_safe, args):
+                    outcomes.append(outcome)
+            except BrokenProcessPool as exc:  # a worker died: fail what has no outcome
+                outcomes += [("err", str(exc))] * (len(args) - len(outcomes))
     else:
         outcomes = map(_run_for_sweep_safe, args)
     outcomes = iter(outcomes)

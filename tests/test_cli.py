@@ -5,6 +5,7 @@ import dataclasses
 import io
 import json
 import math
+import multiprocessing
 import os
 import re
 import subprocess
@@ -18,7 +19,7 @@ import yaml
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from timinggames import analytics, cli, relaydata
+from timinggames import analytics, cli, relaydata, waitinggame
 from timinggames.cli import EXIT_DATA, EXIT_OK, EXIT_USAGE, main
 from timinggames.waitinggame import PayoffModel, SimConfig, SweepConfig
 
@@ -169,6 +170,34 @@ def test_sim_sweep_failing_cell_exits_2(tmp_path, capsys):
         ]
         assert len(out.read_text(encoding="utf-8").splitlines()) == 2  # header + the t_d = 0 cell
         assert Path(str(out) + ".manifest.json").exists()
+
+
+def _die_in_worker(args):
+    os._exit(3)
+
+
+@pytest.mark.skipif(multiprocessing.get_start_method() != "fork",
+                    reason="a worker sees the patched function only when forked")
+def test_sim_sweep_dead_worker_fails_cells_exits_2(tmp_path, capsys, monkeypatch):
+    # A worker that dies breaks the pool: every run without an outcome
+    # fails its cell, and the command reports the cells, not a traceback.
+    monkeypatch.setattr(os, "cpu_count", lambda: 2)
+    monkeypatch.setattr(waitinggame, "_run_for_sweep_safe", _die_in_worker)
+    cfg = tmp_path / "cfg.yaml"
+    cfg.write_text(
+        "n: 24\nmean_degree: 5.0\nduration: 120\n"
+        "x_values: [0.0]\nt_values: [0.0, 4.0]\nseeds: 1\n",
+        encoding="utf-8",
+    )
+    out = tmp_path / "sweep.csv"
+    assert run(["sim", "sweep", "--config", cfg, "--out", out, "--jobs", 2]) == EXIT_DATA
+    err = capsys.readouterr().err.strip().splitlines()
+    assert [line.split(": ")[0] for line in err] == [
+        "cell (0, 0) failed", "cell (0, 1) failed", "error"
+    ]
+    assert "terminated abruptly" in err[0]
+    assert err[-1] == "error: 2 sweep cell(s) failed"
+    assert len(out.read_text(encoding="utf-8").splitlines()) == 1  # the header alone
 
 
 def test_readme_config_defaults_match_schema():

@@ -1,5 +1,7 @@
 """Topology sampling and the gossip event engine."""
 
+import hashlib
+import itertools
 import math
 import tracemalloc
 
@@ -622,3 +624,32 @@ def test_trace_of_a_default_run_streams():
         tracemalloc.stop()
     assert rows == 690_107
     assert peak < 8 * 2**20, peak / 2**20
+
+
+def test_interleaved_replays_each_yield_one_whole_trace():
+    # Each trace() call walks its own cursors, and every window is drawn at
+    # its absolute generator position: two traces of one run, advanced in
+    # turn at different paces, with block_arrival replayed between their
+    # steps, each yield the rows of one uninterrupted trace.
+    reference = run_with(SimConfig())[1]
+    whole = hashlib.sha256()
+    for row in reference.trace():
+        whole.update(repr(row).encode())
+    arrival = reference.block_arrival
+    engine = run_with(SimConfig())[1]
+    traces = [engine.trace(), engine.trace()]
+    digests = [hashlib.sha256(), hashlib.sha256()]
+    live = [0, 1]
+    for turn in itertools.count():
+        if turn % 50_000 == 7:
+            assert np.array_equal(engine.block_arrival, arrival, equal_nan=True)
+        for i in list(live):
+            rows = list(itertools.islice(traces[i], i + 1))  # the second runs ahead
+            for row in rows:
+                digests[i].update(repr(row).encode())
+            if len(rows) <= i:
+                live.remove(i)
+        if not live:
+            break
+    assert turn > 600_000
+    assert [d.hexdigest() for d in digests] == [whole.hexdigest()] * 2
