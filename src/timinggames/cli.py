@@ -159,7 +159,7 @@ def ingest(bid_inputs, genesis_ms, window, out, stats_out, verbose):
             click.echo(f"{relay}: {records} records, {dump.skipped} skipped", err=True)
     relaydata.write_bids_csv(fold.merged(), out)
 
-    per_relay = fold.stats()["per_relay"]
+    per_relay = fold.stats()
     stats_path = stats_out or (str(out) + ".dupstats.csv")
     relaydata.write_csv(
         stats_path,

@@ -6,10 +6,11 @@ duplication.  A bid's identity is the (slot, builder, block hash, value)
 tuple; of its records the earliest arrival wins, then the earlier dump, then
 the line read first.  ``BidFold`` folds each dump's records into that as they
 are read, one dict entry per bid holding its earliest record and the relays
-that sent it, so ingest holds unique bids, never the raw records.  Each file
-is read in one flat loop with no per-record helper: ``parse_bid_line`` is the
-whole record rule, inline, and ``read_csv_rows`` splits plain lines on commas.
-Values stay exact wei integers; conversion to ETH happens only in analyses.
+that sent it, so ingest holds unique bids, never the raw records, and only
+what its outputs read.  Each file is read in one flat loop with no
+per-record helper: ``parse_bid_line`` is the whole record rule, inline, and
+``read_csv_rows`` splits plain lines on commas.  Values stay exact wei
+integers; conversion to ETH happens only in analyses.
 
 The module also holds the one CSV reader (``read_csv_rows``) and writer
 (``write_csv``) that every command's data files and outputs go through.
@@ -21,7 +22,7 @@ import csv
 import json
 import re
 from collections import Counter
-from itertools import chain, groupby, islice
+from itertools import chain, groupby
 from operator import itemgetter
 from typing import NamedTuple, Sequence
 
@@ -41,12 +42,13 @@ class IngestError(Exception):
     """A record, or a data file, rejected at ingest."""
 
 
-# Positions in a BidRecord: slot 0, relay 1, builder 2, hash 3, value 5,
-# arrival 7.
-_dedup_key = itemgetter(0, 2, 3, 5)
-_arrival = itemgetter(7)
-_merged_order = itemgetter(0, 7, 1, 3)  # slot, arrival, relay, block hash
+# Positions in a BidRecord: slot 0, relay 1, builder 2, hash 3, value 4,
+# arrival 6.
+_dedup_key = itemgetter(0, 2, 3, 4)
+_arrival = itemgetter(6)
+_merged_order = itemgetter(0, 6, 1, 3, 2, 4)  # slot, arrival, relay, hash, builder, value
 _record = itemgetter(0)
+_relays = itemgetter(1)
 
 
 class _BidFields(NamedTuple):
@@ -54,30 +56,28 @@ class _BidFields(NamedTuple):
     relay_id: str
     builder_id: str
     block_hash: str
-    parent_hash: str
     value_wei: int
     num_transactions: int
     arrival_ms: int
 
 
 class BidRecord(_BidFields):
-    """One relay bid: an immutable tuple that validates on construction."""
+    """One relay bid: an immutable tuple that validates on construction.  It
+    holds what the dedup CSV writes; a dump's parent hash is checked at
+    ingest, not kept."""
 
     __slots__ = ()
 
     def __new__(cls, slot: int, relay_id: str, builder_id: str, block_hash: str,
-                parent_hash: str, value_wei: int, num_transactions: int, arrival_ms: int):
+                value_wei: int, num_transactions: int, arrival_ms: int):
         if slot < 0:
             raise ValueError("slot must be non-negative")
         if not 0 <= value_wei < WEI_LIMIT:
             raise ValueError("value_wei must lie in [0, 2**256)")
         if num_transactions < 0:
             raise ValueError("num_transactions must be non-negative")
-        return tuple.__new__(
-            cls,
-            (slot, relay_id, builder_id, block_hash, parent_hash,
-             value_wei, num_transactions, arrival_ms),
-        )
+        return tuple.__new__(cls, (slot, relay_id, builder_id, block_hash, value_wei,
+                                   num_transactions, arrival_ms))
 
     # A bid's identity: the tuple (slot, builder_id, block_hash, value_wei).
     dedup_key = property(_dedup_key)
@@ -92,73 +92,57 @@ class BidFold:
 
     ``bids`` maps each bid key to a list ``[earliest record so far, bitmask
     of the relays that sent the key]`` (``relays`` gives each relay its
-    bit), and ``raw`` counts the records per (relay, slot) in first-seen
-    order.  A record that is not the earliest of its key so far is dropped
-    as soon as it is read, so memory grows with unique keys, not with raw
-    records, and a key mirrored to several relays is held once.
+    bit); ``records`` counts each relay's records and ``slots`` holds the
+    slots they came in.  A record that is not the earliest of its key so far
+    is dropped as soon as it is read, so memory grows with unique keys, not
+    with raw records, and a key mirrored to several relays is held once.
     """
 
     def __init__(self):
         self.bids: dict = {}
-        self.raw: dict = {}
         self.relays: dict = {}
+        self.records: dict = {}
+        self.slots: dict = {}
 
     def add(self, bids, relay_id: str) -> int:
         """Fold one dump of ``relay_id``'s records, iterated once; returns
         how many there were."""
         table = self.bids
         find = table.get
-        old = len(table)
-        slots: dict = {}
-        count = slots.get
         bit = self.relays.setdefault(relay_id, 1 << len(self.relays))
-        for bid in bids:
+        see = self.slots.setdefault(relay_id, set()).add
+        count = 0
+        for count, bid in enumerate(bids, 1):
             slot = bid[0]
-            slots[slot] = count(slot, 0) + 1
-            key = slot, bid[2], bid[3], bid[5]
+            see(slot)
+            key = slot, bid[2], bid[3], bid[4]
             held = find(key)
             if held is None:
                 table[key] = [bid, bit]
             else:
                 # Of equal arrivals the record folded first stays.
-                if bid[7] < held[0][7]:
+                if bid[6] < held[0][6]:
                     held[0] = bid
                 held[1] |= bit
-        # Keys first seen in this dump go behind the older ones in order of
-        # arrival, where merging the dump's own dedup, sorted by arrival,
-        # puts them; that order breaks ties of ``merged``'s sort key.
-        new = sorted(islice(table.items(), old, None), key=lambda item: item[1][0][7])
-        for key, _ in new:
-            del table[key]
-        table.update(new)
-        raw = self.raw
-        for slot, count in slots.items():
-            raw[relay_id, slot] = raw.get((relay_id, slot), 0) + count
-        return sum(slots.values())
+        self.records[relay_id] = self.records.get(relay_id, 0) + count
+        return count
 
     def merged(self) -> list:
-        """The earliest record per key, sorted by slot, arrival, relay and
-        block hash."""
+        """The earliest record per key, sorted by slot, arrival, relay, block
+        hash, builder and value: a total order on unique bids, so the rows'
+        order does not depend on the order the dumps were folded in."""
         return sorted(map(_record, self.bids.values()), key=_merged_order)
 
     def stats(self) -> dict:
-        """Duplicate counts (raw records minus unique keys) per (relay, slot),
-        plus, per relay, the number of slots it saw and its average over them."""
-        # Keys per (relay bitmask, slot), then per (relay, slot).
-        shared = Counter((held[1], key[0]) for key, held in self.bids.items())
-        unique = Counter()
-        for (bits, slot), count in shared.items():
-            for relay, bit in self.relays.items():
-                if bits & bit:
-                    unique[relay, slot] += count
-        per_cell = {cell: count - unique[cell] for cell, count in self.raw.items()}
-        relay_totals: dict = {}
-        relay_slots: dict = {}
-        for (relay, _), count in per_cell.items():
-            relay_totals[relay] = relay_totals.get(relay, 0) + count
-            relay_slots[relay] = relay_slots.get(relay, 0) + 1
-        per_relay = {r: (relay_slots[r], relay_totals[r] / relay_slots[r]) for r in relay_totals}
-        return {"per_relay_slot": per_cell, "per_relay": per_relay}
+        """``{relay: (slots, avg_duplicates_per_slot)}`` over the slots where
+        the relay has a record: its records less the bids it sent, per slot."""
+        shared = Counter(map(_relays, self.bids.values()))  # bids per relay bitmask
+        stats = {}
+        for relay, slots in self.slots.items():
+            if slots:
+                unique = sum(n for bits, n in shared.items() if bits & self.relays[relay])
+                stats[relay] = len(slots), (self.records[relay] - unique) / len(slots)
+        return stats
 
 
 def dedup_within_relay(bids: Sequence[BidRecord], relay_id: str) -> list:
@@ -178,7 +162,8 @@ def dedup_across_relays(bids: Sequence[BidRecord]) -> list:
 
 
 def duplicate_stats(bids: Sequence[BidRecord]) -> dict:
-    """``BidFold.stats`` of ``bids``, any relays in any order."""
+    """``BidFold.stats`` of ``bids``, any relays in any order: per relay, its
+    slots and average duplicates per slot."""
     fold = BidFold()
     for relay, run in groupby(bids, itemgetter(1)):
         fold.add(run, relay)
@@ -229,7 +214,7 @@ def parse_bid_line(line: str, relay_id: str, genesis_unix_ms: int,
         elif type(stamp) is not int:
             raise TypeError(f"timestamp {stamp!r} is not an integer")
         builder, block_hash = raw["builder_pubkey"], raw["block_hash"]
-        parent_hash = get("parent_hash", "")
+        parent_hash = get("parent_hash", "")  # checked, not kept
         # str() would take null as "None" and a number as its digits.
         if not type(builder) is type(parent_hash) is str:
             raise TypeError(f"not strings: {builder!r}, {parent_hash!r}")
@@ -249,8 +234,7 @@ def parse_bid_line(line: str, relay_id: str, genesis_unix_ms: int,
     if slot < 0 or num_tx < 0 or not 0 <= value < WEI_LIMIT:
         raise IngestError(f"malformed record: slot {slot}, num_tx {num_tx} or value out of range")
     # BidRecord.__new__ less its checks, made above.
-    return tuple.__new__(BidRecord, (slot, relay_id, builder, block_hash, parent_hash,
-                                     value, num_tx, arrival))
+    return tuple.__new__(BidRecord, (slot, relay_id, builder, block_hash, value, num_tx, arrival))
 
 
 def undecodable_line(path) -> int:
@@ -284,7 +268,7 @@ class BidDump:
         genesis, window = self.genesis_unix_ms, self.window_ms
         self.skipped = 0
         try:
-            with open(path, encoding="utf-8") as fh:
+            with open(path, encoding="utf-8-sig") as fh:  # a leading BOM is dropped
                 for line in fh:
                     line = line.strip()
                     if not line:
@@ -326,7 +310,7 @@ def write_bids_csv(bids: Sequence[BidRecord], path) -> None:
     with open(path, "w", newline="", encoding="utf-8") as fh:
         fh.write(CSV_HEADER + "\n")
         fh.writelines(
-            f"{b[0]},{field[b[1]]},{field[b[2]]},{b[3]},{b[5]},{b[7]},{b[6]}\n" for b in bids
+            f"{b[0]},{field[b[1]]},{field[b[2]]},{b[3]},{b[4]},{b[6]},{b[5]}\n" for b in bids
         )
 
 
@@ -340,10 +324,9 @@ def read_bids_csv(path) -> list:
         for line, (slot, relay, builder, block_hash, value, arrival, num_tx) in rows:
             slot, value, num_tx, arrival = int(slot), int(value), int(num_tx), int(arrival)
             if slot < 0 or num_tx < 0 or not 0 <= value < WEI_LIMIT:
-                BidRecord(slot, relay, builder, block_hash, "", value, num_tx, arrival)  # raises
-            append(tuple.__new__(
-                BidRecord, (slot, relay, builder, block_hash, "", value, num_tx, arrival)
-            ))
+                BidRecord(slot, relay, builder, block_hash, value, num_tx, arrival)  # raises
+            append(tuple.__new__(BidRecord, (slot, relay, builder, block_hash, value, num_tx,
+                                             arrival)))
     except ValueError as exc:
         raise IngestError(f"{path}, line {line}: {exc}") from None
     return bids
@@ -360,7 +343,7 @@ def read_csv_rows(path, columns: Sequence[str]):
     malformed field or a file that is not UTF-8 raises ``IngestError``
     naming the file and line."""
     limit = csv.field_size_limit()
-    with open(path, newline="", encoding="utf-8") as fh:
+    with open(path, newline="", encoding="utf-8-sig") as fh:  # a leading BOM is dropped
         number = 0  # lines split here, before csv.reader takes over
         reader = None
         try:

@@ -711,7 +711,9 @@ class EventEngine:
                     self.handlers.on_attest_deadline(self, t, payload)
                     self._compact(payload)
                     done = payload == self.n_slots - 1
-            except EngineError:
+            # Running out of memory is no handler fault: it leaves unwrapped,
+            # for the command line to report as such.
+            except (EngineError, MemoryError):
                 raise
             except Exception as exc:
                 raise EngineError((t, _KIND_NAMES[kind]), exc) from exc

@@ -382,7 +382,7 @@ def _run_for_sweep_safe(args):
         cfg = replace(base_config, x_d=x, t_d=t, seed=seed)
         return ("ok", run_simulation(cfg))
     except Exception as exc:  # noqa: BLE001 - cell-level isolation
-        return ("err", str(exc))
+        return ("err", str(exc) or type(exc).__name__)
 
 
 def sweep(grid: SweepConfig, base_config: SimConfig) -> tuple[list, dict]:

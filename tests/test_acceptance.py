@@ -82,7 +82,6 @@ def test_acceptance_2_dedup_oracle():
                 relay_id=relays[int(rng.integers(0, 3))],
                 builder_id=f"b{int(rng.integers(0, 6))}",
                 block_hash=f"h{int(rng.integers(0, 50))}",
-                parent_hash="",
                 value_wei=int(rng.integers(1, 8)) * 10**15,
                 num_transactions=0,
                 arrival_ms=int(rng.integers(-2000, 12000)),
@@ -174,7 +173,6 @@ def test_acceptance_4_winner_oracle():
                 relay_id="r",
                 builder_id=f"b{i}",
                 block_hash=f"h{i}",
-                parent_hash="",
                 value_wei=int(rng.integers(1, 6)) * 10**15,
                 num_transactions=0,
                 arrival_ms=int(rng.integers(0, 4000)),

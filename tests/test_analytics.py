@@ -34,7 +34,6 @@ def make_bid(slot=0, builder="b", block_hash="h", value_wei=0, arrival=0):
         relay_id="r",
         builder_id=builder,
         block_hash=block_hash,
-        parent_hash="",
         value_wei=value_wei,
         num_transactions=0,
         arrival_ms=arrival,

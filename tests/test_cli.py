@@ -238,6 +238,35 @@ def test_sim_out_of_memory_is_one_error_line(tmp_path, monkeypatch, capsys):
     assert not out.exists()
 
 
+def test_sim_out_of_memory_in_a_handler_is_one_error_line(tmp_path, monkeypatch, capsys):
+    # Fork choice and the vote publishes run in the engine's handlers, and
+    # the engine wraps any other handler failure in EngineError.
+    def exhausted(handlers, engine, t, slot):
+        raise MemoryError("Unable to allocate 16.0 GiB")
+
+    monkeypatch.setattr(waitinggame._ChainHandlers, "on_attest_deadline", exhausted)
+    out = tmp_path / "out.csv"
+    assert run(["sim", "run", "--out", out]) == EXIT_USAGE
+    err = capsys.readouterr().err.strip().splitlines()
+    assert err == ["error: Unable to allocate 16.0 GiB"]
+    assert not out.exists()
+
+
+def test_sim_sweep_cell_out_of_memory_names_the_error(tmp_path, monkeypatch, capsys):
+    # A MemoryError often has no message: the cell's line names its type.
+    def exhausted(handlers, engine, t, slot):
+        raise MemoryError
+
+    monkeypatch.setattr(waitinggame._ChainHandlers, "on_attest_deadline", exhausted)
+    cfg = tmp_path / "cfg.yaml"
+    cfg.write_text("n: 24\nmean_degree: 5.0\nduration: 24\nx_values: [0.0]\n"
+                   "t_values: [0.0]\nseeds: 1\njobs: 1\n", encoding="utf-8")
+    out = tmp_path / "sweep.csv"
+    assert run(["sim", "sweep", "--config", cfg, "--out", out]) == EXIT_DATA
+    err = capsys.readouterr().err.strip().splitlines()
+    assert err == ["cell (0, 0) failed: MemoryError", "error: 1 sweep cell(s) failed"]
+
+
 def test_sim_sweep_byte_identical(tmp_path):
     cfg = tmp_path / "cfg.yaml"
     cfg.write_text(

@@ -6,7 +6,8 @@ deduplicated across relays and sorted, and the duplicate stats taken over
 every raw record at once.  It lives here as the oracle, on its own copy of
 the earliest-per-key rule; only ``parse_bid_line`` and the CSV writers are
 shared.  The command must write the same bytes and the same ``--verbose``
-lines.
+lines, and its CSVs must not depend on the order of ``--bids`` where the
+survivor rule does not.
 
 The memory test pins what the one pass is for: ingest's peak allocation
 does not grow with duplicated records.
@@ -23,7 +24,7 @@ from collections import Counter
 from operator import attrgetter
 from pathlib import Path
 
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from timinggames import relaydata
@@ -72,7 +73,8 @@ def list_pipeline(dumps, out: Path):
         all_raw += bids
         clean += _earliest_per_key(bids)
     merged = _earliest_per_key(clean)
-    merged.sort(key=attrgetter("slot", "arrival_ms", "relay_id", "block_hash"))
+    merged.sort(key=attrgetter("slot", "arrival_ms", "relay_id", "block_hash", "builder_id",
+                               "value_wei"))
     relaydata.write_bids_csv(merged, out)
     per_relay = _duplicate_stats(all_raw)
     relaydata.write_csv(
@@ -206,24 +208,32 @@ def tied(lines):
 
 
 TIED_INSIDE = tied([bid_line(7, "b1", HASHES[0], 1, 0, 1), bid_line(7, "b1", HASHES[0], 1, 0, 2)])
+# Keys tied on slot, arrival, relay and block hash, first seen in another dump.
+TIED_ACROSS = [
+    ("B", tied([bid_line(7, "b1", HASHES[0], 1, 10, 0), bid_line(7, "b1", HASHES[0], 2, 0, 0)])),
+    ("A", tied([bid_line(7, "b1", HASHES[0], 2, -10, 0),
+                bid_line(7, "b1", HASHES[0], 1, -10, 0)])),
+]
+
+
+def write_dumps(dumps, tmp: Path) -> list:
+    """Each dump's lines in a file of ``tmp``: (relay, path) in dump order."""
+    paths = []
+    for i, (relay, lines) in enumerate(dumps):
+        path = tmp / f"dump{i}.ndjson"
+        path.write_text("".join(line + "\n" for line, _ in lines), encoding="utf-8")
+        paths.append((relay, path))
+    return paths
 
 
 @settings(max_examples=150, deadline=None)
 @given(relay_dumps())
 @example([("A", TIED_INSIDE), ("B", TIED_INSIDE[::-1]), ("A", TIED_INSIDE[::-1])])
-@example([  # keys tied on the CSV's sort key, first seen in another dump
-    ("B", tied([bid_line(7, "b1", HASHES[0], 1, 10, 0), bid_line(7, "b1", HASHES[0], 2, 0, 0)])),
-    ("A", tied([bid_line(7, "b1", HASHES[0], 2, -10, 0),
-                bid_line(7, "b1", HASHES[0], 1, -10, 0)])),
-])
+@example(TIED_ACROSS)
 def test_ingest_matches_list_pipeline(dumps):
     with tempfile.TemporaryDirectory() as tmp:
         tmp = Path(tmp)
-        paths = []
-        for i, (relay, lines) in enumerate(dumps):
-            path = tmp / f"dump{i}.ndjson"
-            path.write_text("".join(line + "\n" for line, _ in lines), encoding="utf-8")
-            paths.append((relay, path))
+        paths = write_dumps(dumps, tmp)
         want_verbose = list_pipeline(paths, tmp / "want.csv")
         # The oracle shares parse_bid_line: each dump's skipped count is
         # checked against the lines made to be rejected.
@@ -237,12 +247,55 @@ def test_ingest_matches_list_pipeline(dumps):
             assert got == (tmp / f"want.csv{suffix}").read_bytes()
 
 
+def earliest_in_two_dumps(dumps) -> bool:
+    """Whether a bid's earliest arrival is in two of ``dumps``: its survivor
+    is then the record of the dump listed first in ``--bids``."""
+    arrivals = {}
+    for i, (relay, lines) in enumerate(dumps):
+        for line, _ in lines:
+            try:
+                bid = parse_bid_line(line.strip(), relay, GENESIS_MS, WINDOW)
+            except IngestError:
+                continue
+            arrivals.setdefault(bid.dedup_key, []).append((bid.arrival_ms, i))
+    for seen in arrivals.values():
+        first = min(seen)[0]
+        if len({i for arrival, i in seen if arrival == first}) > 1:
+            return True
+    return False
+
+
+@st.composite
+def dumps_and_order(draw):
+    """``relay_dumps()`` and an order to list them in."""
+    dumps = draw(relay_dumps())
+    return dumps, draw(st.permutations(range(len(dumps))))
+
+
+@settings(max_examples=150, deadline=None)
+@given(dumps_and_order())
+@example((TIED_ACROSS, [1, 0]))
+@example(([  # as TIED_ACROSS, but B, listed first, sees the keys in A's order reversed
+    ("B", tied([bid_line(7, "b1", HASHES[0], 1, 0, 0), bid_line(7, "b1", HASHES[0], 2, 10, 0)])),
+    TIED_ACROSS[1],
+], [1, 0]))
+def test_ingest_outputs_do_not_depend_on_dump_order(case):
+    dumps, order = case
+    assume(not earliest_in_two_dumps(dumps))
+    with tempfile.TemporaryDirectory() as tmp:
+        tmp = Path(tmp)
+        paths = write_dumps(dumps, tmp)
+        assert run_ingest(paths, tmp / "listed.csv")[0] == EXIT_OK
+        assert run_ingest([paths[i] for i in order], tmp / "shuffled.csv")[0] == EXIT_OK
+        for suffix in ("", ".dupstats.csv"):
+            got = (tmp / f"shuffled.csv{suffix}").read_bytes()
+            assert got == (tmp / f"listed.csv{suffix}").read_bytes()
+
+
 def test_duplicate_stats_keeps_first_seen_cells_across_relay_runs():
     records = [parse_bid_line(bid_line(slot, "b1", HASHES[0], 1, 0, 0), relay, GENESIS_MS)
                for relay, slot in (("A", 7), ("B", 8), ("A", 8), ("A", 7), ("B", 8))]
-    stats = relaydata.duplicate_stats(records)
-    assert list(stats["per_relay_slot"].items()) == [(("A", 7), 1), (("B", 8), 1), (("A", 8), 0)]
-    assert stats["per_relay"] == {"A": (2, 0.5), "B": (1, 1.0)}
+    assert relaydata.duplicate_stats(records) == {"A": (2, 0.5), "B": (1, 1.0)}
 
 
 def test_bid_fold_takes_one_pass_iterators():
@@ -256,7 +309,7 @@ def test_bid_fold_takes_one_pass_iterators():
     # Equal arrivals: the first dump's first line.
     (survivor,) = fold.merged()
     assert (survivor.relay_id, survivor.num_transactions) == ("A", 1)
-    assert fold.stats()["per_relay"] == {"A": (1, 1.0), "B": (1, 1.0)}
+    assert fold.stats() == {"A": (1, 1.0), "B": (1, 1.0)}
 
 
 UNIQUE_PER_DUMP = 20_000

@@ -35,7 +35,6 @@ def make_bid(slot=100, relay="A", builder="b1", block_hash="h", value=10**16,
         relay_id=relay,
         builder_id=builder,
         block_hash=block_hash,
-        parent_hash="",
         value_wei=value,
         num_transactions=num_tx,
         arrival_ms=arrival,
@@ -158,11 +157,9 @@ def test_duplicate_stats_hand_example():
         make_bid(relay="B", slot=1, arrival=0),
     ]
     stats = duplicate_stats(bids)
-    assert stats["per_relay_slot"][("A", 1)] == 1
-    assert stats["per_relay_slot"][("A", 2)] == 0
-    slots, average = stats["per_relay"]["A"]
+    slots, average = stats["A"]
     assert slots == 2 and average == pytest.approx(0.5)
-    slots, average = stats["per_relay"]["B"]
+    slots, average = stats["B"]
     assert slots == 1 and average == pytest.approx(0.0)
 
 
@@ -381,6 +378,25 @@ def test_load_bids_names_undecodable_line(tmp_path):
         load_bids(path, "r", 0)
 
 
+BOM = "\ufeff".encode("utf-8")  # the byte-order mark spreadsheet exports start with
+
+
+def test_load_bids_drops_a_leading_byte_order_mark(tmp_path):
+    raw = {"slot": 10, "builder_pubkey": "b", "block_hash": HASH, "value": "1",
+           "timestamp_ms": MAINNET_GENESIS_UNIX_MS + 10 * SLOT_MS}
+    path = tmp_path / "bids.ndjson"
+    path.write_bytes(BOM + (json.dumps(raw) + "\n").encode("utf-8"))
+    bids, skipped = load_bids(path, "r", MAINNET_GENESIS_UNIX_MS)
+    assert (len(bids), skipped) == (1, 0)
+
+
+@pytest.mark.parametrize("header", [b"slot,share", b'"slot",share'], ids=["plain", "quoted"])
+def test_read_csv_rows_drops_a_leading_byte_order_mark(tmp_path, header):
+    path = tmp_path / "rows.csv"
+    path.write_bytes(BOM + header + b"\n7,0.5\n")
+    assert list(read_csv_rows(path, ("slot", "share"))) == [(2, ("7", "0.5"))]
+
+
 def _dictreader_bids(path):
     """The ``csv.DictReader`` reading that ``read_bids_csv`` replaced."""
     with open(path, newline="", encoding="utf-8") as fh:
@@ -390,7 +406,6 @@ def _dictreader_bids(path):
                 relay_id=row["relay"],
                 builder_id=row["builder"],
                 block_hash=row["block_hash"],
-                parent_hash="",
                 value_wei=int(row["value_wei"]),
                 num_transactions=int(row["num_tx"]),
                 arrival_ms=int(row["arrival_ms"]),
@@ -455,8 +470,8 @@ def test_write_csv_cells_read_back(tmp_path):
 
 
 def _naive_duplicate_stats(bids):
-    """Raw records minus distinct keys per (relay, slot), and each relay's
-    (slots, average), by brute force."""
+    """Raw records minus distinct keys per (relay, slot), averaged into each
+    relay's (slots, average), by brute force."""
     cells = {}
     for b in bids:
         cells.setdefault((b.relay_id, b.slot), []).append(b.dedup_key)
@@ -464,23 +479,19 @@ def _naive_duplicate_stats(bids):
     per_relay = {}
     for (relay, _), count in per_cell.items():
         per_relay.setdefault(relay, []).append(count)
-    return per_cell, {r: (len(c), sum(c) / len(c)) for r, c in per_relay.items()}
+    return {r: (len(c), sum(c) / len(c)) for r, c in per_relay.items()}
 
 
 def test_duplicate_stats_matches_naive_randomized():
     rng = np.random.default_rng(13)
     bids = _random_bids(rng, 3000)
-    stats = duplicate_stats(bids)
-    per_cell, per_relay = _naive_duplicate_stats(bids)
-    assert stats["per_relay_slot"] == per_cell
-    assert list(stats["per_relay_slot"]) == list(per_cell)  # first-seen order
-    assert stats["per_relay"] == per_relay
+    assert duplicate_stats(bids) == _naive_duplicate_stats(bids)
 
 
 def _csv_reader_rows(path, columns):
     """``read_csv_rows`` with ``csv.reader`` over the whole file, as it was
     before the comma-split path."""
-    with open(path, newline="", encoding="utf-8") as fh:
+    with open(path, newline="", encoding="utf-8-sig") as fh:
         reader = csv.reader(fh)
         try:
             index = {name: i for i, name in enumerate(next(reader, []))}
