@@ -34,7 +34,9 @@ import yaml
 
 from . import __version__
 from . import analytics, relaydata, rewards, simnet
-from .waitinggame import SWEEP_CSV_HEADER, PayoffModel, SimConfig, SweepConfig, run_simulation, sweep
+from .waitinggame import (
+    SWEEP_CSV_HEADER, PayoffModel, RunMetrics, SimConfig, SweepConfig, simulate, sweep,
+)
 
 EXIT_OK = 0
 EXIT_USAGE = 1
@@ -366,12 +368,8 @@ def sim():
 def sim_run(config_path, seed, out, verbose):
     """One simulation; writes a single-row metrics CSV."""
     config = _sim_config(_load_config(config_path, (SimConfig, PayoffModel), seed=seed))
-    metrics = run_simulation(config)
-    relaydata.write_csv(
-        out,
-        "b_count,m_count,mu,theta_d,theta_d_normalized,payoff_honest_eth,payoff_delayer_eth",
-        [astuple(metrics)],
-    )
+    metrics = simulate(config).metrics
+    relaydata.write_csv(out, ",".join(f.name for f in fields(RunMetrics)), [astuple(metrics)])
     if verbose:
         click.echo(f"mu={metrics.mu} theta_d={metrics.theta_d}", err=True)
     _write_manifest(out, "sim run", config_path, config.seed, [out])

@@ -135,13 +135,14 @@ class BidFold:
 
     def stats(self) -> dict:
         """``{relay: (slots, avg_duplicates_per_slot)}`` over the slots where
-        the relay has a record: its records less the bids it sent, per slot."""
+        the relay has a record: its records less the bids it sent, per slot.
+        A relay folded with no record gets ``(0, None)``."""
         shared = Counter(map(_relays, self.bids.values()))  # bids per relay bitmask
         stats = {}
         for relay, slots in self.slots.items():
-            if slots:
-                unique = sum(n for bits, n in shared.items() if bits & self.relays[relay])
-                stats[relay] = len(slots), (self.records[relay] - unique) / len(slots)
+            unique = sum(n for bits, n in shared.items() if bits & self.relays[relay])
+            average = (self.records[relay] - unique) / len(slots) if slots else None
+            stats[relay] = len(slots), average
         return stats
 
 

@@ -201,32 +201,6 @@ def assign_strategies(n: int, x_d: float, seed) -> StrategyAssignment:
     return StrategyAssignment(frozenset(int(i) for i in chosen))
 
 
-def mev_payoff(interval_since_previous_release_ms: float, model: PayoffModel) -> float:
-    if interval_since_previous_release_ms < 0:
-        raise ValueError("interval must be non-negative")
-    return model.base_value_eth + model.lambda_eth_per_ms * interval_since_previous_release_ms
-
-
-def mainchain_rate(m_count: int, b_count: int) -> float | None:
-    """Eq-style ratio of mainchain to produced blocks; None when nothing was produced."""
-    if b_count == 0:
-        return None
-    return m_count / b_count
-
-
-def delayer_orphan_count(tree: BlockTree, mainchain_set, delayers):
-    """(count, normalized) of delayer-proposed blocks left off the mainchain."""
-    orphaned = 0
-    proposed = 0
-    for b in range(1, len(tree)):
-        if tree.proposer[b] in delayers:
-            proposed += 1
-            if b not in mainchain_set:
-                orphaned += 1
-    normalized = orphaned / proposed if proposed else None
-    return orphaned, normalized
-
-
 class _ChainHandlers:
     """Consensus-side event handlers driving one simulation run."""
 
@@ -282,7 +256,16 @@ class _ChainHandlers:
 
 
 def simulate(config: SimConfig) -> SimulationOutput:
-    """Full pipeline: topology, strategies, event engine, metrics."""
+    """Full pipeline: topology, strategies, event engine, then the metrics in
+    one pass over the blocks in (release time, id) order.
+
+    ``mu`` is |M| / |B| (None with no block).  ``theta_d`` counts the
+    delayers' blocks off the main chain, and ``theta_d_normalized`` divides
+    it by the blocks they proposed (None when they proposed none).  Each
+    main-chain block earns ``base_value_eth + lambda_eth_per_ms`` times the
+    ms since the previous release of any block, orphans included, for its
+    proposer's group.
+    """
     ss = np.random.SeedSequence(config.seed)
     topo_ss, prop_ss, strat_ss, gossip_ss = ss.spawn(4)
     topology = generate_er_graph(
@@ -306,43 +289,27 @@ def simulate(config: SimConfig) -> SimulationOutput:
     tree = handlers.tree
     chain = mainchain(tree, engine.vote_slots, engine.vote_settled, engine.n_validators)
     chain_set = set(chain)
-    b_count = len(tree) - 1
-    m_count = len(chain)
-    theta, theta_norm = delayer_orphan_count(tree, chain_set, assignment.delayers)
-
-    payoff_honest = 0.0
-    payoff_delayer = 0.0
+    delayers = assignment.delayers
+    base, rate = config.payoff.base_value_eth, config.payoff.lambda_eth_per_ms
+    payoff = [0.0, 0.0]  # honest, delayer: indexed by "proposed by a delayer"
+    proposed = orphaned = 0
     prev_release = 0.0  # genesis
-    order = sorted(range(1, len(tree)), key=lambda b: (tree.release_time[b], b))
-    for b in order:
-        interval_ms = (tree.release_time[b] - prev_release) * 1000.0
-        prev_release = tree.release_time[b]
+    for b in sorted(range(1, len(tree)), key=lambda b: (tree.release_time[b], b)):
+        release = tree.release_time[b]
+        delayer = tree.proposer[b] in delayers
+        proposed += delayer
         if b in chain_set:
-            value = mev_payoff(interval_ms, config.payoff)
-            if tree.proposer[b] in assignment.delayers:
-                payoff_delayer += value
-            else:
-                payoff_honest += value
-
+            payoff[delayer] += base + rate * ((release - prev_release) * 1000.0)
+        else:
+            orphaned += delayer
+        prev_release = release
+    b_count = len(tree) - 1
     metrics = RunMetrics(
-        b_count=b_count,
-        m_count=m_count,
-        mu=mainchain_rate(m_count, b_count),
-        theta_d=theta,
-        theta_d_normalized=theta_norm,
-        payoff_honest_eth=payoff_honest,
-        payoff_delayer_eth=payoff_delayer,
+        b_count=b_count, m_count=len(chain), mu=len(chain) / b_count if b_count else None,
+        theta_d=orphaned, theta_d_normalized=orphaned / proposed if proposed else None,
+        payoff_honest_eth=payoff[0], payoff_delayer_eth=payoff[1],
     )
-    return SimulationOutput(
-        metrics=metrics,
-        tree=tree,
-        mainchain_ids=chain,
-        assignment=assignment,
-    )
-
-
-def run_simulation(config: SimConfig) -> RunMetrics:
-    return simulate(config).metrics
+    return SimulationOutput(metrics, tree, chain, assignment)
 
 
 def derive_cell_seed(master_seed: int, x_index: int, t_index: int, replicate: int) -> int:
@@ -380,7 +347,7 @@ def _run_for_sweep_safe(args):
     base_config, x, t, seed = args
     try:
         cfg = replace(base_config, x_d=x, t_d=t, seed=seed)
-        return ("ok", run_simulation(cfg))
+        return ("ok", simulate(cfg).metrics)
     except Exception as exc:  # noqa: BLE001 - cell-level isolation
         return ("err", str(exc) or type(exc).__name__)
 

@@ -31,7 +31,6 @@ from timinggames.rewards import base_reward
 from timinggames.waitinggame import (
     SimConfig,
     derive_cell_seed,
-    run_simulation,
     simulate,
 )
 
@@ -418,7 +417,7 @@ def test_acceptance_8_degenerate_identity(tmp_path):
     # orphans every behavioral metric is label-independent.
     chosen = None
     for seed in range(5):
-        if run_simulation(SimConfig(seed=seed)).mu == 1.0:
+        if simulate(SimConfig(seed=seed)).metrics.mu == 1.0:
             chosen = seed
             break
     assert chosen is not None
@@ -438,9 +437,9 @@ def test_acceptance_8_degenerate_identity(tmp_path):
         and dm.theta_d_normalized == 0.0
         and hm.payoff_total_eth == dm.payoff_total_eth
     )
-    theta_zero_ok = hm.theta_d == 0 and run_simulation(
+    theta_zero_ok = hm.theta_d == 0 and simulate(
         SimConfig(seed=chosen + 1, x_d=0.0, t_d=9.0)
-    ).theta_d == 0
+    ).metrics.theta_d == 0
 
     ok = trace_ok and metrics_ok and theta_zero_ok
     report(
@@ -487,7 +486,7 @@ def test_acceptance_9_determinism(tmp_path):
 
 def test_acceptance_10_performance():
     start = time.time()
-    metrics = run_simulation(SimConfig(seed=12345))
+    metrics = simulate(SimConfig(seed=12345)).metrics
     elapsed = time.time() - start
     peak_mb = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0
     ok = elapsed < 60.0 and peak_mb < 1024.0 and metrics.b_count == 83

@@ -69,6 +69,19 @@ def test_sim_run_default_config(tmp_path):
     assert manifest["config_digest"]
 
 
+def test_sim_run_with_no_slot(tmp_path):
+    # Six seconds hold no slot start: no block, so mu and the normalized
+    # Theta^d are undefined, and nothing earns a payoff.
+    metrics = waitinggame.simulate(SimConfig(n=24, mean_degree=5.0, duration=6)).metrics
+    assert (metrics.b_count, metrics.m_count, metrics.mu) == (0, 0, None)
+    assert (metrics.theta_d, metrics.theta_d_normalized) == (0, None)
+    assert (metrics.payoff_honest_eth, metrics.payoff_delayer_eth) == (0.0, 0.0)
+    out, cfg = tmp_path / "run.csv", tmp_path / "cfg.yaml"
+    cfg.write_text("n: 24\nmean_degree: 5.0\nduration: 6\n", encoding="utf-8")
+    assert run(["sim", "run", "--config", cfg, "--out", out]) == EXIT_OK
+    assert out.read_text(encoding="utf-8").splitlines()[1] == "0,0,,0,,0.0,0.0"
+
+
 def test_sim_run_unknown_key(tmp_path):
     cfg = tmp_path / "cfg.yaml"
     cfg.write_text("bogus: 1\n", encoding="utf-8")
@@ -226,11 +239,20 @@ def test_readme_config_defaults_match_schema():
     assert documented(sweep_keys) == schema(SweepConfig)
 
 
+def test_readme_run_columns_are_the_metrics_fields():
+    # README lists sim run's CSV columns, one bullet each, in order; the
+    # header is made from RunMetrics' fields.
+    readme = (Path(__file__).parents[1] / "README.md").read_text(encoding="utf-8")
+    section = readme.split("### Run metrics")[1].split("\n#")[0]
+    listed = re.findall(r"^- `(\w+)`", section, re.MULTILINE)
+    assert listed == [f.name for f in dataclasses.fields(waitinggame.RunMetrics)]
+
+
 def test_sim_out_of_memory_is_one_error_line(tmp_path, monkeypatch, capsys):
     def exhausted(config):
         raise MemoryError("Unable to allocate 16.0 GiB")
 
-    monkeypatch.setattr(cli, "run_simulation", exhausted)
+    monkeypatch.setattr(cli, "simulate", exhausted)
     out = tmp_path / "out.csv"
     assert run(["sim", "run", "--out", out]) == EXIT_USAGE
     err = capsys.readouterr().err.strip().splitlines()

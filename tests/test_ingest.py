@@ -76,7 +76,8 @@ def list_pipeline(dumps, out: Path):
     merged.sort(key=attrgetter("slot", "arrival_ms", "relay_id", "block_hash", "builder_id",
                                "value_wei"))
     relaydata.write_bids_csv(merged, out)
-    per_relay = _duplicate_stats(all_raw)
+    # Every relay named gets a row; one with no accepted record, (0, None).
+    per_relay = {relay: (0, None) for relay, _ in dumps} | _duplicate_stats(all_raw)
     relaydata.write_csv(
         str(out) + ".dupstats.csv",
         "relay,slots,avg_duplicates_per_slot",
@@ -296,6 +297,18 @@ def test_duplicate_stats_keeps_first_seen_cells_across_relay_runs():
     records = [parse_bid_line(bid_line(slot, "b1", HASHES[0], 1, 0, 0), relay, GENESIS_MS)
                for relay, slot in (("A", 7), ("B", 8), ("A", 8), ("A", 7), ("B", 8))]
     assert relaydata.duplicate_stats(records) == {"A": (2, 0.5), "B": (1, 1.0)}
+
+
+def test_ingest_writes_a_stats_row_for_a_relay_with_no_record(tmp_path):
+    # E's one line is malformed and Z's dump is empty: each still gets a
+    # row, with zero slots and an undefined average.
+    paths = []
+    for relay, text in (("A", bid_line(**GOOD) + "\n"), ("E", "not json\n"), ("Z", "")):
+        paths.append((relay, tmp_path / relay))
+        paths[-1][1].write_text(text, encoding="utf-8")
+    assert run_ingest(paths, tmp_path / "out.csv")[0] == EXIT_OK
+    stats = (tmp_path / "out.csv.dupstats.csv").read_text(encoding="utf-8").splitlines()
+    assert stats == ["relay,slots,avg_duplicates_per_slot", "A,1,0.0", "E,0,", "Z,0,"]
 
 
 def test_bid_fold_takes_one_pass_iterators():

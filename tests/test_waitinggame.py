@@ -10,7 +10,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from timinggames import waitinggame
-from timinggames.consensus import BlockTree
 from timinggames.relaydata import write_csv
 from timinggames.simnet import ATTEST_DEADLINE_OFFSET, SLOT_SECONDS
 from timinggames.waitinggame import (
@@ -20,11 +19,7 @@ from timinggames.waitinggame import (
     SimConfig,
     SweepConfig,
     assign_strategies,
-    delayer_orphan_count,
     derive_cell_seed,
-    mainchain_rate,
-    mev_payoff,
-    run_simulation,
     simulate,
     sweep,
 )
@@ -81,54 +76,47 @@ def test_release_time_rules():
             assert tree.release_time[b] == tree.slot[b] * 12.0 + delay
 
 
-def test_mev_payoff_values():
-    model = PayoffModel()
-    assert mev_payoff(0.0, model) == 0.0
-    assert mev_payoff(12000.0, model) == pytest.approx(0.06852)
-    assert DEFAULT_LAMBDA_ETH_PER_MS == pytest.approx(5.71e-6)
-    with pytest.raises(ValueError):
-        mev_payoff(-1.0, model)
-
-
-def test_mainchain_rate():
-    assert mainchain_rate(10, 10) == 1.0
-    assert mainchain_rate(9, 10) == 0.9
-    assert mainchain_rate(0, 0) is None
-
-
-def test_delayer_orphan_count_hand_example():
-    tree = BlockTree()
-    ids = []
-    prev = 0
-    for slot in range(3):
-        prev = tree.add(slot=slot, proposer=slot, parent=prev, release_time=0.0)
-        ids.append(prev)
-    orphan = tree.add(slot=3, proposer=1, parent=ids[0], release_time=0.0)
-    # Delayers proposed blocks ids[1] (slot 1), ids[2] (slot 2), orphan.
-    delayers = {1, 2}
-    mainchain_set = set(ids)
-    count, normalized = delayer_orphan_count(tree, mainchain_set, delayers)
-    assert count == 1
-    assert normalized == pytest.approx(1 / 3)
-
-
-def test_delayer_orphan_count_empty_delayers():
-    tree = BlockTree()
-    tree.add(slot=0, proposer=0, parent=0, release_time=0.0)
-    count, normalized = delayer_orphan_count(tree, set(), frozenset())
-    assert count == 0
-    assert normalized is None
+@pytest.mark.parametrize("x_d", [0.0, 0.5, 1.0])
+@pytest.mark.parametrize("t_d", [0.0, 11.0])
+def test_run_metrics_recount_from_the_output(x_d, t_d):
+    # mu, Theta^d and the payoffs, recounted from the run's own tree, main
+    # chain and delayers.  Each main-chain block earns base + lambda x the
+    # ms since the previous release of any block, orphans included, in
+    # (release time, id) order from genesis at 0 s.
+    payoff = PayoffModel(base_value_eth=0.01)
+    assert payoff.lambda_eth_per_ms == DEFAULT_LAMBDA_ETH_PER_MS == pytest.approx(5.71e-6)
+    out = simulate(replace(FAST, x_d=x_d, t_d=t_d, seed=6, payoff=payoff))
+    tree, chain = out.tree, set(out.mainchain_ids)
+    blocks = list(range(1, len(tree)))
+    by_delayer = [b for b in blocks if tree.proposer[b] in out.assignment.delayers]
+    orphans = [b for b in by_delayer if b not in chain]
+    earned = {False: 0.0, True: 0.0}
+    released = 0.0
+    for b in sorted(blocks, key=lambda b: (tree.release_time[b], b)):
+        gap_ms = (tree.release_time[b] - released) * 1000.0
+        released = tree.release_time[b]
+        if b in chain:
+            earned[b in by_delayer] += payoff.base_value_eth + payoff.lambda_eth_per_ms * gap_ms
+    m = out.metrics
+    assert (m.b_count, m.m_count) == (len(blocks), len(chain))
+    assert m.mu == len(chain) / len(blocks)
+    assert m.theta_d == len(orphans)
+    assert m.theta_d_normalized == (len(orphans) / len(by_delayer) if by_delayer else None)
+    assert (m.payoff_honest_eth, m.payoff_delayer_eth) == (earned[False], earned[True])
+    assert m.payoff_total_eth == earned[False] + earned[True]
+    if x_d == 1.0 and t_d == 11.0:
+        assert 0 < m.theta_d < m.b_count  # the recount meets orphans and canonical blocks
 
 
 def test_run_simulation_block_count_bound():
-    metrics = run_simulation(FAST)
+    metrics = simulate(FAST).metrics
     assert metrics.b_count == 20  # floor(240 / 12)
     assert metrics.m_count <= metrics.b_count
     assert metrics.mu == metrics.m_count / metrics.b_count
 
 
 def test_run_simulation_honest_baseline():
-    metrics = run_simulation(FAST)
+    metrics = simulate(FAST).metrics
     assert metrics.theta_d == 0
     assert metrics.payoff_delayer_eth == 0.0
     assert metrics.mu >= 0.9  # honest fast network keeps nearly every block
@@ -136,8 +124,8 @@ def test_run_simulation_honest_baseline():
 
 def test_run_simulation_deterministic():
     cfg = SimConfig(n=24, mean_degree=5.0, duration=240.0, x_d=0.5, t_d=6.0, seed=11)
-    m1 = run_simulation(cfg)
-    m2 = run_simulation(cfg)
+    m1 = simulate(cfg).metrics
+    m2 = simulate(cfg).metrics
     assert m1 == m2
 
 
@@ -182,10 +170,10 @@ def test_simulate_draws_proposers_from_their_seed_stream():
 
 def test_payoff_total_increases_with_delay():
     base = SimConfig(n=24, mean_degree=5.0, duration=480.0, seed=5)
-    honest = run_simulation(base)
-    delayed = run_simulation(
+    honest = simulate(base).metrics
+    delayed = simulate(
         SimConfig(n=24, mean_degree=5.0, duration=480.0, seed=5, x_d=1.0, t_d=6.0)
-    )
+    ).metrics
     # Delaying stretches inter-release intervals without (at t_d = 6 on a
     # fast small network) losing blocks, so total payoff can only grow.
     if delayed.mu == 1.0:
